@@ -7,14 +7,14 @@ from __future__ import annotations
 
 from ssfp.instances import four_cycle_instance
 from ssfp.milp_core import relax
-from ssfp.models import build_do_d, build_do_u
+from ssfp.models import build_do
 from ssfp.solver import solve_lp, solve_milp
 
 
 def main() -> None:
     instance = four_cycle_instance()
-    for label, build in (("undirected", build_do_u), ("directed", build_do_d)):
-        built = build(instance)
+    for label, flow in (("undirected", "u"), ("directed", "d")):
+        built = build_do(instance, flow=flow)
         ilp = solve_milp(built.milp)
         lp = solve_lp(relax(built.milp))
         print(

@@ -32,11 +32,7 @@ from .models import (
     BuiltModel,
     ModelKind,
     build_do,
-    build_do_d,
-    build_do_u,
     build_model,
-    build_ro,
-    build_so,
     expected_size,
 )
 from .solver import BnbConfig, BruteForceResult, brute_force, solve_lp, solve_milp

@@ -32,6 +32,7 @@ from .solver import BnbConfig, solve_milp
 from .experiments import (
     cost_curves,
     run_sweep,
+    sweep_threads,
     write_curves_csv,
     write_matrix_csv,
     write_ratios_csv,
@@ -82,9 +83,11 @@ def _build_for(target: TwoStageInstance | Instance, model: str, flow: str):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.node_limit is not None and args.node_limit < 1:
+        raise CliError("--node-limit must be at least 1")
     target = _load_target(args.instance, args.rho2)
     built = _build_for(target, args.model, args.flow)
-    config = BnbConfig(node_limit=args.node_limit) if args.node_limit else BnbConfig()
+    config = BnbConfig() if args.node_limit is None else BnbConfig(node_limit=args.node_limit)
     solution = solve_milp(built.milp, config)
     if solution.status == "node_limit":
         print(f"node limit reached after {solution.node_count} nodes", file=sys.stderr)
@@ -130,11 +133,16 @@ def _parse_settings(spec: str, seeds: list[int]) -> list[SweepConfig]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    seeds = list(range(args.seeds))
-    configs = _parse_settings(args.settings, seeds)
+    if args.seeds < 1:
+        raise CliError("--seeds must be at least 1")
+    try:
+        threads = sweep_threads(args.threads)
+    except ValueError as err:
+        raise CliError(str(err)) from None
+    configs = _parse_settings(args.settings, list(range(args.seeds)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, _ = run_sweep(configs, args.threads)
+    records, _ = run_sweep(configs, threads)
     write_sweep_csv(records, out_dir / "sweep.csv")
     write_matrix_csv(records, out_dir / "matrix.csv")
     write_ratios_csv(records, out_dir / "ratios.csv")

@@ -89,14 +89,8 @@ def vss(
     eevs = evaluate_under(
         "so", two_stage, deterministic_first_stage(two_stage, flow), probabilities, flow
     )
-    built = build_model(ModelKind("so", flow), two_stage, _rho_tuple(two_stage, probabilities))
+    built = build_model(ModelKind("so", flow), two_stage, probabilities)
     return eevs - _solve_or_raise(built).objective
-
-
-def _rho_tuple(
-    two_stage: TwoStageInstance, probabilities: Sequence[float] | None
-) -> tuple[float, ...] | None:
-    return None if probabilities is None else tuple(probabilities)
 
 
 @dataclass(frozen=True)
@@ -347,7 +341,10 @@ def sweep_threads(requested: int | None = None) -> int:
         return max(1, requested)
     env = os.environ.get("SSFP_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"SSFP_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -45,9 +45,6 @@ class UnionFind:
         self.parent[ry] = rx
         self.size[rx] += self.size[ry]
 
-    def connected(self, x: int, y: int) -> bool:
-        return self.find(x) == self.find(y)
-
 
 @dataclass(frozen=True)
 class Graph:

@@ -13,8 +13,6 @@ from typing import Iterable, Literal, Mapping
 
 INF = math.inf
 
-#: Feasibility tolerance used by the solver layer.
-FEASIBILITY_TOL = 1e-9
 #: Tolerance for classifying a variable value as integral.
 INTEGRALITY_TOL = 1e-6
 
@@ -137,20 +135,9 @@ class MilpModel:
             if coef != var.objective:
                 self.variables[handle] = Variable(var.name, var.kind, var.lower, var.upper, coef)
 
-    def fix_variable(self, handle: int, value: float) -> None:
-        var = self.variables[handle]
-        self.variables[handle] = Variable(var.name, var.kind, float(value), float(value), var.objective)
-
     def make_binary(self, handle: int) -> None:
         var = self.variables[handle]
         self.variables[handle] = Variable(var.name, "binary", 0.0, 1.0, var.objective)
-
-    def set_objective_coefficient(self, handle: int, coefficient: float) -> None:
-        var = self.variables[handle]
-        self.variables[handle] = Variable(var.name, var.kind, var.lower, var.upper, float(coefficient))
-
-    def binary_handles(self) -> list[int]:
-        return [h for h, v in enumerate(self.variables) if v.kind == "binary"]
 
     def structurally_equal(self, other: "MilpModel") -> bool:
         """Order-insensitive on variables, order-sensitive on constraints;
@@ -200,9 +187,6 @@ class MilpSolution:
     node_count: int = 0
     solve_time: float = 0.0
     root_bound: float = math.nan
-
-    def value(self, name: str) -> float:
-        return self.values[name]
 
 
 def relax(model: MilpModel) -> MilpModel:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
 from .milp_core import MilpModel, MilpSolution
@@ -91,27 +91,21 @@ def _active_vertices(inst: Instance) -> list[int]:
     return sorted(touched)
 
 
-class _StageRefs:
-    """Handles created for one stage of a model."""
-
-    def __init__(self) -> None:
-        self.x: dict[tuple[int, int], int] = {}  # (pipe, edge id) -> handle
-
-
 def _add_x_variables(
     model: MilpModel, inst: Instance, existing: frozenset[tuple[int, int]], suffix: str
-) -> _StageRefs:
-    refs = _StageRefs()
+) -> dict[tuple[int, int], int]:
+    """Installation-variable handles of one stage, keyed by (pipe, edge id)."""
+    x: dict[tuple[int, int], int] = {}
     for p in range(1, inst.pipes.num_pipe_types + 1):
         for eid, (u, v) in enumerate(inst.graph.edges):
             fixed = (p, eid) in existing
-            refs.x[(p, eid)] = model.add_variable(
+            x[(p, eid)] = model.add_variable(
                 f"x_{p}_{u}_{v}{suffix}",
                 "continuous",
                 1.0 if fixed else 0.0,
                 1.0,
             )
-    return refs
+    return x
 
 
 def _add_undirected_block(
@@ -119,11 +113,11 @@ def _add_undirected_block(
     inst: Instance,
     existing: frozenset[tuple[int, int]],
     suffix: str,
-) -> _StageRefs:
+) -> dict[tuple[int, int], int]:
     """Variables and constraints of the undirected flow formulation: one
     commodity per non-root terminal, flow conservation summed over feasible
     pipes, and anti-parallel coupling of flows to installations."""
-    refs = _add_x_variables(model, inst, existing, suffix)
+    x = _add_x_variables(model, inst, existing, suffix)
     graph = inst.graph
     pipes = inst.feasible_pipes_sorted()
     adm = inst.admissible_edges_sorted()
@@ -159,11 +153,11 @@ def _add_undirected_block(
                 u, v = graph.endpoints(eid)
                 model.add_constraint(
                     f"cap_{t}_{p}_{u}_{v}{suffix}",
-                    [(f[(t, p, u, v)], 1.0), (f[(t, p, v, u)], 1.0), (refs.x[(p, eid)], -1.0)],
+                    [(f[(t, p, u, v)], 1.0), (f[(t, p, v, u)], 1.0), (x[(p, eid)], -1.0)],
                     "<=",
                     0.0,
                 )
-    return refs
+    return x
 
 
 def _add_directed_block(
@@ -171,11 +165,11 @@ def _add_directed_block(
     inst: Instance,
     existing: frozenset[tuple[int, int]],
     suffix: str,
-) -> _StageRefs:
+) -> dict[tuple[int, int], int]:
     """Variables and constraints of the directed formulation: arborescences
     that merge overlapping groups under a single root, which rules out the
     opposing fractional flow cycles the undirected relaxation admits."""
-    refs = _add_x_variables(model, inst, existing, suffix)
+    x = _add_x_variables(model, inst, existing, suffix)
     graph = inst.graph
     pipes = inst.feasible_pipes_sorted()
     adm = inst.admissible_edges_sorted()
@@ -262,7 +256,7 @@ def _add_directed_block(
             u, v = graph.endpoints(eid)
             model.add_constraint(
                 f"dir_{p}_{u}_{v}{suffix}",
-                [(y[(p, u, v)], 1.0), (y[(p, v, u)], 1.0), (refs.x[(p, eid)], -1.0)],
+                [(y[(p, u, v)], 1.0), (y[(p, v, u)], 1.0), (x[(p, eid)], -1.0)],
                 "<=",
                 0.0,
             )
@@ -321,26 +315,28 @@ def _add_directed_block(
                 terms = [(yk[(k, p, b, a)], 1.0) for a, b in out_arcs.get(rl, ())]
                 terms.append((z[(k, l)], -1.0))
                 model.add_constraint(f"rootuse_{k}_{l}_{p}{suffix}", terms, "<=", 0.0)
-    return refs
+    return x
 
 
 _BLOCKS = {"u": _add_undirected_block, "d": _add_directed_block}
 
 
 def _stage_cost_coefficients(
-    inst: Instance, refs: _StageRefs, existing: frozenset[tuple[int, int]]
+    inst: Instance, x: dict[tuple[int, int], int], existing: frozenset[tuple[int, int]]
 ) -> dict[int, float]:
     return {
         handle: inst.pair_cost(p, eid)
-        for (p, eid), handle in refs.x.items()
+        for (p, eid), handle in x.items()
         if (p, eid) not in existing
     }
 
 
-def _x_name_map(model: MilpModel, stages: list[_StageRefs]) -> dict[str, tuple[int, int, int]]:
+def _x_name_map(
+    model: MilpModel, stages: list[dict[tuple[int, int], int]]
+) -> dict[str, tuple[int, int, int]]:
     out: dict[str, tuple[int, int, int]] = {}
-    for stage, refs in enumerate(stages):
-        for (p, eid), handle in refs.x.items():
+    for stage, x in enumerate(stages):
+        for (p, eid), handle in x.items():
             out[model.variables[handle].name] = (stage, p, eid)
     return out
 
@@ -351,12 +347,12 @@ def build_do(instance: Instance, existing: EdgePipeSet = EdgePipeSet(), flow: Fl
     existing.check(instance.graph, instance.pipes.num_pipe_types)
     kind = ModelKind("do", flow)
     model = MilpModel(kind.label)
-    refs = _BLOCKS[flow](model, instance, existing.pairs, "")
-    model.set_objective(_stage_cost_coefficients(instance, refs, existing.pairs))
+    x = _BLOCKS[flow](model, instance, existing.pairs, "")
+    model.set_objective(_stage_cost_coefficients(instance, x, existing.pairs))
     return BuiltModel(
         kind,
         model,
-        _x_name_map(model, [refs]),
+        _x_name_map(model, [x]),
         model.num_variables,
         model.num_constraints,
         1,
@@ -364,46 +360,45 @@ def build_do(instance: Instance, existing: EdgePipeSet = EdgePipeSet(), flow: Fl
     )
 
 
-def build_do_u(instance: Instance, existing: EdgePipeSet = EdgePipeSet()) -> BuiltModel:
-    return build_do(instance, existing, "u")
-
-
-def build_do_d(instance: Instance, existing: EdgePipeSet = EdgePipeSet()) -> BuiltModel:
-    return build_do(instance, existing, "d")
-
-
 def _build_two_stage(
     two_stage: TwoStageInstance,
-    flow: Flow,
-    robust: bool,
-    probabilities: tuple[float, ...],
+    kind: ModelKind,
+    probabilities: Sequence[float] | None,
 ) -> BuiltModel:
+    """RO: first-stage cost plus the worst-case retrofit, captured by an
+    epigraph variable ``d`` over the scenario retrofit costs.  SO: first-stage
+    cost plus probability-weighted retrofit costs per scenario."""
     started = time.perf_counter()
-    kind = ModelKind("ro" if robust else "so", flow)
+    robust = kind.optimization == "ro"
+    if not two_stage.scenarios:
+        raise ValueError(
+            f"{'robust' if robust else 'stochastic'} model needs at least one scenario"
+        )
+    rho = two_stage.probabilities if robust or probabilities is None else tuple(probabilities)
+    if len(rho) != two_stage.num_scenarios:
+        raise ValueError("need one probability per scenario")
     model = MilpModel(kind.label)
     first = two_stage.first_stage
     existing = two_stage.existing.pairs
-    block = _BLOCKS[flow]
+    block = _BLOCKS[kind.flow]
 
-    stage_refs = [block(model, first, existing, "")]
-    for (p, eid), handle in stage_refs[0].x.items():
+    stage_x = [block(model, first, existing, "")]
+    for (p, eid), handle in stage_x[0].items():
         if (p, eid) not in existing:  # fixed pairs stay continuous at [1, 1]
             model.make_binary(handle)
     for s, scenario in enumerate(two_stage.scenarios, start=1):
-        stage_refs.append(block(model, scenario, frozenset(), f"_s{s}"))
+        stage_x.append(block(model, scenario, frozenset(), f"_s{s}"))
 
-    objective = _stage_cost_coefficients(first, stage_refs[0], existing)
+    objective = _stage_cost_coefficients(first, stage_x[0], existing)
     d_handle = model.add_variable("d", "continuous", 0.0) if robust else None
     if robust:
         objective[d_handle] = 1.0
 
     for s, scenario in enumerate(two_stage.scenarios, start=1):
-        rho = probabilities[s - 1]
-        refs = stage_refs[s]
         epigraph: list[tuple[int, float]] = [(d_handle, 1.0)] if robust else []
-        for (p, eid), handle in refs.x.items():
+        for (p, eid), handle in stage_x[s].items():
             inflated = scenario.pair_cost(p, eid)
-            first_handle = stage_refs[0].x[(p, eid)]
+            first_handle = stage_x[0][(p, eid)]
             u, v = first.graph.endpoints(eid)
             model.add_constraint(
                 f"link_{p}_{u}_{v}_s{s}", [(handle, 1.0), (first_handle, -1.0)], ">=", 0.0
@@ -412,15 +407,15 @@ def _build_two_stage(
                 epigraph.append((handle, -inflated))
                 epigraph.append((first_handle, inflated))
             else:
-                objective[handle] = objective.get(handle, 0.0) + rho * inflated
-                objective[first_handle] = objective.get(first_handle, 0.0) - rho * inflated
+                objective[handle] = objective.get(handle, 0.0) + rho[s - 1] * inflated
+                objective[first_handle] = objective.get(first_handle, 0.0) - rho[s - 1] * inflated
         if robust:
             model.add_constraint(f"worst_s{s}", epigraph, ">=", 0.0)
     model.set_objective(objective)
     return BuiltModel(
         kind,
         model,
-        _x_name_map(model, stage_refs),
+        _x_name_map(model, stage_x),
         model.num_variables,
         model.num_constraints,
         1 + two_stage.num_scenarios,
@@ -428,39 +423,17 @@ def _build_two_stage(
     )
 
 
-def build_ro(two_stage: TwoStageInstance, flow: Flow = "u") -> BuiltModel:
-    """Min-max model: first-stage cost plus the worst-case retrofit, captured
-    by an epigraph variable over the scenario retrofit costs."""
-    if not two_stage.scenarios:
-        raise ValueError("robust model needs at least one scenario")
-    return _build_two_stage(two_stage, flow, True, two_stage.probabilities)
-
-
-def build_so(
-    two_stage: TwoStageInstance,
-    flow: Flow = "u",
-    probabilities: tuple[float, ...] | None = None,
-) -> BuiltModel:
-    """Expected-cost model: first-stage cost plus probability-weighted
-    retrofit costs per scenario."""
-    if not two_stage.scenarios:
-        raise ValueError("stochastic model needs at least one scenario")
-    rho = two_stage.probabilities if probabilities is None else tuple(probabilities)
-    if len(rho) != two_stage.num_scenarios:
-        raise ValueError("need one probability per scenario")
-    return _build_two_stage(two_stage, flow, False, rho)
-
-
 def build_model(
     kind: ModelKind,
     two_stage: TwoStageInstance,
-    probabilities: tuple[float, ...] | None = None,
+    probabilities: Sequence[float] | None = None,
 ) -> BuiltModel:
+    """Any of the six models on a two-stage instance.  ``probabilities``
+    overrides the instance's scenario probabilities for SO; DO and RO ignore
+    it.  RO and SO need at least one scenario."""
     if kind.optimization == "do":
         return build_do(two_stage.first_stage, two_stage.existing, kind.flow)
-    if kind.optimization == "ro":
-        return build_ro(two_stage, kind.flow)
-    return build_so(two_stage, kind.flow, probabilities)
+    return _build_two_stage(two_stage, kind, probabilities)
 
 
 ALL_KINDS = tuple(ModelKind(o, f) for o in ("do", "ro", "so") for f in ("u", "d"))

@@ -37,9 +37,9 @@ class BruteForceBudgetError(SolverError):
 
 @dataclass(frozen=True)
 class BnbConfig:
-    """Branch-and-bound knobs.  The strategy fields are fixed choices kept
-    explicit for reproducibility: branching picks the most fractional binary
-    (lowest declaration index on ties) and node selection is best-bound.
+    """Branch-and-bound settings.  The search strategy is fixed: branching
+    picks the most fractional binary (lowest declaration index on ties) and
+    node selection is best-bound.
 
     ``cutoff``, when set, seeds the incumbent objective so nodes that cannot
     beat a known value are pruned; the reported optimum is unaffected as long
@@ -49,17 +49,11 @@ class BnbConfig:
     node_limit: int = 10_000_000
     integrality_tol: float = INTEGRALITY_TOL
     prune_tol: float = 1e-9
-    branching: str = "most-fractional"
-    node_selection: str = "best-bound"
     cutoff: float | None = None
 
     def __post_init__(self) -> None:
         if self.node_limit < 1:
             raise ValueError("node_limit must be at least 1")
-        if self.branching != "most-fractional":
-            raise ValueError(f"unsupported branching rule {self.branching!r}")
-        if self.node_selection != "best-bound":
-            raise ValueError(f"unsupported node selection {self.node_selection!r}")
 
 
 class _ArrayForm:

@@ -4,9 +4,10 @@ the measured evidence when it completes.
 Criterion 5/6 run the full 27-setting artificial sweep and are marked
 ``sweep`` (deselected by default): exact zero-gap solves of the robust and
 stochastic models at that scale need hours of CPU, far beyond the stated
-budget, on any cuts-free branch-and-bound (see notes/decisions.md).  Run them
-with ``pytest -m sweep``; ``SSFP_SWEEP_SEEDS`` controls the seed count
-(default 5).  A small-grid pilot with the same hard invariants always runs.
+budget, on any cuts-free branch-and-bound (see *Sweep runtime* in the
+README).  Run them with ``pytest -m sweep``; ``SSFP_SWEEP_SEEDS`` controls the
+seed count (default 5).  A small-grid pilot with the same hard invariants
+always runs.
 """
 import math
 import os
@@ -31,7 +32,7 @@ from ssfp.instances import (
     random_grid_instance,
 )
 from ssfp.milp_core import export_lp, parse_lp, relax
-from ssfp.models import ALL_KINDS, ModelKind, build_do_d, build_do_u, build_model, expected_size
+from ssfp.models import ALL_KINDS, ModelKind, build_do, build_model, expected_size
 from ssfp.solver import brute_force, solve_lp, solve_milp
 
 
@@ -118,7 +119,7 @@ def test_criterion_2_vss_range(fig2):
 def test_criterion_3_relaxation_tightness(corpus):
     started = time.perf_counter()
     inst = four_cycle_instance()
-    built_u, built_d = build_do_u(inst), build_do_d(inst)
+    built_u, built_d = build_do(inst, flow="u"), build_do(inst, flow="d")
     assert solve_milp(built_u.milp).objective == pytest.approx(3.0, abs=1e-9)
     assert solve_milp(built_d.milp).objective == pytest.approx(3.0, abs=1e-9)
     lp_u = solve_lp(relax(built_u.milp)).objective
@@ -130,8 +131,8 @@ def test_criterion_3_relaxation_tightness(corpus):
 
     worst = math.inf
     for ts in corpus:
-        u = solve_lp(relax(build_do_u(ts.first_stage).milp)).objective
-        d = solve_lp(relax(build_do_d(ts.first_stage).milp)).objective
+        u = solve_lp(relax(build_do(ts.first_stage, flow="u").milp)).objective
+        d = solve_lp(relax(build_do(ts.first_stage, flow="d").milp)).objective
         worst = min(worst, d - u)
         assert d >= u - 1e-7
     report(
@@ -267,7 +268,7 @@ def test_criterion_7_structural_checks(fig2):
             f"{kind.label} size stats disagree with the closed forms"
         )
 
-    built = build_do_u(fig2.first_stage)
+    built = build_do(fig2.first_stage, flow="u")
     assert parse_lp(export_lp(built.milp)) == built.milp
     ro = build_model(ModelKind("ro", "u"), fig2)
     assert parse_lp(export_lp(ro.milp)) == ro.milp
@@ -289,7 +290,7 @@ def test_criterion_7_structural_checks(fig2):
             assert validate_feasible(scen_inst, scen_set)
 
     # removing any single load-bearing pair must break feasibility
-    do_built = build_do_u(fig2.first_stage)
+    do_built = build_do(fig2.first_stage, flow="u")
     do_first, _ = do_built.extract_sets(solve_milp(do_built.milp))
     for pair in do_first:
         assert not validate_feasible(fig2.first_stage, do_first - EdgePipeSet(frozenset({pair})))

@@ -75,6 +75,36 @@ class TestSolve:
         assert code == 4
         assert "node limit" in err
 
+    @pytest.mark.parametrize("limit", ["-5", "0"])
+    def test_node_limit_below_one_is_usage_error(self, capsys, limit):
+        code, _, err = run(
+            capsys, "solve", "--instance", "builtin:fig2", "--model", "do",
+            "--node-limit", limit,
+        )
+        assert code == 2
+        assert err.strip() == "--node-limit must be at least 1"
+
+
+class TestSweep:
+    def test_zero_seeds_is_usage_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "sweep", "--settings", "2,1,3", "--seeds", "0", "--out-dir", str(out_dir)
+        )
+        assert code == 2
+        assert err.strip() == "--seeds must be at least 1"
+        assert not out_dir.exists()
+
+    def test_non_integer_threads_variable_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("SSFP_THREADS", "two")
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "sweep", "--settings", "2,1,3", "--seeds", "1", "--out-dir", str(out_dir)
+        )
+        assert code == 2
+        assert err.strip() == "SSFP_THREADS must be an integer, got 'two'"
+        assert not out_dir.exists()
+
 
 class TestValidate:
     def test_empty_solution_is_infeasible(self, capsys, tmp_path):

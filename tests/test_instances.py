@@ -17,7 +17,7 @@ from ssfp.instances import (
     save_instance,
 )
 from ssfp.solver import solve_milp
-from ssfp.models import build_do_u
+from ssfp.models import build_do
 
 
 class TestGridGraph:
@@ -197,5 +197,5 @@ class TestRealisticData:
         # diesel stages avoid forbidden rooms, methanol may use every edge
         assert len(ts.first_stage.admissible_edges) < graph.num_edges
         assert ts.scenarios[1].admissible_edges == frozenset(range(graph.num_edges))
-        built = build_do_u(ts.first_stage, ts.existing)
+        built = build_do(ts.first_stage, ts.existing, flow="u")
         assert solve_milp(built.milp).status == "optimal"

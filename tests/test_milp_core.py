@@ -11,7 +11,7 @@ from ssfp.milp_core import (
     parse_lp,
     relax,
 )
-from ssfp.models import build_do_u
+from ssfp.models import build_do
 from ssfp.instances import fig2_instance
 from ssfp.solver import solve_lp
 
@@ -100,9 +100,8 @@ class TestRelax:
         # relaxing the undirected model admits the half-unit flow cycle of
         # total cost 2, strictly below the integer optimum 3
         from ssfp.instances import four_cycle_instance
-        from ssfp.models import build_do_u
 
-        built = build_do_u(four_cycle_instance())
+        built = build_do(four_cycle_instance(), flow="u")
         lp = solve_lp(relax(built.milp))
         assert lp.status == "optimal"
         assert lp.objective <= 2.0 + 1e-7
@@ -127,7 +126,7 @@ class TestLpFormat:
         assert parse_lp(export_lp(m)) == m
 
     def test_round_trip_fig2_do_u(self):
-        built = build_do_u(fig2_instance().first_stage)
+        built = build_do(fig2_instance().first_stage, flow="u")
         assert parse_lp(export_lp(built.milp)) == built.milp
 
     def test_negative_and_free_bounds(self):

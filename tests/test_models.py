@@ -7,11 +7,7 @@ from ssfp.models import (
     ALL_KINDS,
     ModelKind,
     build_do,
-    build_do_d,
-    build_do_u,
     build_model,
-    build_ro,
-    build_so,
     expected_size,
 )
 from ssfp.solver import brute_force, solve_lp, solve_milp
@@ -34,7 +30,7 @@ class TestModelKind:
 
 class TestDoU:
     def test_fig2_optimum_is_four(self, fig2):
-        built = build_do_u(fig2.first_stage)
+        built = build_do(fig2.first_stage, flow="u")
         assert solve_milp(built.milp).objective == pytest.approx(4.0, abs=1e-9)
 
     def test_single_edge_instance_picks_cheapest_pipe(self):
@@ -45,7 +41,7 @@ class TestDoU:
         inst = Instance(
             graph, catalog, TerminalGroups(((1, 2),)), frozenset({1, 2}), frozenset({0})
         )
-        built = build_do_u(inst)
+        built = build_do(inst, flow="u")
         # one x per pipe type plus two flow arcs per feasible pipe
         assert built.num_variables == 2 + 2 * 2
         assert solve_milp(built.milp).objective == pytest.approx(3.0)
@@ -56,7 +52,7 @@ class TestDoU:
         from dataclasses import replace
 
         restricted = replace(fig2.first_stage, feasible_pipes=frozenset({1}))
-        built = build_do_u(restricted)
+        built = build_do(restricted, flow="u")
         assert built.num_variables == 2 * 49 + 1 * 1 * 98 == 196
 
     def test_existing_pairs_fixed_and_free(self, fig2):
@@ -64,26 +60,26 @@ class TestDoU:
             fig2.first_stage.graph,
             [(1, (8, 9)), (1, (9, 10)), (1, (10, 16)), (1, (16, 22))],
         )
-        built = build_do_u(fig2.first_stage, route)
+        built = build_do(fig2.first_stage, route, flow="u")
         sol = solve_milp(built.milp)
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 class TestDoD:
     def test_fig2_matches_undirected(self, fig2):
-        assert solve_milp(build_do_d(fig2.first_stage).milp).objective == pytest.approx(
+        assert solve_milp(build_do(fig2.first_stage, flow="d").milp).objective == pytest.approx(
             4.0, abs=1e-9
         )
 
     def test_four_cycle_directed_lp_is_tight(self):
-        built = build_do_d(four_cycle_instance())
+        built = build_do(four_cycle_instance(), flow="d")
         assert solve_milp(built.milp).objective == pytest.approx(3.0, abs=1e-9)
         lp = solve_lp(relax(built.milp))
         # the opposing half-unit cycles of the undirected relaxation are cut off
         assert lp.objective >= 2.0 + 0.1
 
     def test_single_group_has_one_root_variable(self, fig2):
-        built = build_do_d(fig2.first_stage)
+        built = build_do(fig2.first_stage, flow="d")
         z_names = [v.name for v in built.milp.variables if v.name.startswith("z_")]
         assert z_names == ["z_1_1"]
         sol = solve_milp(built.milp)
@@ -93,7 +89,7 @@ class TestDoD:
 class TestTwoStageBuilders:
     def test_fig2_ro_optimum_eleven(self, fig2):
         for flow in ("u", "d"):
-            built = build_ro(fig2, flow)
+            built = build_model(ModelKind("ro", flow), fig2)
             assert solve_milp(built.milp).objective == pytest.approx(11.0, abs=1e-9)
 
     def test_single_identical_scenario_means_no_retrofit(self):
@@ -108,7 +104,7 @@ class TestTwoStageBuilders:
         mirror = replace(base.first_stage, cost_multiplier=2.0)
         ts = TwoStageInstance(base.first_stage, (mirror,), (1.0,))
         do_obj = solve_milp(build_do(ts.first_stage, ts.existing, "u").milp).objective
-        sol = solve_milp(build_ro(ts, "u").milp)
+        sol = solve_milp(build_model(ModelKind("ro", "u"), ts).milp)
         assert sol.objective == pytest.approx(do_obj, abs=1e-9)
         assert sol.values["d"] == pytest.approx(0.0, abs=1e-6)
 
@@ -116,7 +112,7 @@ class TestTwoStageBuilders:
         expected = {0.0: 4.0, 0.45: 10.8, 0.5: 11.0, 1.0: 11.0}
         for rho2, value in expected.items():
             for flow in ("u", "d"):
-                built = build_so(fig2, flow, (1.0 - rho2, rho2))
+                built = build_model(ModelKind("so", flow), fig2, (1.0 - rho2, rho2))
                 assert solve_milp(built.milp).objective == pytest.approx(value, abs=1e-9)
 
     def test_so_at_point_45_hedges_with_one_retrofit_pipe(self, fig2):
@@ -125,7 +121,7 @@ class TestTwoStageBuilders:
         # from 26 to 32 if the methanol scenario arrives
         from ssfp.graph_core import cost
 
-        built = build_so(fig2, "d", (0.55, 0.45))
+        built = build_model(ModelKind("so", "d"), fig2, (0.55, 0.45))
         sol = solve_milp(built.milp)
         assert sol.objective == pytest.approx(10.8, abs=1e-9)
         first, scenarios = built.extract_sets(sol)
@@ -134,15 +130,24 @@ class TestTwoStageBuilders:
         assert retrofit.to_vertex_pairs(fig2.first_stage.graph) == [(2, (26, 32))]
         assert len(scenarios[0] - first) == 0
 
-    def test_ro_needs_scenarios(self, fig2):
+    @pytest.mark.parametrize(
+        "optimization, scenarios, probabilities, message",
+        [
+            ("ro", False, None, "robust model needs at least one scenario"),
+            ("so", False, None, "stochastic model needs at least one scenario"),
+            ("so", True, (1.0,), "need one probability per scenario"),
+        ],
+        ids=["ro-no-scenarios", "so-no-scenarios", "so-wrong-probability-count"],
+    )
+    def test_two_stage_input_checks(self, fig2, optimization, scenarios, probabilities, message):
         from ssfp.graph_core import TwoStageInstance
 
-        bare = TwoStageInstance(fig2.first_stage, (), ())
-        with pytest.raises(ValueError):
-            build_ro(bare, "u")
+        ts = fig2 if scenarios else TwoStageInstance(fig2.first_stage, (), ())
+        with pytest.raises(ValueError, match=message):
+            build_model(ModelKind(optimization, "u"), ts, probabilities)
 
     def test_scenario_linking_holds_in_solutions(self, fig2):
-        built = build_so(fig2, "u", (0.5, 0.5))
+        built = build_model(ModelKind("so", "u"), fig2, (0.5, 0.5))
         sol = solve_milp(built.milp)
         by_stage = {}
         for name, (stage, pipe, edge) in built.x_map.items():

@@ -12,7 +12,7 @@ from ssfp.graph_core import (
 )
 from ssfp.instances import fig2_instance, four_cycle_instance, random_grid_instance
 from ssfp.milp_core import MilpModel, relax
-from ssfp.models import build_do_d, build_do_u
+from ssfp.models import build_do
 from ssfp.solver import (
     BnbConfig,
     BruteForceBudgetError,
@@ -56,7 +56,7 @@ class TestSolveLp:
         assert solve_lp(m2).status == "unbounded"
 
     def test_four_cycle_relaxation_value(self):
-        lp = solve_lp(relax(build_do_u(four_cycle_instance()).milp))
+        lp = solve_lp(relax(build_do(four_cycle_instance(), flow="u").milp))
         assert lp.objective <= 2.0 + 1e-7
 
     def test_fig2_relaxation_equals_cheapest_path(self):
@@ -64,7 +64,7 @@ class TestSolveLp:
         # its value is the cheapest 8-22 path under min-over-pipes edge costs
         two_stage = fig2_instance()
         inst = two_stage.first_stage
-        lp = solve_lp(relax(build_do_u(inst).milp))
+        lp = solve_lp(relax(build_do(inst, flow="u").milp))
         assert lp.objective == pytest.approx(_cheapest_path(inst, 8, 22), abs=1e-7)
 
 
@@ -93,25 +93,25 @@ def _cheapest_path(inst, source, target):
 
 class TestSolveMilp:
     def test_fig2_deterministic_optimum(self):
-        built = build_do_u(fig2_instance().first_stage)
+        built = build_do(fig2_instance().first_stage, flow="u")
         sol = solve_milp(built.milp)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(4.0, abs=1e-9)
         assert abs(sol.objective - sol.bound) <= 1e-9
 
     def test_four_cycle_integer_optimum(self):
-        sol = solve_milp(build_do_u(four_cycle_instance()).milp)
+        sol = solve_milp(build_do(four_cycle_instance(), flow="u").milp)
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_node_limit_status(self):
-        built = build_do_d(four_cycle_instance())
+        built = build_do(four_cycle_instance(), flow="d")
         sol = solve_milp(built.milp, BnbConfig(node_limit=1))
         assert sol.status in ("optimal", "node_limit")
         if sol.status == "node_limit":
             assert sol.bound <= sol.objective
 
     def test_determinism(self):
-        built = build_do_u(four_cycle_instance())
+        built = build_do(four_cycle_instance(), flow="u")
         a = solve_milp(built.milp)
         b = solve_milp(built.milp)
         assert a.objective == b.objective
@@ -188,8 +188,8 @@ def test_lp_bound_never_exceeds_milp_optimum():
             2, 3, num_pipe_types=1, num_groups=1, terminals_per_group=2,
             num_scenarios=2, seed=seed,
         )
-        for build in (build_do_u, build_do_d):
-            built = build(ts.first_stage)
+        for flow in ("u", "d"):
+            built = build_do(ts.first_stage, flow=flow)
             lp = solve_lp(relax(built.milp))
             milp = solve_milp(built.milp)
             assert lp.objective <= milp.objective + 1e-7
