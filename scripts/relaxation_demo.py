@@ -8,7 +8,7 @@ from __future__ import annotations
 from ssfp.instances import four_cycle_instance
 from ssfp.milp_core import relax
 from ssfp.models import build_do
-from ssfp.solver import solve_lp, solve_milp
+from ssfp.solver import solve_milp
 
 
 def main() -> None:
@@ -16,7 +16,7 @@ def main() -> None:
     for label, flow in (("undirected", "u"), ("directed", "d")):
         built = build_do(instance, flow=flow)
         ilp = solve_milp(built.milp)
-        lp = solve_lp(relax(built.milp))
+        lp = solve_milp(relax(built.milp))
         print(
             f"{label:10}  integer optimum {ilp.objective:.1f}   "
             f"LP relaxation {lp.objective:.4f}   "

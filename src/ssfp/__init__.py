@@ -35,7 +35,7 @@ from .models import (
     build_model,
     expected_size,
 )
-from .solver import BnbConfig, BruteForceResult, brute_force, solve_lp, solve_milp
+from .solver import BnbConfig, BruteForceResult, brute_force, solve_milp
 from .experiments import (
     CrossObjectiveMatrix,
     SweepRecord,

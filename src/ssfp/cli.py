@@ -157,8 +157,8 @@ def _parse_grid(spec: str) -> list[float]:
         start, end, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise CliError(f"bad --grid value {spec!r}; expected start:end:step") from None
-    if step <= 0 or end < start:
-        raise CliError("grid needs start <= end and a positive step")
+    if not (0.0 <= start <= end <= 1.0 and step > 0):
+        raise CliError("grid needs 0 <= start <= end <= 1 and a positive step")
     values = []
     k = 0
     while True:
@@ -210,6 +210,8 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise CliError("--seed must be non-negative")
     configs = _parse_settings(args.config, [args.seed])
     if len(configs) != 1:
         raise CliError("gen needs a single setting, e.g. --config 2,1,3")

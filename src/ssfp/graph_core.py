@@ -353,18 +353,29 @@ def cost(instance: Instance, existing: EdgePipeSet, solution: EdgePipeSet) -> fl
     )
 
 
-def vertices_connected(graph: Graph, vertices: Iterable[int], edge_ids: Iterable[int]) -> bool:
-    """True iff all ``vertices`` lie in one component of the subgraph spanned
-    by ``edge_ids``.  Vacuously true for fewer than two vertices."""
-    targets = sorted(set(vertices))
-    if len(targets) < 2:
-        return True
+def first_disconnected(
+    graph: Graph, groups: Iterable[Sequence[int]], edge_ids: Iterable[int]
+) -> tuple[int, int] | None:
+    """The first (group index, terminal) whose terminal is not joined to its
+    group's first terminal in the subgraph spanned by ``edge_ids``, or None
+    when every group is connected.  Pure union-find, no MILP machinery."""
     uf = UnionFind(graph.num_vertices + 1)
     for eid in edge_ids:
         u, v = graph.endpoints(eid)
         uf.union(u, v)
-    root = uf.find(targets[0])
-    return all(uf.find(t) == root for t in targets[1:])
+    for k, group in enumerate(groups):
+        root = uf.find(group[0])
+        for t in group[1:]:
+            if uf.find(t) != root:
+                return k, t
+    return None
+
+
+def vertices_connected(graph: Graph, vertices: Iterable[int], edge_ids: Iterable[int]) -> bool:
+    """True iff all ``vertices`` lie in one component of the subgraph spanned
+    by ``edge_ids``.  Vacuously true for fewer than two vertices."""
+    targets = sorted(set(vertices))
+    return len(targets) < 2 or first_disconnected(graph, (targets,), edge_ids) is None
 
 
 def validate_feasible(instance: Instance, solution: EdgePipeSet) -> FeasibilityResult:
@@ -379,18 +390,13 @@ def validate_feasible(instance: Instance, solution: EdgePipeSet) -> FeasibilityR
         for p, e in solution.pairs
         if p in instance.feasible_pipes and e in instance.admissible_edges
     ]
-    uf = UnionFind(instance.graph.num_vertices + 1)
-    for eid in usable:
-        u, v = instance.graph.endpoints(eid)
-        uf.union(u, v)
-    for k, group in enumerate(instance.terminals.groups):
-        root = uf.find(group[0])
-        for t in group[1:]:
-            if uf.find(t) != root:
-                return FeasibilityResult(
-                    False, f"group {k}: terminals {group[0]} and {t} are not connected"
-                )
-    return FeasibilityResult(True)
+    broken = first_disconnected(instance.graph, instance.terminals.groups, usable)
+    if broken is None:
+        return FeasibilityResult(True)
+    k, t = broken
+    return FeasibilityResult(
+        False, f"group {k}: terminals {instance.terminals.groups[k][0]} and {t} are not connected"
+    )
 
 
 def is_connected_within(instance: Instance, group_index: int) -> bool:

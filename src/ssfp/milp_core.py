@@ -13,9 +13,6 @@ from typing import Iterable, Literal, Mapping
 
 INF = math.inf
 
-#: Tolerance for classifying a variable value as integral.
-INTEGRALITY_TOL = 1e-6
-
 Kind = Literal["binary", "continuous"]
 Sense = Literal["<=", "=", ">="]
 
@@ -385,6 +382,8 @@ def parse_lp(text: str) -> MilpModel:
             elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
                 lo = _parse_number(tokens[0], line_no, 0)
                 hi = _parse_number(tokens[4], line_no, 4)
+                if lo > hi:
+                    raise LpSyntaxError(f"empty bound interval [{lo}, {hi}]", line_no)
                 bounds[tokens[2]] = (lo, hi)
             else:
                 raise LpSyntaxError(f"unrecognized bounds line {line!r}", line_no)

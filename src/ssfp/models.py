@@ -61,16 +61,16 @@ class BuiltModel:
     kind: ModelKind
     milp: MilpModel
     x_map: dict[str, tuple[int, int, int]]
-    num_variables: int
-    num_constraints: int
     num_stages: int
     build_time: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.num_variables != self.milp.num_variables:
-            raise ValueError("variable count stat disagrees with the model")
-        if self.num_constraints != self.milp.num_constraints:
-            raise ValueError("constraint count stat disagrees with the model")
+    @property
+    def num_variables(self) -> int:
+        return self.milp.num_variables
+
+    @property
+    def num_constraints(self) -> int:
+        return self.milp.num_constraints
 
     def extract_sets(self, solution: MilpSolution) -> tuple[EdgePipeSet, tuple[EdgePipeSet, ...]]:
         """Installed pipe-edge pairs per stage from a solved model."""
@@ -349,15 +349,7 @@ def build_do(instance: Instance, existing: EdgePipeSet = EdgePipeSet(), flow: Fl
     model = MilpModel(kind.label)
     x = _BLOCKS[flow](model, instance, existing.pairs, "")
     model.set_objective(_stage_cost_coefficients(instance, x, existing.pairs))
-    return BuiltModel(
-        kind,
-        model,
-        _x_name_map(model, [x]),
-        model.num_variables,
-        model.num_constraints,
-        1,
-        time.perf_counter() - started,
-    )
+    return BuiltModel(kind, model, _x_name_map(model, [x]), 1, time.perf_counter() - started)
 
 
 def _build_two_stage(
@@ -413,12 +405,7 @@ def _build_two_stage(
             model.add_constraint(f"worst_s{s}", epigraph, ">=", 0.0)
     model.set_objective(objective)
     return BuiltModel(
-        kind,
-        model,
-        _x_name_map(model, stage_x),
-        model.num_variables,
-        model.num_constraints,
-        1 + two_stage.num_scenarios,
+        kind, model, _x_name_map(model, stage_x), 1 + two_stage.num_scenarios,
         time.perf_counter() - started,
     )
 

@@ -1,8 +1,9 @@
-"""Exact optimization: LP solves, branch and bound, and an exhaustive oracle.
+"""Exact optimization: branch and bound over HiGHS LPs, and an exhaustive oracle.
 
 LP relaxations are handed to scipy's HiGHS backend; the branch-and-bound
-driver, node bookkeeping, and the subset-enumeration oracle live here.  One
-solve owns its data; separate solves may run concurrently.
+driver, node bookkeeping, and the subset-enumeration oracle live here.  A pure
+LP is solved as ``solve_milp(relax(model))``: with no binaries the search ends
+at the root.  One solve owns its data; separate solves may run concurrently.
 """
 from __future__ import annotations
 
@@ -16,11 +17,15 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from .graph_core import EdgePipeSet, Instance, TwoStageInstance, UnionFind
-from .milp_core import INTEGRALITY_TOL, MilpModel, MilpSolution
+from .graph_core import EdgePipeSet, Instance, TwoStageInstance, first_disconnected
+from .milp_core import MilpModel, MilpSolution
 
 #: Largest pipe-edge universe the exhaustive oracle will enumerate.
 BRUTE_FORCE_PAIR_LIMIT = 22
+#: A binary whose LP value is this close to 0 or 1 counts as integral.
+INTEGRALITY_TOL = 1e-6
+#: A node must beat the incumbent by more than this to be explored.
+PRUNE_TOL = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -47,8 +52,6 @@ class BnbConfig:
     """
 
     node_limit: int = 10_000_000
-    integrality_tol: float = INTEGRALITY_TOL
-    prune_tol: float = 1e-9
     cutoff: float | None = None
 
     def __post_init__(self) -> None:
@@ -66,23 +69,11 @@ class _ArrayForm:
         self.lb = np.array([v.lower for v in model.variables], dtype=float)
         self.ub = np.array([v.upper for v in model.variables], dtype=float)
         self.binary = np.array([v.kind == "binary" for v in model.variables], dtype=bool)
-        self.contradiction = False
 
+        # a constraint with no terms stays a zero row; HiGHS decides it
         ub_rows: list[tuple[tuple[tuple[int, float], ...], float]] = []
         eq_rows: list[tuple[tuple[tuple[int, float], ...], float]] = []
         for con in model.constraints:
-            if not con.terms:
-                lhs = 0.0
-                ok = (
-                    lhs <= con.rhs + 1e-12
-                    if con.sense == "<="
-                    else lhs >= con.rhs - 1e-12
-                    if con.sense == ">="
-                    else abs(lhs - con.rhs) <= 1e-12
-                )
-                if not ok:
-                    self.contradiction = True
-                continue
             if con.sense == "<=":
                 ub_rows.append((con.terms, con.rhs))
             elif con.sense == ">=":
@@ -110,8 +101,6 @@ class _ArrayForm:
         self.a_eq, self.b_eq = build(eq_rows)
 
     def solve(self, lb: np.ndarray, ub: np.ndarray) -> tuple[str, float, np.ndarray | None]:
-        if self.contradiction or np.any(lb > ub):
-            return "infeasible", math.inf, None
         result = linprog(
             self.c,
             A_ub=self.a_ub,
@@ -134,20 +123,6 @@ def _values_dict(form: _ArrayForm, x: np.ndarray) -> dict[str, float]:
     return {name: float(v) for name, v in zip(form.names, x)}
 
 
-def solve_lp(model: MilpModel) -> MilpSolution:
-    """Solve a purely continuous model; callers relax mixed models first."""
-    if any(v.kind == "binary" for v in model.variables):
-        raise ValueError("model contains binary variables; call relax() first")
-    started = time.perf_counter()
-    form = _ArrayForm(model)
-    status, objective, x = form.solve(form.lb, form.ub)
-    elapsed = time.perf_counter() - started
-    if status != "optimal":
-        return MilpSolution(status, math.inf if status == "infeasible" else -math.inf,
-                            {}, -math.inf, 0, elapsed)
-    return MilpSolution("optimal", objective, _values_dict(form, x), objective, 0, elapsed)
-
-
 def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolution:
     """Best-bound branch and bound over the declared binary variables.
 
@@ -162,7 +137,7 @@ def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolutio
 
     incumbent_obj = math.inf if config.cutoff is None else float(config.cutoff)
     incumbent_x: np.ndarray | None = None
-    root_bound = -math.inf
+    root_bound = math.nan
     node_count = 0
     counter = 0
     # heap entries: (parent LP bound, insertion counter, branch decisions)
@@ -171,7 +146,7 @@ def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolutio
 
     while heap:
         parent_bound, _, decisions = heapq.heappop(heap)
-        if parent_bound >= incumbent_obj - config.prune_tol:
+        if parent_bound >= incumbent_obj - PRUNE_TOL:
             continue
         if node_count >= config.node_limit:
             hit_limit = True
@@ -184,23 +159,19 @@ def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolutio
                 ub[var] = 0.0
             else:
                 lb[var] = 1.0
-        status, objective, x = form.solve(lb, ub)
+        lp_status, objective, x = form.solve(lb, ub)
         if not decisions:
-            if status == "unbounded":
-                return MilpSolution("unbounded", -math.inf, {}, -math.inf, node_count,
-                                    time.perf_counter() - started)
-            root_bound = objective if status == "optimal" else math.inf
-        if status != "optimal":
-            continue
-        if objective >= incumbent_obj - config.prune_tol:
+            root_bound = objective
+        if lp_status == "unbounded":  # only the root can be: children restrict it
+            break
+        if lp_status != "optimal" or objective >= incumbent_obj - PRUNE_TOL:
             continue
         values = x[binary_idx] if binary_idx.size else np.empty(0)
         frac = np.abs(values - np.round(values))
-        fractional = np.flatnonzero(frac > config.integrality_tol)
+        fractional = np.flatnonzero(frac > INTEGRALITY_TOL)
         if fractional.size == 0:
-            if objective < incumbent_obj - config.prune_tol:
-                incumbent_obj = objective
-                incumbent_x = x
+            incumbent_obj = objective
+            incumbent_x = x
             continue
         # most fractional binary, lowest declaration index on ties
         scores = np.abs(values[fractional] - 0.5)
@@ -210,24 +181,29 @@ def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolutio
             counter += 1
             heapq.heappush(heap, (objective, counter, decisions + ((branch_var, side),)))
 
-    elapsed = time.perf_counter() - started
-    open_bounds = [entry[0] for entry in heap]
-    if incumbent_x is None:
-        if hit_limit:
-            bound = min(open_bounds) if open_bounds else math.inf
-            return MilpSolution("node_limit", math.inf, {}, bound, node_count, elapsed)
-        if config.cutoff is not None:
-            raise SolverError(
-                "no solution found below the cutoff; the model is infeasible "
-                "or the cutoff undercuts the optimum"
-            )
-        return MilpSolution("infeasible", math.inf, {}, math.inf, node_count, elapsed)
-    if hit_limit:
-        bound = min(open_bounds) if open_bounds else incumbent_obj
-        return MilpSolution("node_limit", incumbent_obj, _values_dict(form, incumbent_x),
-                            bound, node_count, elapsed, root_bound=root_bound)
-    return MilpSolution("optimal", incumbent_obj, _values_dict(form, incumbent_x),
-                        incumbent_obj, node_count, elapsed, root_bound=root_bound)
+    found = incumbent_x is not None
+    if root_bound == -math.inf:
+        status, bound = "unbounded", -math.inf
+    elif hit_limit:
+        status, bound = "node_limit", min(entry[0] for entry in heap)
+    elif found:
+        status, bound = "optimal", incumbent_obj
+    elif config.cutoff is not None:
+        raise SolverError(
+            "no solution found below the cutoff; the model is infeasible "
+            "or the cutoff undercuts the optimum"
+        )
+    else:
+        status, bound = "infeasible", math.inf
+    return MilpSolution(
+        status,
+        incumbent_obj if found else -math.inf if status == "unbounded" else math.inf,
+        _values_dict(form, incumbent_x) if found else {},
+        bound,
+        node_count,
+        time.perf_counter() - started,
+        root_bound=root_bound if found else math.nan,
+    )
 
 
 @dataclass(frozen=True)
@@ -239,19 +215,6 @@ class BruteForceResult:
 
 def _usable_edges(inst: Instance, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return [e for p, e in pairs if p in inst.feasible_pipes and e in inst.admissible_edges]
-
-
-def _groups_connected(inst: Instance, edge_ids: Iterable[int]) -> bool:
-    uf = UnionFind(inst.graph.num_vertices + 1)
-    for eid in edge_ids:
-        u, v = inst.graph.endpoints(eid)
-        uf.union(u, v)
-    for group in inst.terminals.groups:
-        root = uf.find(group[0])
-        for t in group[1:]:
-            if uf.find(t) != root:
-                return False
-    return True
 
 
 def _completion_costs(
@@ -266,7 +229,7 @@ def _completion_costs(
     g = [math.inf] * (1 << n)
     for mask in range((1 << n) - 1, -1, -1):
         edges = base_edges + [pairs[i][1] for i in range(n) if mask >> i & 1 and usable[i]]
-        if _groups_connected(inst, edges):
+        if first_disconnected(inst.graph, inst.terminals.groups, edges) is None:
             g[mask] = 0.0
             continue
         best = math.inf
@@ -363,7 +326,7 @@ def brute_force(
         if total >= best:
             continue
         edges = base1 + [pairs[i][1] for i in range(n) if mask >> i & 1 and usable1[i]]
-        if _groups_connected(first, edges):
+        if first_disconnected(first.graph, first.terminals.groups, edges) is None:
             best = total
             best_mask = mask
     if best_mask < 0:

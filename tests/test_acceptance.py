@@ -33,7 +33,7 @@ from ssfp.instances import (
 )
 from ssfp.milp_core import export_lp, parse_lp, relax
 from ssfp.models import ALL_KINDS, ModelKind, build_do, build_model, expected_size
-from ssfp.solver import brute_force, solve_lp, solve_milp
+from ssfp.solver import brute_force, solve_milp
 
 
 def report(criterion: str, detail: str, started: float) -> None:
@@ -122,8 +122,8 @@ def test_criterion_3_relaxation_tightness(corpus):
     built_u, built_d = build_do(inst, flow="u"), build_do(inst, flow="d")
     assert solve_milp(built_u.milp).objective == pytest.approx(3.0, abs=1e-9)
     assert solve_milp(built_d.milp).objective == pytest.approx(3.0, abs=1e-9)
-    lp_u = solve_lp(relax(built_u.milp)).objective
-    lp_d = solve_lp(relax(built_d.milp)).objective
+    lp_u = solve_milp(relax(built_u.milp)).objective
+    lp_d = solve_milp(relax(built_d.milp)).objective
     assert lp_u <= 2.0 + 1e-7
     assert lp_d >= lp_u + 0.1
     four_cycle_elapsed = time.perf_counter() - started
@@ -131,8 +131,8 @@ def test_criterion_3_relaxation_tightness(corpus):
 
     worst = math.inf
     for ts in corpus:
-        u = solve_lp(relax(build_do(ts.first_stage, flow="u").milp)).objective
-        d = solve_lp(relax(build_do(ts.first_stage, flow="d").milp)).objective
+        u = solve_milp(relax(build_do(ts.first_stage, flow="u").milp)).objective
+        d = solve_milp(relax(build_do(ts.first_stage, flow="d").milp)).objective
         worst = min(worst, d - u)
         assert d >= u - 1e-7
     report(

@@ -159,6 +159,12 @@ class TestExportAndGen:
         )
         assert code == 2 and "bad --settings" in err
 
+    def test_gen_rejects_negative_seed(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "gen", "--config", "2,1,3", "--seed", "-1", "--out", str(out))
+        assert code == 2 and err.strip() == "--seed must be non-negative"
+        assert not out.exists()
+
 
 class TestCurves:
     def test_fig2_curves_csv(self, capsys, tmp_path):
@@ -179,6 +185,14 @@ class TestCurves:
             "--out", str(tmp_path / "c.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["0:5:1", "-0.5:1:0.5", "0:1.5:0.5", "nan:1:0.1", "0:inf:1"])
+    def test_grid_outside_unit_interval_is_usage_error(self, capsys, tmp_path, grid):
+        out = tmp_path / "c.csv"
+        code, _, err = run(capsys, "curves", "--instance", "builtin:fig2", f"--grid={grid}",
+                           "--out", str(out))
+        assert code == 2 and "0 <= start <= end <= 1" in err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -11,6 +11,7 @@ from ssfp.graph_core import (
     TwoStageInstance,
     ValidationError,
     cost,
+    first_disconnected,
     is_connected_within,
     validate_feasible,
     vertices_connected,
@@ -178,6 +179,13 @@ class TestConnectivity:
     def test_single_vertex_is_vacuously_connected(self):
         g = Graph(3, ((1, 2),))
         assert vertices_connected(g, [3], [])
+
+    def test_first_disconnected_names_group_and_terminal(self):
+        g = Graph(4, ((1, 2), (2, 3), (3, 4)))
+        groups = ((1, 2), (1, 3, 4))
+        assert first_disconnected(g, groups, [0, 1, 2]) is None
+        assert first_disconnected(g, groups, [0, 2]) == (1, 3)
+        assert first_disconnected(g, groups, [2]) == (0, 2)
 
 
 def small_solution_sets(graph):

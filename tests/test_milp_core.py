@@ -13,7 +13,7 @@ from ssfp.milp_core import (
 )
 from ssfp.models import build_do
 from ssfp.instances import fig2_instance
-from ssfp.solver import solve_lp
+from ssfp.solver import solve_milp
 
 
 def toy_model():
@@ -102,7 +102,7 @@ class TestRelax:
         from ssfp.instances import four_cycle_instance
 
         built = build_do(four_cycle_instance(), flow="u")
-        lp = solve_lp(relax(built.milp))
+        lp = solve_milp(relax(built.milp))
         assert lp.status == "optimal"
         assert lp.objective <= 2.0 + 1e-7
 
@@ -141,6 +141,12 @@ class TestLpFormat:
         with pytest.raises(LpSyntaxError) as err:
             parse_lp(bad)
         assert "line 4" in str(err.value)
+
+    def test_empty_bound_interval_rejected(self):
+        bad = "Minimize\n obj: 1 x\nSubject To\n c1: x >= 0\nBounds\n 2 <= x <= 1\nEnd\n"
+        with pytest.raises(LpSyntaxError) as err:
+            parse_lp(bad)
+        assert "line 6" in str(err.value)
 
     def test_missing_end_rejected(self):
         with pytest.raises(LpSyntaxError):

@@ -10,7 +10,7 @@ from ssfp.models import (
     build_model,
     expected_size,
 )
-from ssfp.solver import brute_force, solve_lp, solve_milp
+from ssfp.solver import brute_force, solve_milp
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ class TestDoD:
     def test_four_cycle_directed_lp_is_tight(self):
         built = build_do(four_cycle_instance(), flow="d")
         assert solve_milp(built.milp).objective == pytest.approx(3.0, abs=1e-9)
-        lp = solve_lp(relax(built.milp))
+        lp = solve_milp(relax(built.milp))
         # the opposing half-unit cycles of the undirected relaxation are cut off
         assert lp.objective >= 2.0 + 0.1
 

@@ -17,7 +17,6 @@ from ssfp.solver import (
     BnbConfig,
     BruteForceBudgetError,
     brute_force,
-    solve_lp,
     solve_milp,
 )
 
@@ -36,27 +35,21 @@ class TestSolveLp:
         m = MilpModel()
         x = m.add_variable("x", "continuous", 0.0, 10.0, 1.0)
         m.add_constraint("lo", [(x, 1.0)], ">=", 3.0)
-        sol = solve_lp(m)
+        sol = solve_milp(relax(m))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
-
-    def test_rejects_unrelaxed_models(self):
-        m = MilpModel()
-        m.add_variable("b", "binary", objective=1.0)
-        with pytest.raises(ValueError):
-            solve_lp(m)
 
     def test_infeasible_and_unbounded_detected(self):
         m = MilpModel()
         x = m.add_variable("x", "continuous", 0.0, 1.0)
         m.add_constraint("impossible", [(x, 1.0)], ">=", 2.0)
-        assert solve_lp(m).status == "infeasible"
+        assert solve_milp(relax(m)).status == "infeasible"
         m2 = MilpModel()
         m2.add_variable("x", "continuous", -math.inf, math.inf, -1.0)
-        assert solve_lp(m2).status == "unbounded"
+        assert solve_milp(relax(m2)).status == "unbounded"
 
     def test_four_cycle_relaxation_value(self):
-        lp = solve_lp(relax(build_do(four_cycle_instance(), flow="u").milp))
+        lp = solve_milp(relax(build_do(four_cycle_instance(), flow="u").milp))
         assert lp.objective <= 2.0 + 1e-7
 
     def test_fig2_relaxation_equals_cheapest_path(self):
@@ -64,7 +57,7 @@ class TestSolveLp:
         # its value is the cheapest 8-22 path under min-over-pipes edge costs
         two_stage = fig2_instance()
         inst = two_stage.first_stage
-        lp = solve_lp(relax(build_do(inst, flow="u").milp))
+        lp = solve_milp(relax(build_do(inst, flow="u").milp))
         assert lp.objective == pytest.approx(_cheapest_path(inst, 8, 22), abs=1e-7)
 
 
@@ -123,6 +116,25 @@ class TestSolveMilp:
         x = m.add_variable("b", "binary", objective=1.0)
         m.add_constraint("half", [(x, 2.0)], "=", 1.0)
         assert solve_milp(m).status == "infeasible"
+
+    @pytest.mark.parametrize(
+        "sense, rhs, status",
+        [("<=", -1.0, "infeasible"), ("=", 1.0, "infeasible"), (">=", 1.0, "infeasible"),
+         ("<=", 1.0, "optimal"), ("=", 0.0, "optimal")],
+    )
+    def test_empty_row_is_decided_by_the_lp(self, sense, rhs, status):
+        # a constraint whose terms all cancel reaches HiGHS as a zero row
+        m = MilpModel()
+        x = m.add_variable("b", "binary", objective=1.0)
+        m.add_constraint("cover", [(x, 1.0)], ">=", 1.0)
+        m.add_constraint("empty", [(x, 1.0), (x, -1.0)], sense, rhs)
+        assert m.constraints[1].terms == ()
+        sol = solve_milp(m)
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.objective == pytest.approx(1.0, abs=1e-9)
+        else:
+            assert (sol.objective, sol.bound, sol.values) == (math.inf, math.inf, {})
 
 
 class TestBruteForce:
@@ -190,6 +202,6 @@ def test_lp_bound_never_exceeds_milp_optimum():
         )
         for flow in ("u", "d"):
             built = build_do(ts.first_stage, flow=flow)
-            lp = solve_lp(relax(built.milp))
+            lp = solve_milp(relax(built.milp))
             milp = solve_milp(built.milp)
             assert lp.objective <= milp.objective + 1e-7
