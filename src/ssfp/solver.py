@@ -1,9 +1,12 @@
 """Exact optimization: branch and bound over HiGHS LPs, and an exhaustive oracle.
 
-LP relaxations are handed to scipy's HiGHS backend; the branch-and-bound
-driver, node bookkeeping, and the subset-enumeration oracle live here.  A pure
-LP is solved as ``solve_milp(relax(model))``: with no binaries the search ends
-at the root.  One solve owns its data; separate solves may run concurrently.
+One branch and bound loads its model once into a HiGHS instance and re-solves
+it at every node with that node's column bounds, warm from the last basis
+(dual simplex).  The HiGHS binding is scipy's private
+``scipy.optimize._highspy._core``.  The branch-and-bound search, node
+bookkeeping, and the subset-enumeration oracle live here.  A pure LP is solved
+as ``solve_milp(relax(model))``: with no binaries the search ends at the root.
+One solve owns its data; separate solves may run concurrently.
 """
 from __future__ import annotations
 
@@ -14,8 +17,23 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsLp,
+        HighsModelStatus,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+    )
+except ImportError as err:  # pragma: no cover - depends on the installed scipy
+    import scipy
+
+    raise ImportError(
+        f"ssfp needs scipy's HiGHS binding scipy.optimize._highspy._core._Highs, "
+        f"which scipy {scipy.__version__} does not provide; install scipy>=1.15"
+    ) from err
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance, first_disconnected
 from .milp_core import MilpModel, MilpSolution
@@ -26,6 +44,11 @@ BRUTE_FORCE_PAIR_LIMIT = 22
 INTEGRALITY_TOL = 1e-6
 #: A node must beat the incumbent by more than this to be explored.
 PRUNE_TOL = 1e-9
+
+#: The bound of a node LP that ends without an optimum.  Any HiGHS status
+#: other than these and kOptimal is numerical trouble, kUnboundedOrInfeasible
+#: included: reading it as unbounded would end the search.
+_NO_OPTIMUM_BOUND = {HighsModelStatus.kInfeasible: math.inf, HighsModelStatus.kUnbounded: -math.inf}
 
 
 class SolverError(RuntimeError):
@@ -60,63 +83,85 @@ class BnbConfig:
 
 
 class _ArrayForm:
-    """Dense objective + sparse constraint matrices for the HiGHS calls."""
+    """The model loaded once into HiGHS: columns with their declared bounds,
+    and one ranged row ``row_lower <= a x <= row_upper`` per constraint.
+    Presolve is off, so every re-solve starts from the basis the last one
+    left."""
 
     def __init__(self, model: MilpModel) -> None:
-        n = model.num_variables
+        n, m = model.num_variables, model.num_constraints
         self.names = [v.name for v in model.variables]
-        self.c = np.array([v.objective for v in model.variables], dtype=float)
         self.lb = np.array([v.lower for v in model.variables], dtype=float)
         self.ub = np.array([v.upper for v in model.variables], dtype=float)
         self.binary = np.array([v.kind == "binary" for v in model.variables], dtype=bool)
+        self.columns = np.arange(n, dtype=np.int32)
 
         # a constraint with no terms stays a zero row; HiGHS decides it
-        ub_rows: list[tuple[tuple[tuple[int, float], ...], float]] = []
-        eq_rows: list[tuple[tuple[tuple[int, float], ...], float]] = []
+        data, indices, indptr = [], [], [0]
         for con in model.constraints:
-            if con.sense == "<=":
-                ub_rows.append((con.terms, con.rhs))
-            elif con.sense == ">=":
-                ub_rows.append((tuple((h, -c) for h, c in con.terms), -con.rhs))
-            else:
-                eq_rows.append((con.terms, con.rhs))
-
-        def build(rows):
-            if not rows:
-                return None, None
-            data, indices, indptr, rhs = [], [], [0], []
-            for terms, b in rows:
-                for h, c in terms:
-                    indices.append(h)
-                    data.append(c)
-                indptr.append(len(indices))
-                rhs.append(b)
-            matrix = csr_matrix(
-                (np.array(data), np.array(indices), np.array(indptr)),
-                shape=(len(rows), n),
+            for h, c in con.terms:
+                indices.append(h)
+                data.append(c)
+            indptr.append(len(indices))
+        matrix = csr_matrix(
+            (np.array(data, dtype=float), np.array(indices, dtype=np.int32), np.array(indptr)),
+            shape=(m, n),
+        ).tocsc()
+        cost = np.array([v.objective for v in model.variables], dtype=float)
+        rhs = np.array([con.rhs for con in model.constraints], dtype=float)
+        if not all(np.isfinite(values).all() for values in (cost, matrix.data, rhs)):
+            raise ValueError(
+                f"model {model.name!r}: objective coefficients, constraint coefficients "
+                "and right-hand sides must be finite"
             )
-            return matrix, np.array(rhs, dtype=float)
+        cons = model.constraints
+        self.row_lower = np.array([-math.inf if c.sense == "<=" else c.rhs for c in cons], dtype=float)
+        self.row_upper = np.array([math.inf if c.sense == ">=" else c.rhs for c in cons], dtype=float)
 
-        self.a_ub, self.b_ub = build(ub_rows)
-        self.a_eq, self.b_eq = build(eq_rows)
+        lp = HighsLp()
+        lp.num_col_, lp.num_row_ = n, m
+        lp.col_cost_ = cost
+        lp.col_lower_, lp.col_upper_ = self.lb, self.ub
+        lp.row_lower_, lp.row_upper_ = self.row_lower, self.row_upper
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, m
+        lp.a_matrix_.start_ = matrix.indptr.astype(np.int32)
+        lp.a_matrix_.index_ = matrix.indices.astype(np.int32)
+        lp.a_matrix_.value_ = matrix.data
+        self.highs = _Highs()
+        # before passModel, or HiGHS writes its banner and log to stdout
+        self.highs.setOptionValue("output_flag", False)
+        self.highs.setOptionValue("presolve", "off")
+        if self.highs.passModel(lp) == HighsStatus.kError:
+            raise SolverNumericalError(f"model {model.name!r}: HiGHS rejected the model")
 
-    def solve(self, lb: np.ndarray, ub: np.ndarray) -> tuple[str, float, np.ndarray | None]:
-        result = linprog(
-            self.c,
-            A_ub=self.a_ub,
-            b_ub=self.b_ub,
-            A_eq=self.a_eq,
-            b_eq=self.b_eq,
-            bounds=np.column_stack([lb, ub]),
-            method="highs",
-        )
-        if result.status == 0:
-            return "optimal", float(result.fun), np.asarray(result.x, dtype=float)
-        if result.status == 2:
-            return "infeasible", math.inf, None
-        if result.status == 3:
-            return "unbounded", -math.inf, None
-        raise SolverNumericalError(f"LP backend failed: {result.message}")
+
+@dataclass(frozen=True)
+class LpResult:
+    """One node LP: the HiGHS model status, its objective and column values
+    (``x`` only when optimal), and the simplex iterations it took."""
+
+    status: HighsModelStatus
+    fun: float
+    x: np.ndarray | None
+    nit: int
+
+
+def linprog(form: _ArrayForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+    """Re-solve the loaded LP under column bounds ``lb``/``ub``, warm from the
+    last basis.
+
+    This is the one LP call of a branch-and-bound node.  The benchmark in
+    ``perfbench/`` traces it by this name, ``ssfp.solver.linprog``, to count
+    LPs and simplex iterations, so ``solve_milp`` calls it as a module global.
+    """
+    highs = form.highs
+    highs.changeColsBounds(len(form.columns), form.columns, lb, ub)
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    x = np.array(highs.getSolution().col_value) if status == HighsModelStatus.kOptimal else None
+    return LpResult(status, info.objective_function_value, x, info.simplex_iteration_count)
 
 
 def _values_dict(form: _ArrayForm, x: np.ndarray) -> dict[str, float]:
@@ -143,6 +188,13 @@ def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolutio
     # heap entries: (parent LP bound, insertion counter, branch decisions)
     heap: list[tuple[float, int, tuple[tuple[int, int], ...]]] = [(-math.inf, 0, ())]
     hit_limit = False
+    if not model.variables:
+        # HiGHS calls a model with no columns empty and solves nothing; its
+        # one point x = () is optimal at 0 unless some (empty) row excludes 0
+        heap.clear()
+        feasible = (form.row_lower <= 0.0).all() and (form.row_upper >= 0.0).all()
+        if feasible and 0.0 < incumbent_obj - PRUNE_TOL:
+            incumbent_obj, incumbent_x, root_bound = 0.0, np.empty(0), 0.0
 
     while heap:
         parent_bound, _, decisions = heapq.heappop(heap)
@@ -159,19 +211,28 @@ def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolutio
                 ub[var] = 0.0
             else:
                 lb[var] = 1.0
-        lp_status, objective, x = form.solve(lb, ub)
+        lp = linprog(form, lb, ub)
+        if lp.status == HighsModelStatus.kOptimal:
+            objective = lp.fun
+        elif lp.status in _NO_OPTIMUM_BOUND:
+            objective = _NO_OPTIMUM_BOUND[lp.status]
+        else:
+            raise SolverNumericalError(
+                f"model {model.name!r}, node {node_count}: HiGHS ended the LP with "
+                f"status {form.highs.modelStatusToString(lp.status)!r}"
+            )
         if not decisions:
             root_bound = objective
-        if lp_status == "unbounded":  # only the root can be: children restrict it
+        if objective == -math.inf:  # unbounded; only the root can be: children restrict it
             break
-        if lp_status != "optimal" or objective >= incumbent_obj - PRUNE_TOL:
+        if objective >= incumbent_obj - PRUNE_TOL:  # infeasible, or no better
             continue
-        values = x[binary_idx] if binary_idx.size else np.empty(0)
+        values = lp.x[binary_idx]
         frac = np.abs(values - np.round(values))
         fractional = np.flatnonzero(frac > INTEGRALITY_TOL)
         if fractional.size == 0:
             incumbent_obj = objective
-            incumbent_x = x
+            incumbent_x = lp.x
             continue
         # most fractional binary, lowest declaration index on ties
         scores = np.abs(values[fractional] - 0.5)
