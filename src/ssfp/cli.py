@@ -54,23 +54,25 @@ class CliError(Exception):
 def _load_target(spec: str, rho2: float | None) -> TwoStageInstance | Instance:
     if spec == "builtin:fig2":
         return fig2_instance(0.5 if rho2 is None else rho2)
+    target: TwoStageInstance | Instance
     if spec == "builtin:four-cycle":
-        return four_cycle_instance()
-    if spec.startswith("builtin:"):
+        target = four_cycle_instance()
+    elif spec.startswith("builtin:"):
         raise CliError(f"unknown builtin instance {spec!r}")
-    try:
-        two_stage = load_instance(spec)
-    except FileNotFoundError:
-        raise CliError(f"instance file not found: {spec}") from None
-    except InfeasibleInstanceError as err:
-        raise CliError(str(err), EXIT_INFEASIBLE) from None
-    except ValidationError as err:
-        raise CliError(str(err)) from None
+    else:
+        try:
+            target = load_instance(spec)
+        except FileNotFoundError:
+            raise CliError(f"instance file not found: {spec}") from None
+        except InfeasibleInstanceError as err:
+            raise CliError(str(err), EXIT_INFEASIBLE) from None
+        except ValidationError as err:
+            raise CliError(str(err)) from None
     if rho2 is not None:
-        if two_stage.num_scenarios != 2:
+        if isinstance(target, Instance) or target.num_scenarios != 2:
             raise CliError("--rho2 needs an instance with exactly two scenarios")
-        two_stage = two_stage.with_probabilities((1.0 - rho2, rho2))
-    return two_stage
+        target = target.with_probabilities((1.0 - rho2, rho2))
+    return target
 
 
 def _build_for(target: TwoStageInstance | Instance, model: str, flow: str):

@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 from .graph_core import EdgePipeSet, TwoStageInstance, cost
 from .instances import SweepConfig, random_artificial
 from .milp_core import MilpSolution
-from .models import ALL_KINDS, BuiltModel, Flow, ModelKind, build_do, build_model
+from .models import ALL_KINDS, BuiltModel, ModelKind, build_do, build_model
 from .solver import BnbConfig, SolverError, solve_milp
 
 Objective = Literal["do", "ro", "so"]
@@ -33,14 +33,14 @@ def _solve_or_raise(built: BuiltModel, config: BnbConfig = BnbConfig()) -> MilpS
 
 
 def _recourse_costs(
-    two_stage: TwoStageInstance, first_stage_solution: EdgePipeSet, flow: Flow
+    two_stage: TwoStageInstance, first_stage_solution: EdgePipeSet
 ) -> tuple[float, ...]:
     """Optimal retrofit cost per scenario, at inflated prices, given the
     first-stage installation."""
     installed = first_stage_solution | two_stage.existing
     out: list[float] = []
     for s, scenario in enumerate(two_stage.scenarios):
-        built = build_do(scenario, installed, flow)
+        built = build_do(scenario, installed, "d")
         solution = solve_milp(built.milp)
         if solution.status != "optimal":
             raise SolverError(f"scenario {s} recourse solve ended with {solution.status}")
@@ -53,7 +53,6 @@ def evaluate_under(
     two_stage: TwoStageInstance,
     first_stage_solution: EdgePipeSet,
     probabilities: Sequence[float] | None = None,
-    flow: Flow = "d",
 ) -> float:
     """Value of a fixed first-stage solution under one of the three
     objectives: first-stage cost alone (DO), plus worst-case optimal recourse
@@ -61,7 +60,7 @@ def evaluate_under(
     first_cost = cost(two_stage.first_stage, two_stage.existing, first_stage_solution)
     if objective == "do":
         return first_cost
-    recourse = _recourse_costs(two_stage, first_stage_solution, flow)
+    recourse = _recourse_costs(two_stage, first_stage_solution)
     if objective == "ro":
         return first_cost + max(recourse)
     if objective == "so":
@@ -72,24 +71,18 @@ def evaluate_under(
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def deterministic_first_stage(two_stage: TwoStageInstance, flow: Flow = "d") -> EdgePipeSet:
+def deterministic_first_stage(two_stage: TwoStageInstance) -> EdgePipeSet:
     """First-stage pipe set of the deterministic optimum."""
-    built = build_do(two_stage.first_stage, two_stage.existing, flow)
+    built = build_do(two_stage.first_stage, two_stage.existing, "d")
     first, _ = built.extract_sets(_solve_or_raise(built))
     return first
 
 
-def vss(
-    two_stage: TwoStageInstance,
-    probabilities: Sequence[float] | None = None,
-    flow: Flow = "d",
-) -> float:
+def vss(two_stage: TwoStageInstance, probabilities: Sequence[float] | None = None) -> float:
     """Value of the stochastic solution: the expected cost of deploying the
     deterministic solution (EEVS) minus the stochastic optimum."""
-    eevs = evaluate_under(
-        "so", two_stage, deterministic_first_stage(two_stage, flow), probabilities, flow
-    )
-    built = build_model(ModelKind("so", flow), two_stage, probabilities)
+    eevs = evaluate_under("so", two_stage, deterministic_first_stage(two_stage), probabilities)
+    built = build_model(ModelKind("so", "d"), two_stage, probabilities)
     return eevs - _solve_or_raise(built).objective
 
 
@@ -106,22 +99,20 @@ class CandidateLine:
         return self.intercept + self.slope * rho2
 
 
-def _line_for(two_stage: TwoStageInstance, first_set: EdgePipeSet, flow: Flow) -> CandidateLine:
+def _line_for(two_stage: TwoStageInstance, first_set: EdgePipeSet) -> CandidateLine:
     first_cost = cost(two_stage.first_stage, two_stage.existing, first_set)
-    r1, r2 = _recourse_costs(two_stage, first_set, flow)
+    r1, r2 = _recourse_costs(two_stage, first_set)
     return CandidateLine(first_set, first_cost + r1, r2 - r1)
 
 
-def _solve_so_at(two_stage: TwoStageInstance, rho2: float, flow: Flow) -> tuple[float, EdgePipeSet]:
-    built = build_model(ModelKind("so", flow), two_stage, (1.0 - rho2, rho2))
+def _solve_so_at(two_stage: TwoStageInstance, rho2: float) -> tuple[float, EdgePipeSet]:
+    built = build_model(ModelKind("so", "d"), two_stage, (1.0 - rho2, rho2))
     solution = _solve_or_raise(built)
     first, _ = built.extract_sets(solution)
     return solution.objective, first
 
 
-def so_candidate_lines(
-    two_stage: TwoStageInstance, flow: Flow = "d", tol: float = 1e-9
-) -> list[CandidateLine]:
+def so_candidate_lines(two_stage: TwoStageInstance) -> list[CandidateLine]:
     """All first-stage solutions on the lower envelope of the stochastic
     value function of a two-scenario instance, found by exact parametric
     refinement; sorted by slope descending, i.e. in the order they minimize
@@ -131,8 +122,8 @@ def so_candidate_lines(
     lines: dict[frozenset, CandidateLine] = {}
 
     def line_at(rho2: float) -> CandidateLine:
-        _, first = _solve_so_at(two_stage, rho2, flow)
-        line = _line_for(two_stage, first, flow)
+        _, first = _solve_so_at(two_stage, rho2)
+        line = _line_for(two_stage, first)
         lines[line.first_stage.pairs] = line
         return line
 
@@ -147,10 +138,10 @@ def so_candidate_lines(
             return
         rho = float(crossing)
         envelope = min(left.value(rho), right.value(rho))
-        value, first = _solve_so_at(two_stage, rho, flow)
-        if value >= envelope - tol:
+        value, first = _solve_so_at(two_stage, rho)
+        if value >= envelope - 1e-9:
             return
-        middle = _line_for(two_stage, first, flow)
+        middle = _line_for(two_stage, first)
         lines[middle.first_stage.pairs] = middle
         refine(left, middle, lo, crossing)
         refine(middle, right, crossing, hi)
@@ -179,13 +170,11 @@ class CurveTable:
         ]
 
 
-def cost_curves(
-    two_stage: TwoStageInstance, rho_grid: Sequence[float], flow: Flow = "d"
-) -> CurveTable:
+def cost_curves(two_stage: TwoStageInstance, rho_grid: Sequence[float]) -> CurveTable:
     """Expected cost of every envelope candidate on the grid, the stochastic
     optimum (their pointwise minimum), and the exact crossing points of
     consecutive minimizers."""
-    candidates = so_candidate_lines(two_stage, flow)
+    candidates = so_candidate_lines(two_stage)
     intersections: list[Fraction] = []
     for a, b in zip(candidates, candidates[1:]):
         crossing = (Fraction(a.intercept) - Fraction(b.intercept)) / (
@@ -196,11 +185,11 @@ def cost_curves(
 
 
 def vss_curve(
-    two_stage: TwoStageInstance, rho_grid: Sequence[float], flow: Flow = "d"
+    two_stage: TwoStageInstance, rho_grid: Sequence[float]
 ) -> list[tuple[float, float, float]]:
     """(rho2, VSS, stochastic optimum) along a grid, via the exact envelope."""
-    table = cost_curves(two_stage, rho_grid, flow)
-    eevs = _line_for(two_stage, deterministic_first_stage(two_stage, flow), flow)
+    table = cost_curves(two_stage, rho_grid)
+    eevs = _line_for(two_stage, deterministic_first_stage(two_stage))
     return [
         (rho, eevs.value(rho) - table.so_value(rho), table.so_value(rho))
         for rho in table.rho_values

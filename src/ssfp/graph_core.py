@@ -106,14 +106,6 @@ class Graph:
             yield u, v, eid
             yield v, u, eid
 
-    def connected_vertex_count(self) -> int:
-        """Number of vertices touched by at least one edge."""
-        touched: set[int] = set()
-        for u, v in self.edges:
-            touched.add(u)
-            touched.add(v)
-        return len(touched)
-
 
 @dataclass(frozen=True)
 class PipeCatalog:
@@ -262,9 +254,6 @@ class EdgePipeSet:
     def from_vertex_pairs(cls, graph: Graph, items: Iterable[tuple[int, Edge]]) -> "EdgePipeSet":
         return cls(frozenset((p, graph.edge_id(u, v)) for p, (u, v) in items))
 
-    def to_vertex_pairs(self, graph: Graph) -> list[tuple[int, Edge]]:
-        return sorted((p, graph.endpoints(e)) for p, e in self.pairs)
-
     def check(self, graph: Graph, num_pipe_types: int) -> None:
         for p, e in self.pairs:
             if not 1 <= p <= num_pipe_types:
@@ -320,9 +309,9 @@ class TwoStageInstance:
                 raise ValidationError(f"scenario {s} multiplier must be > 1")
         if self.scenarios:
             for s, rho in enumerate(self.probabilities):
-                if rho < 0.0:
-                    raise ValidationError(f"probability of scenario {s} is negative")
-            if abs(sum(self.probabilities) - 1.0) > 1e-12:
+                if not rho >= 0.0:  # NaN fails this
+                    raise ValidationError(f"probability of scenario {s} is {rho}, not >= 0")
+            if not abs(sum(self.probabilities) - 1.0) <= 1e-12:
                 raise ValidationError(f"probabilities sum to {sum(self.probabilities)}, not 1")
         self.existing.check(self.first_stage.graph, self.first_stage.pipes.num_pipe_types)
 

@@ -10,11 +10,12 @@ One solve owns its data; separate solves may run concurrently.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -35,7 +36,7 @@ except ImportError as err:  # pragma: no cover - depends on the installed scipy
         f"which scipy {scipy.__version__} does not provide; install scipy>=1.15"
     ) from err
 
-from .graph_core import EdgePipeSet, Instance, TwoStageInstance, first_disconnected
+from .graph_core import EdgePipeSet, Instance, TwoStageInstance
 from .milp_core import MilpModel, MilpSolution
 
 #: Largest pipe-edge universe the exhaustive oracle will enumerate.
@@ -274,54 +275,52 @@ class BruteForceResult:
     scenario_sets: tuple[EdgePipeSet, ...]
 
 
-def _usable_edges(inst: Instance, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    return [e for p, e in pairs if p in inst.feasible_pipes and e in inst.admissible_edges]
+def _subset_costs(inst: Instance, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """cost[mask]: the price of the pairs in ``mask`` at this stage's prices.
+    Bit i of a mask is ``pairs[i]``."""
+    cost = np.zeros(1 << len(pairs))
+    for i, (p, e) in enumerate(pairs):
+        cost[1 << i : 2 << i] = cost[: 1 << i] + inst.pair_cost(p, e)
+    return cost
 
 
-def _completion_costs(
-    inst: Instance, pairs: Sequence[tuple[int, int]], base: frozenset[tuple[int, int]]
-) -> list[float]:
-    """g[mask] = cheapest cost of extra pairs (at this instance's inflated
-    costs) so that mask + base becomes feasible for ``inst``."""
-    n = len(pairs)
-    costs = [inst.pair_cost(p, e) for p, e in pairs]
-    usable = [p in inst.feasible_pipes and e in inst.admissible_edges for p, e in pairs]
-    base_edges = _usable_edges(inst, base)
-    g = [math.inf] * (1 << n)
-    for mask in range((1 << n) - 1, -1, -1):
-        edges = base_edges + [pairs[i][1] for i in range(n) if mask >> i & 1 and usable[i]]
-        if first_disconnected(inst.graph, inst.terminals.groups, edges) is None:
-            g[mask] = 0.0
-            continue
-        best = math.inf
-        for i in range(n):
-            if not mask >> i & 1:
-                candidate = costs[i] + g[mask | 1 << i]
-                if candidate < best:
-                    best = candidate
-        g[mask] = best
-    return g
+def _connecting(
+    inst: Instance, pairs: Sequence[tuple[int, int]], existing: frozenset[tuple[int, int]]
+) -> np.ndarray:
+    """connecting[mask]: the pairs in ``mask`` together with ``existing``
+    connect every terminal group of ``inst``.  Bit i of a mask is
+    ``pairs[i]``; a pair with an infeasible pipe or an inadmissible edge
+    connects nothing.
 
-
-def _completion_witness(
-    inst: Instance,
-    pairs: Sequence[tuple[int, int]],
-    base: frozenset[tuple[int, int]],
-    g: list[float],
-    mask: int,
-) -> int:
-    """Follow the DP back to an optimal completion; returns the final mask."""
-    costs = [inst.pair_cost(p, e) for p, e in pairs]
-    while g[mask] > 0.0:
-        for i in range(len(pairs)):
-            if not mask >> i & 1 and math.isclose(
-                costs[i] + g[mask | 1 << i], g[mask], rel_tol=0.0, abs_tol=1e-9
-            ):
-                mask |= 1 << i
-                break
-        else:  # pragma: no cover - DP invariant
-            raise SolverError("failed to reconstruct a brute-force witness")
-    return mask
+    ``first_disconnected`` answers one edge set at a time, and calling it once
+    per mask was the oracle's whole cost.  Here the vertices reached from each
+    group's first terminal are a bitset per mask, grown for all masks at once
+    until no edge adds a vertex.  An int64 bitset is enough: at most 22 pairs
+    touch at most 44 vertices, and instance validation puts every terminal on
+    an admissible edge.
+    """
+    graph = inst.graph
+    usable = {(p, e) for p in inst.feasible_pipes for e in inst.admissible_edges}
+    vbit = {v: 1 << k for k, v in enumerate(sorted({v for edge in graph.edges for v in edge}))}
+    laying = [(None, pe) for pe in sorted(existing)] + list(enumerate(pairs))
+    links = [  # (endpoint bits, the bit of the pair that lays the edge; None: always laid)
+        (sum(vbit[v] for v in graph.edges[e]), i) for i, (p, e) in laying if (p, e) in usable
+    ]
+    connecting = np.ones(1 << len(pairs), dtype=bool)
+    for group in inst.terminals.groups:
+        reach = np.full(len(connecting), vbit[group[0]], dtype=np.int64)
+        grown = True
+        while grown:
+            before = reach.copy()
+            for ends, i in links:
+                # the masks holding pair i are the upper half of each 2^(i+1) block
+                part = reach if i is None else reach.reshape(-1, 2, 1 << i)[:, 1]
+                np.bitwise_or(part, ends, out=part, where=part & ends != 0)
+            grown = not np.array_equal(before, reach)
+            links.reverse()  # alternate sweep directions: fewer rounds
+        want = sum(vbit[t] for t in group)
+        connecting &= reach & want == want
+    return connecting
 
 
 def brute_force(
@@ -329,12 +328,16 @@ def brute_force(
     mode: Literal["do", "ro", "so"],
     probabilities: Sequence[float] | None = None,
 ) -> BruteForceResult:
-    """Exhaustive optimum by enumerating first-stage pipe-edge subsets.
+    """Exhaustive optimum over every subset of the pipe-edge pairs not yet
+    installed.
 
-    Scenario completions come from a full-subset dynamic program, so the
-    result is exact.  Refuses instances whose pipe-edge universe exceeds
-    ``BRUTE_FORCE_PAIR_LIMIT``; this is an oracle for tiny instances, never a
-    silent approximation.
+    Each stage has one table of the subsets that connect its groups
+    (``_connecting``).  A scenario completes a first-stage subset with its
+    cheapest connecting superset: a superset minimum, taken in one array pass
+    per pair.  The result is exact; among equal totals the lowest mask wins
+    (bit i is the i-th pair in (pipe, edge) order).  Refuses instances whose
+    pipe-edge universe exceeds ``BRUTE_FORCE_PAIR_LIMIT``; this is an oracle
+    for tiny instances, never a silent approximation.
     """
     if mode not in ("do", "ro", "so"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -352,53 +355,39 @@ def brute_force(
     existing = two_stage.existing.pairs
     pairs = [pe for pe in universe if pe not in existing]
     n = len(pairs)
-    cost1 = [first.pair_cost(p, e) for p, e in pairs]
-    usable1 = [p in first.feasible_pipes and e in first.admissible_edges for p, e in pairs]
-    base1 = _usable_edges(first, existing)
 
-    rho: tuple[float, ...] = ()
-    scenario_g: list[list[float]] = []
+    total = np.where(_connecting(first, pairs, existing), _subset_costs(first, pairs), np.inf)
+    plans: list[np.ndarray] = []
     if mode in ("ro", "so"):
         if not two_stage.scenarios:
             raise ValueError("RO/SO need at least one scenario")
         rho = tuple(probabilities) if probabilities is not None else two_stage.probabilities
         if len(rho) != two_stage.num_scenarios:
             raise ValueError("need one probability per scenario")
-        scenario_g = [_completion_costs(s, pairs, existing) for s in two_stage.scenarios]
-
-    # subset sums over the pair universe, shared by all modes
-    mask_cost = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        mask_cost[mask] = mask_cost[mask & mask - 1] + cost1[low]
-
-    best = math.inf
-    best_mask = -1
-    for mask in range(1 << n):
-        stage_cost = mask_cost[mask]
-        if stage_cost >= best:
-            continue
+        recourse = []
+        for inst in two_stage.scenarios:
+            cost = _subset_costs(inst, pairs)
+            plan = np.where(_connecting(inst, pairs, existing), cost, np.inf)
+            completion = plan.copy()  # becomes the cost of the cheapest connecting superset
+            for i in range(n):
+                halves = completion.reshape(-1, 2, 1 << i)  # [:, 1] are the masks with bit i
+                np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 0])
+            completion -= cost
+            plans.append(plan)
+            recourse.append(completion)
         if mode == "ro":
-            total = stage_cost + max(g[mask] for g in scenario_g)
-        elif mode == "so":
-            total = stage_cost + sum(r * g[mask] for r, g in zip(rho, scenario_g))
+            total += functools.reduce(np.maximum, recourse)
         else:
-            total = stage_cost
-        if total >= best:
-            continue
-        edges = base1 + [pairs[i][1] for i in range(n) if mask >> i & 1 and usable1[i]]
-        if first_disconnected(first.graph, first.terminals.groups, edges) is None:
-            best = total
-            best_mask = mask
-    if best_mask < 0:
+            total += sum(r * g for r, g in zip(rho, recourse))
+    best_mask = int(np.argmin(total))
+    if total[best_mask] == np.inf:
         raise SolverError("no feasible first-stage solution exists")
 
-    chosen = frozenset(pairs[i] for i in range(n) if best_mask >> i & 1)
-    first_set = EdgePipeSet(chosen | existing)
-    scenario_sets: list[EdgePipeSet] = []
-    if mode in ("ro", "so"):
-        for s, inst in enumerate(two_stage.scenarios):
-            final = _completion_witness(inst, pairs, existing, scenario_g[s], best_mask)
-            pairs_in = frozenset(pairs[i] for i in range(n) if final >> i & 1)
-            scenario_sets.append(EdgePipeSet(pairs_in | existing))
-    return BruteForceResult(best, first_set, tuple(scenario_sets))
+    def pair_set(mask: int) -> EdgePipeSet:
+        return EdgePipeSet(frozenset(pairs[i] for i in range(n) if mask >> i & 1) | existing)
+
+    supersets = np.arange(1 << n) & best_mask == best_mask
+    scenario_sets = tuple(
+        pair_set(int(np.where(supersets, plan, np.inf).argmin())) for plan in plans
+    )
+    return BruteForceResult(float(total[best_mask]), pair_set(best_mask), scenario_sets)

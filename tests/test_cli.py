@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,34 @@ class TestSolve:
         )
         assert code == 2
         assert "scenario" in err
+
+    @pytest.mark.parametrize("command", ["solve", "export-lp"])
+    def test_rho2_on_four_cycle_is_usage_error(self, capsys, tmp_path, command):
+        code, _, err = run(
+            capsys, command, "--instance", "builtin:four-cycle", "--model", "do",
+            "--rho2", "0.3", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err.strip() == "--rho2 needs an instance with exactly two scenarios"
+
+    def test_nan_rho2_is_usage_error(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        save_instance(fig2_instance(), inst)
+        code, _, err = run(
+            capsys, "solve", "--instance", str(inst), "--model", "so", "--rho2", "nan"
+        )
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "nan" in err
+
+    def test_nan_probability_in_file_is_usage_error(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        save_instance(fig2_instance(), inst)
+        document = json.loads(inst.read_text())
+        document["scenarios"][1]["probability"] = math.nan
+        inst.write_text(json.dumps(document))
+        code, _, err = run(capsys, "solve", "--instance", str(inst), "--model", "so")
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "nan" in err
 
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "solve", "--instance", "builtin:nope", "--model", "do")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +97,11 @@ class TestInstanceValidation:
     def test_probabilities_must_sum_to_one(self, fig2):
         with pytest.raises(ValidationError):
             TwoStageInstance(fig2.first_stage, fig2.scenarios, (0.6, 0.6))
+
+    @pytest.mark.parametrize("probabilities", [(math.nan, math.nan), (0.5, math.nan)])
+    def test_nan_probabilities_rejected(self, fig2, probabilities):
+        with pytest.raises(ValidationError, match="nan"):
+            fig2.with_probabilities(probabilities)
 
     def test_scenario_multiplier_must_exceed_one(self, fig2):
         with pytest.raises(ValidationError):

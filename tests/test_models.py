@@ -127,7 +127,8 @@ class TestTwoStageBuilders:
         first, scenarios = built.extract_sets(sol)
         assert cost(fig2.first_stage, fig2.existing, first) == pytest.approx(9.0)
         retrofit = scenarios[1] - first
-        assert retrofit.to_vertex_pairs(fig2.first_stage.graph) == [(2, (26, 32))]
+        graph = fig2.first_stage.graph
+        assert sorted((p, graph.endpoints(e)) for p, e in retrofit.pairs) == [(2, (26, 32))]
         assert len(scenarios[0] - first) == 0
 
     @pytest.mark.parametrize(

@@ -18,6 +18,9 @@ from ssfp.graph_core import (
     PipeCatalog,
     TerminalGroups,
     TwoStageInstance,
+    cost,
+    first_disconnected,
+    validate_feasible,
 )
 from ssfp.instances import (
     SweepConfig,
@@ -36,6 +39,7 @@ from ssfp.solver import (
     brute_force,
     solve_milp,
 )
+from test_restricted_instances import restricted_instance
 
 
 def tiny_two_stage(gamma: float = 5.0) -> TwoStageInstance:
@@ -211,6 +215,49 @@ class TestBruteForce:
             assert sol.objective == pytest.approx(oracle, abs=1e-9)
 
 
+    def test_connecting_table_matches_first_disconnected(self):
+        for ts in _oracle_cases():
+            existing = ts.existing.pairs
+            graph = ts.first_stage.graph
+            pairs = [(p, e) for p in range(1, ts.first_stage.pipes.num_pipe_types + 1)
+                     for e in range(graph.num_edges) if (p, e) not in existing]
+            for inst in (ts.first_stage, *ts.scenarios):
+                table = solver._connecting(inst, pairs, existing)
+                assert table.shape == (1 << len(pairs),)
+                usable = [e for p, e in existing
+                          if p in inst.feasible_pipes and e in inst.admissible_edges]
+                for mask in range(1 << len(pairs)):
+                    edges = usable + [
+                        e for i, (p, e) in enumerate(pairs)
+                        if mask >> i & 1 and p in inst.feasible_pipes and e in inst.admissible_edges
+                    ]
+                    connected = first_disconnected(graph, inst.terminals.groups, edges) is None
+                    assert table[mask] == connected, (inst.label, mask)
+
+    def test_witness_sets_are_feasible_and_cost_out(self):
+        for ts in _oracle_cases():
+            for mode in ("ro", "so"):
+                result = brute_force(ts, mode)
+                assert validate_feasible(ts.first_stage, result.first_stage)
+                recourse = []
+                for inst, chosen in zip(ts.scenarios, result.scenario_sets, strict=True):
+                    assert validate_feasible(inst, chosen)
+                    assert result.first_stage.pairs <= chosen.pairs
+                    recourse.append(cost(inst, result.first_stage, chosen))
+                if mode == "ro":
+                    second = max(recourse)
+                else:
+                    second = sum(r * c for r, c in zip(ts.probabilities, recourse))
+                total = cost(ts.first_stage, ts.existing, result.first_stage) + second
+                assert total == pytest.approx(result.objective, abs=1e-9)
+
+
+def _oracle_cases():
+    """The first 20 criterion-4 instances and the 8 restricted instances
+    (existing pairs, restricted pipes and edges)."""
+    return _criterion_4_corpus(20) + [restricted_instance(seed) for seed in range(8)]
+
+
 def test_lp_bound_never_exceeds_milp_optimum():
     for seed in range(3):
         ts = random_grid_instance(
@@ -329,12 +376,12 @@ def _assert_warm_matches_cold(model: MilpModel, seed: int, shares: tuple[float, 
     return statuses
 
 
-def _criterion_4_corpus():
+def _criterion_4_corpus(count: int = 200):
     return [
         random_grid_instance(3, 3, num_pipe_types=1, num_groups=1 + seed % 2,
                              terminals_per_group=2 + (seed // 2) % 2, num_scenarios=2,
                              seed=seed)
-        for seed in range(200)
+        for seed in range(count)
     ]
 
 
