@@ -13,7 +13,6 @@ from pathlib import Path
 from .graph_core import (
     EdgePipeSet,
     InfeasibleInstanceError,
-    Instance,
     TwoStageInstance,
     ValidationError,
     validate_feasible,
@@ -27,7 +26,7 @@ from .instances import (
     save_instance,
 )
 from .milp_core import export_lp
-from .models import ModelKind, build_do, build_model
+from .models import ModelKind, build_model
 from .solver import BnbConfig, solve_milp
 from .experiments import (
     cost_curves,
@@ -51,12 +50,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_target(spec: str, rho2: float | None) -> TwoStageInstance | Instance:
+def _load_target(spec: str, rho2: float | None) -> TwoStageInstance:
     if spec == "builtin:fig2":
         return fig2_instance(0.5 if rho2 is None else rho2)
-    target: TwoStageInstance | Instance
     if spec == "builtin:four-cycle":
-        target = four_cycle_instance()
+        target = TwoStageInstance(four_cycle_instance(), (), ())
     elif spec.startswith("builtin:"):
         raise CliError(f"unknown builtin instance {spec!r}")
     else:
@@ -69,26 +67,20 @@ def _load_target(spec: str, rho2: float | None) -> TwoStageInstance | Instance:
         except ValidationError as err:
             raise CliError(str(err)) from None
     if rho2 is not None:
-        if isinstance(target, Instance) or target.num_scenarios != 2:
+        if target.num_scenarios != 2:
             raise CliError("--rho2 needs an instance with exactly two scenarios")
         target = target.with_probabilities((1.0 - rho2, rho2))
     return target
-
-
-def _build_for(target: TwoStageInstance | Instance, model: str, flow: str):
-    kind = ModelKind(model, flow)  # type: ignore[arg-type]
-    if isinstance(target, Instance):
-        if kind.optimization != "do":
-            raise CliError(f"{kind.label} needs scenarios; this instance has none")
-        return build_do(target, EdgePipeSet(), kind.flow)
-    return build_model(kind, target)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.node_limit is not None and args.node_limit < 1:
         raise CliError("--node-limit must be at least 1")
     target = _load_target(args.instance, args.rho2)
-    built = _build_for(target, args.model, args.flow)
+    try:
+        built = build_model(ModelKind(args.model, args.flow), target)
+    except ValueError as err:
+        raise CliError(str(err)) from None
     config = BnbConfig() if args.node_limit is None else BnbConfig(node_limit=args.node_limit)
     solution = solve_milp(built.milp, config)
     if solution.status == "node_limit":
@@ -97,7 +89,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if solution.status != "optimal":
         print(f"solve ended with status {solution.status}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    graph = target.graph if isinstance(target, Instance) else target.first_stage.graph
+    graph = target.first_stage.graph
     first, per_scenario = built.extract_sets(solution)
     report = {
         "model": built.kind.label,
@@ -174,7 +166,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     target = _load_target(args.instance, None)
-    if isinstance(target, Instance) or target.num_scenarios != 2:
+    if target.num_scenarios != 2:
         raise CliError("curves need a two-scenario instance")
     table = cost_curves(target, _parse_grid(args.grid))
     write_curves_csv(table, args.out)
@@ -185,7 +177,6 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     target = _load_target(args.instance, None)
-    instance = target if isinstance(target, Instance) else target.first_stage
     try:
         data = json.loads(Path(args.solution).read_text())
         pairs = frozenset((int(p), int(e)) for p, e in data["pairs"])
@@ -194,7 +185,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise CliError(f"solution file not found: {args.solution}") from None
     except (KeyError, TypeError, ValueError) as err:
         raise CliError(f"bad solution file: {err}") from None
-    result = validate_feasible(instance, solution)
+    result = validate_feasible(target.first_stage, solution)
     if result.ok:
         print("feasible")
         return EXIT_OK
@@ -204,7 +195,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
     target = _load_target(args.instance, args.rho2)
-    built = _build_for(target, args.model, args.flow)
+    try:
+        built = build_model(ModelKind(args.model, args.flow), target)
+    except ValueError as err:
+        raise CliError(str(err)) from None
     Path(args.out).write_text(export_lp(built.milp))
     print(f"wrote {built.kind.label} model ({built.num_variables} variables, "
           f"{built.num_constraints} constraints) to {args.out}")

@@ -23,6 +23,11 @@ from .solver import BnbConfig, SolverError, solve_milp
 Objective = Literal["do", "ro", "so"]
 OBJECTIVE_ORDER: tuple[Objective, ...] = ("do", "ro", "so")
 MODEL_LABELS = tuple(k.label for k in ALL_KINDS)
+#: How far U and D optima, and a re-evaluated optimum and its model's
+#: objective, may differ before a sweep record is refused.
+AGREEMENT_TOL = 1e-6
+#: Added to a seeded cutoff, so the plan that set it stays inside the search.
+CUTOFF_SLACK = 1e-6
 
 
 def _solve_or_raise(built: BuiltModel, config: BnbConfig = BnbConfig()) -> MilpSolution:
@@ -234,34 +239,40 @@ class SweepRecord:
     node_counts: tuple[int, ...]
 
 
-def _solve_six(two_stage: TwoStageInstance) -> tuple[dict[str, MilpSolution], dict[str, BuiltModel]]:
+def _solve_six(
+    two_stage: TwoStageInstance,
+) -> tuple[dict[str, MilpSolution], dict[str, BuiltModel], dict[Objective, EdgePipeSet]]:
     """Solve all six models with incumbent seeding: each directed solve seeds
     its undirected twin's cutoff, the deterministic solution evaluated under
     the expectation seeds the stochastic solves, and the stochastic solution
     evaluated under the worst case seeds the robust solves.  Cutoffs are
     upper bounds from feasible solutions, so they only prune nodes that
-    cannot beat a known plan and never change the reported optimum."""
+    cannot beat a known plan and never change the reported optimum.
+
+    Returns the solutions and builds by model label, and the first stage of
+    each directed optimum by objective."""
     solutions: dict[str, MilpSolution] = {}
     builds: dict[str, BuiltModel] = {}
+    first_sets: dict[Objective, EdgePipeSet] = {}
     seed_cutoff: dict[str, float | None] = {"do": None, "so": None, "ro": None}
     for optimization in ("do", "so", "ro"):
+        directed = ModelKind(optimization, "d").label
         for flow in ("d", "u"):
             kind = ModelKind(optimization, flow)
             built = build_model(kind, two_stage)
             if flow == "u":
-                cutoff = solutions[f"{optimization.upper()}-D"].objective + 1e-6
+                cutoff = solutions[directed].objective + CUTOFF_SLACK
             else:
                 cutoff = seed_cutoff[optimization]
             solutions[kind.label] = _solve_or_raise(built, BnbConfig(cutoff=cutoff))
             builds[kind.label] = built
-        first, _ = builds[f"{optimization.upper()}-D"].extract_sets(
-            solutions[f"{optimization.upper()}-D"]
-        )
+        first, _ = builds[directed].extract_sets(solutions[directed])
+        first_sets[optimization] = first
         if optimization == "do":
-            seed_cutoff["so"] = evaluate_under("so", two_stage, first) + 1e-6
+            seed_cutoff["so"] = evaluate_under("so", two_stage, first) + CUTOFF_SLACK
         elif optimization == "so":
-            seed_cutoff["ro"] = evaluate_under("ro", two_stage, first) + 1e-6
-    return solutions, builds
+            seed_cutoff["ro"] = evaluate_under("ro", two_stage, first) + CUTOFF_SLACK
+    return solutions, builds, first_sets
 
 
 def sweep_record(
@@ -270,23 +281,17 @@ def sweep_record(
     if two_stage is None:
         two_stage = random_artificial(config, seed)
     try:
-        solutions, builds = _solve_six(two_stage)
+        solutions, builds, first_sets = _solve_six(two_stage)
     except SolverError as err:
         raise SolverError(f"{config.setting_id} seed {seed}: {err}") from err
     for optimization in OBJECTIVE_ORDER:
-        d_obj = solutions[f"{optimization.upper()}-D"].objective
-        u_obj = solutions[f"{optimization.upper()}-U"].objective
-        if abs(d_obj - u_obj) > 1e-6:
+        d_obj = solutions[ModelKind(optimization, "d").label].objective
+        u_obj = solutions[ModelKind(optimization, "u").label].objective
+        if abs(d_obj - u_obj) > AGREEMENT_TOL:
             raise SolverError(
                 f"{config.setting_id} seed {seed}: {optimization.upper()} flow formulations "
                 f"disagree ({u_obj} vs {d_obj})"
             )
-    first_sets = {
-        optimization: builds[f"{optimization.upper()}-D"].extract_sets(
-            solutions[f"{optimization.upper()}-D"]
-        )[0]
-        for optimization in OBJECTIVE_ORDER
-    }
     evaluations = tuple(
         tuple(
             evaluate_under(column, two_stage, first_sets[row])
@@ -296,8 +301,8 @@ def sweep_record(
     )
     optima = tuple(evaluations[i][i] for i in range(3))
     for i, optimization in enumerate(OBJECTIVE_ORDER):
-        model_obj = solutions[f"{optimization.upper()}-D"].objective
-        if abs(optima[i] - model_obj) > 1e-6:
+        model_obj = solutions[ModelKind(optimization, "d").label].objective
+        if abs(optima[i] - model_obj) > AGREEMENT_TOL:
             raise SolverError(
                 f"{config.setting_id} seed {seed}: re-evaluated {optimization.upper()} optimum "
                 f"{optima[i]} disagrees with the model objective {model_obj}"

@@ -5,6 +5,7 @@ the operations at the bottom of the module are pure functions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -74,15 +75,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def incident(self) -> tuple[tuple[int, ...], ...]:
-        """Edge ids incident to each vertex; index 0 is unused."""
-        inc: list[list[int]] = [[] for _ in range(self.num_vertices + 1)]
-        for eid, (u, v) in enumerate(self.edges):
-            inc[u].append(eid)
-            inc[v].append(eid)
-        return tuple(tuple(ids) for ids in inc)
-
-    @cached_property
     def _edge_ids(self) -> dict[Edge, int]:
         return {edge: eid for eid, edge in enumerate(self.edges)}
 
@@ -112,7 +104,7 @@ class PipeCatalog:
     """Available pipe types 1..num_pipe_types with per-(pipe, edge) base costs.
 
     ``base_costs[p-1][e]`` is the cost of installing pipe ``p`` on edge id
-    ``e``; all costs are strictly positive.
+    ``e``; all costs are positive and finite.
     """
 
     num_pipe_types: int
@@ -131,8 +123,10 @@ class PipeCatalog:
             if len(row) != width:
                 raise ValidationError("base_costs rows must have equal length")
             for e, c in enumerate(row):
-                if not c > 0.0:
-                    raise ValidationError(f"cost of pipe {p} on edge {e} must be positive, got {c}")
+                if not 0.0 < c < math.inf:
+                    raise ValidationError(
+                        f"cost of pipe {p} on edge {e} must be positive and finite, got {c}"
+                    )
 
     def cost(self, pipe: int, edge_id: int) -> float:
         if not 1 <= pipe <= self.num_pipe_types:
@@ -218,18 +212,21 @@ class Instance:
         for e in self.admissible_edges:
             if not 0 <= e < self.graph.num_edges:
                 raise ValidationError(f"admissible edge id {e} out of range")
-        if not self.cost_multiplier >= 1.0:
-            raise ValidationError(f"cost multiplier must be >= 1, got {self.cost_multiplier}")
+        if not 1.0 <= self.cost_multiplier < math.inf:
+            raise ValidationError(
+                f"cost multiplier must be finite and >= 1, got {self.cost_multiplier}"
+            )
         for group in self.terminals.groups:
             for t in group:
                 if not 1 <= t <= self.graph.num_vertices:
                     raise ValidationError(f"terminal {t} out of range")
-        for k in range(self.terminals.num_groups):
-            if not is_connected_within(self, k):
-                raise InfeasibleInstanceError(
-                    f"terminal group {k} ({self.terminals.groups[k]}) is disconnected "
-                    "within the admissible edge set"
-                )
+        broken = first_disconnected(self.graph, self.terminals.groups, self.admissible_edges)
+        if broken is not None:
+            k = broken[0]
+            raise InfeasibleInstanceError(
+                f"terminal group {k} ({self.terminals.groups[k]}) is disconnected "
+                "within the admissible edge set"
+            )
 
     def pair_cost(self, pipe: int, edge_id: int) -> float:
         return self.cost_multiplier * self.pipes.cost(pipe, edge_id)
@@ -360,13 +357,6 @@ def first_disconnected(
     return None
 
 
-def vertices_connected(graph: Graph, vertices: Iterable[int], edge_ids: Iterable[int]) -> bool:
-    """True iff all ``vertices`` lie in one component of the subgraph spanned
-    by ``edge_ids``.  Vacuously true for fewer than two vertices."""
-    targets = sorted(set(vertices))
-    return len(targets) < 2 or first_disconnected(graph, (targets,), edge_ids) is None
-
-
 def validate_feasible(instance: Instance, solution: EdgePipeSet) -> FeasibilityResult:
     """Check feasibility with union-find, independently of any MILP machinery.
 
@@ -392,6 +382,5 @@ def is_connected_within(instance: Instance, group_index: int) -> bool:
     """True iff the group's terminals are connected in (V, admissible edges)."""
     if not 0 <= group_index < instance.terminals.num_groups:
         raise ValidationError(f"group index {group_index} out of range")
-    return vertices_connected(
-        instance.graph, instance.terminals.groups[group_index], instance.admissible_edges
-    )
+    group = instance.terminals.groups[group_index]
+    return first_disconnected(instance.graph, (group,), instance.admissible_edges) is None

@@ -1,6 +1,6 @@
 """Generic mixed-binary linear program container with LP-relaxation support
-and a CPLEX-LP text format (writer and parser, used for round-trip checks and
-external cross-checks).
+and a CPLEX-LP text format for external cross-checks: the writer, and a parser
+of exactly the dialect the writer writes, so a round trip is exact.
 
 A model is mutable while it is being built and must be treated as immutable
 afterwards; solved models are shareable across threads.
@@ -136,30 +136,12 @@ class MilpModel:
         var = self.variables[handle]
         self.variables[handle] = Variable(var.name, "binary", 0.0, 1.0, var.objective)
 
-    def structurally_equal(self, other: "MilpModel") -> bool:
-        """Order-insensitive on variables, order-sensitive on constraints;
-        terms compare as name -> coefficient mappings."""
-        if {v.name for v in self.variables} != {v.name for v in other.variables}:
-            return False
-        for var in self.variables:
-            o = other.variables[other.variable_handle(var.name)]
-            if (var.kind, var.lower, var.upper, var.objective) != (o.kind, o.lower, o.upper, o.objective):
-                return False
-        if len(self.constraints) != len(other.constraints):
-            return False
-        for con, ocon in zip(self.constraints, other.constraints):
-            if (con.name, con.sense, con.rhs) != (ocon.name, ocon.sense, ocon.rhs):
-                return False
-            mine = {self.variables[h].name: c for h, c in con.terms}
-            theirs = {other.variables[h].name: c for h, c in ocon.terms}
-            if mine != theirs:
-                return False
-        return True
-
     def __eq__(self, other: object) -> bool:
+        """Field equality of the variables and the constraints, in order; the
+        name is a label and is not compared."""
         if not isinstance(other, MilpModel):
             return NotImplemented
-        return self.structurally_equal(other)
+        return self.variables == other.variables and self.constraints == other.constraints
 
     def __repr__(self) -> str:
         return (
@@ -244,18 +226,7 @@ def export_lp(model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SECTION_STARTS = {
-    "minimize": "objective",
-    "min": "objective",
-    "subject": "constraints",
-    "st": "constraints",
-    "s.t.": "constraints",
-    "bounds": "bounds",
-    "binary": "binary",
-    "binaries": "binary",
-    "bin": "binary",
-    "end": "end",
-}
+_SECTIONS = ("Minimize", "Subject To", "Bounds", "Binary", "End")
 
 
 def _parse_number(token: str, line_no: int, col: int) -> float:
@@ -296,123 +267,78 @@ def _parse_terms(tokens: list[str], line_no: int) -> list[tuple[str, float]]:
     return terms
 
 
-def parse_lp(text: str) -> MilpModel:
-    """Parse LP text as produced by :func:`export_lp` back into a model.
+def _parse_bound(tokens: list[str], line_no: int) -> tuple[str, float, float]:
+    """`x free`, `x >= l`, `x <= u` or `l <= x <= u`, as (name, lower, upper)."""
+    if len(tokens) == 2 and tokens[1] == "free":
+        return tokens[0], -INF, INF
+    if len(tokens) == 3 and tokens[1] in ("<=", ">="):
+        value = _parse_number(tokens[2], line_no, 2)
+        return (tokens[0], value, INF) if tokens[1] == ">=" else (tokens[0], -INF, value)
+    if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
+        return tokens[2], _parse_number(tokens[0], line_no, 0), _parse_number(tokens[4], line_no, 4)
+    raise LpSyntaxError(f"unrecognized bounds line {' '.join(tokens)!r}", line_no)
 
-    Variables are declared in order of first mention; structural equality is
-    order-insensitive on variables, so export/parse round-trips.
+
+def parse_lp(text: str) -> MilpModel:
+    """The model :func:`export_lp` wrote: ``parse_lp(export_lp(m)) == m``.
+
+    Reads exactly the writer's dialect in one pass: the five section headers
+    in order, then one objective line, row, bound or list of binary names per
+    line.  Each Bounds line declares its variable, so variables come back in
+    declaration order; the objective and the rows, which precede the Bounds
+    section, are resolved against those names at the end.
     """
     model = MilpModel()
-    declared: dict[str, int] = {}
-    bounds: dict[str, tuple[float, float]] = {}
-    binaries: list[str] = []
-    objective: list[tuple[str, float]] = []
-    rows: list[tuple[str, list[tuple[str, float]], str, float]] = []
-
-    def ensure(name: str, line_no: int) -> int:
-        if not name or name[0].isdigit():
-            raise LpSyntaxError(f"invalid variable name {name!r}", line_no)
-        if name not in declared:
-            declared[name] = model.add_variable(name, "continuous", 0.0, INF)
-        return declared[name]
-
-    section = None
-    saw_end = False
-    pending: list[str] = []  # token accumulator for multi-line rows
-    pending_line = 0
-
-    def flush_row(line_no: int) -> None:
-        nonlocal pending
-        if not pending:
-            return
-        line_no = pending_line or line_no
-        tokens = pending
-        pending = []
-        if ":" in tokens[0]:
-            name = tokens[0].rstrip(":")
-            tokens = tokens[1:]
-        elif len(tokens) > 1 and tokens[1] == ":":
-            name, tokens = tokens[0], tokens[2:]
-        else:
-            raise LpSyntaxError("constraint row is missing a 'name:' prefix", line_no)
-        sense_pos = [i for i, t in enumerate(tokens) if t in _SENSES]
-        if len(sense_pos) != 1:
-            raise LpSyntaxError("constraint row needs exactly one relational operator", line_no)
-        i = sense_pos[0]
-        if i != len(tokens) - 2:
-            raise LpSyntaxError("right-hand side must be a single number", line_no)
-        rhs = _parse_number(tokens[-1], line_no, len(tokens) - 1)
-        rows.append((name, _parse_terms(tokens[:i], line_no), tokens[i], rhs))
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("\\", 1)[0].strip()  # backslash starts an LP comment
-        if not line:
-            continue
-        head = line.split()[0].lower()
-        if head in _SECTION_STARTS and (head != "bin" or section != "constraints"):
-            if section == "constraints":
-                flush_row(line_no)
-            section = _SECTION_STARTS[head]
-            if section == "end":
-                saw_end = True
+    objective: tuple[int, list[tuple[str, float]]] | None = None
+    rows: list[tuple[int, str, list[tuple[str, float]], str, float]] = []
+    section = -1
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        if section + 1 < len(_SECTIONS) and line == _SECTIONS[section + 1]:
+            section += 1
+            if _SECTIONS[section] == "End":
                 break
             continue
-        tokens = line.replace("<=", " <= ").replace(">=", " >= ").split()
-        if section == "objective":
-            if ":" in tokens[0]:
-                tokens = tokens[1:]
-            elif len(tokens) > 1 and tokens[1] == ":":
-                tokens = tokens[2:]
-            objective.extend(_parse_terms(tokens, line_no))
-        elif section == "constraints":
-            if ":" in tokens[0] or (len(tokens) > 1 and tokens[1] == ":"):
-                flush_row(line_no)
-                pending_line = line_no
-            pending.extend(tokens)
-            if any(t in _SENSES for t in tokens):
-                flush_row(line_no)
-        elif section == "bounds":
-            # forms: `l <= x <= u`, `x >= l`, `x <= u`, `x free`
-            if len(tokens) == 2 and tokens[1].lower() == "free":
-                bounds[tokens[0]] = (-INF, INF)
-            elif len(tokens) == 3 and tokens[1] in ("<=", ">="):
-                value = _parse_number(tokens[2], line_no, 2)
-                lo, hi = (value, INF) if tokens[1] == ">=" else (-INF, value)
-                bounds[tokens[0]] = (lo, hi)
-            elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                lo = _parse_number(tokens[0], line_no, 0)
-                hi = _parse_number(tokens[4], line_no, 4)
-                if lo > hi:
-                    raise LpSyntaxError(f"empty bound interval [{lo}, {hi}]", line_no)
-                bounds[tokens[2]] = (lo, hi)
+        tokens = line.split()
+        try:
+            if section == 0:
+                if objective is not None or tokens[:1] != ["obj:"]:
+                    raise LpSyntaxError("expected the one objective line 'obj: terms'", line_no)
+                objective = line_no, _parse_terms(tokens[1:], line_no)
+            elif section == 1:
+                if len(tokens) < 3 or not tokens[0].endswith(":") or tokens[-2] not in _SENSES:
+                    raise LpSyntaxError("expected a row 'name: terms sense rhs'", line_no)
+                body = tokens[1:-2]
+                terms = [] if body == ["0"] else _parse_terms(body, line_no)
+                rhs = _parse_number(tokens[-1], line_no, len(tokens) - 1)
+                rows.append((line_no, tokens[0][:-1], terms, tokens[-2], rhs))
+            elif section == 2:
+                name, lower, upper = _parse_bound(tokens, line_no)
+                model.add_variable(name, "continuous", lower, upper)
+            elif section == 3:
+                for name in tokens:
+                    model.make_binary(model.variable_handle(name))
             else:
-                raise LpSyntaxError(f"unrecognized bounds line {line!r}", line_no)
-        elif section == "binary":
-            binaries.extend(tokens)
-        else:
-            raise LpSyntaxError("content before the objective section", line_no)
-    if not saw_end:
-        raise LpSyntaxError("missing End marker", len(text.splitlines()) or 1)
+                raise LpSyntaxError("content before the objective section", line_no)
+        except ModelError as err:
+            raise LpSyntaxError(str(err), line_no) from None
+    else:
+        raise LpSyntaxError("missing End marker", len(lines) or 1)
 
-    obj_coef: dict[str, float] = {}
-    for name, coef in objective:
-        ensure(name, 1)
-        obj_coef[name] = obj_coef.get(name, 0.0) + coef
-    for name, terms, sense, rhs in rows:
-        for var_name, _ in terms:
-            ensure(var_name, 1)
-    for name in list(bounds) + binaries:
-        ensure(name, 1)
+    def handles(terms: list[tuple[str, float]], line_no: int) -> list[tuple[int, float]]:
+        try:
+            return [(model.variable_handle(name), coef) for name, coef in terms]
+        except ModelError as err:
+            raise LpSyntaxError(f"{err}: it has no Bounds line", line_no) from None
 
-    binary_set = set(binaries)
-    for name, handle in declared.items():
-        lo, hi = bounds.get(name, (0.0, INF))
-        kind: Kind = "binary" if name in binary_set else "continuous"
-        if kind == "binary":
-            lo, hi = 0.0, 1.0
-        model.variables[handle] = Variable(name, kind, lo, hi, obj_coef.get(name, 0.0))
-    for name, terms, sense, rhs in rows:
-        handle_terms = [(declared[var_name], coef) for var_name, coef in terms]
-        # a `0 x` placeholder row becomes an empty term list again
-        model.add_constraint(name, handle_terms, sense, rhs)  # type: ignore[arg-type]
+    if objective is not None:
+        coefficients: dict[int, float] = {}
+        for handle, coef in handles(objective[1], objective[0]):
+            coefficients[handle] = coefficients.get(handle, 0.0) + coef
+        model.set_objective(coefficients)
+    for line_no, name, terms, sense, rhs in rows:
+        try:
+            model.add_constraint(name, handles(terms, line_no), sense, rhs)  # type: ignore[arg-type]
+        except ModelError as err:
+            raise LpSyntaxError(str(err), line_no) from None
     return model

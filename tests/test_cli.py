@@ -87,6 +87,38 @@ class TestSolve:
         assert code == 2
         assert len(err.strip().splitlines()) == 1 and "nan" in err
 
+    @pytest.mark.parametrize("field", ["base cost", "scenario multiplier"])
+    def test_infinite_cost_in_file_is_usage_error(self, capsys, tmp_path, field):
+        inst = tmp_path / "inst.json"
+        save_instance(fig2_instance(), inst)
+        document = json.loads(inst.read_text())
+        if field == "base cost":
+            document["pipes"]["base_costs"]["per_edge"][0][0] = "INF"
+        else:
+            document["scenarios"][0]["multiplier"] = "INF"
+        inst.write_text(json.dumps(document).replace('"INF"', "1e309"))
+        code, _, err = run(capsys, "solve", "--instance", str(inst), "--model", "so")
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+    @pytest.mark.parametrize("command", ["solve", "export-lp"])
+    @pytest.mark.parametrize("model", ["ro", "so"])
+    def test_two_stage_model_on_file_without_scenarios_is_usage_error(
+        self, capsys, tmp_path, command, model
+    ):
+        inst = tmp_path / "inst.json"
+        save_instance(fig2_instance(), inst)
+        document = json.loads(inst.read_text())
+        document["scenarios"] = []
+        inst.write_text(json.dumps(document))
+        code, _, err = run(
+            capsys, command, "--instance", str(inst), "--model", model,
+            "--out", str(tmp_path / "out"),
+        )
+        kind = "robust" if model == "ro" else "stochastic"
+        assert code == 2
+        assert err.strip() == f"{kind} model needs at least one scenario"
+
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "solve", "--instance", "builtin:nope", "--model", "do")
         assert code == 2 and "builtin" in err

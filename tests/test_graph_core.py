@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -16,7 +17,6 @@ from ssfp.graph_core import (
     first_disconnected,
     is_connected_within,
     validate_feasible,
-    vertices_connected,
 )
 from ssfp.instances import fig2_instance, grid_graph
 
@@ -57,6 +57,10 @@ class TestPipeCatalog:
         with pytest.raises(ValidationError):
             PipeCatalog(1, ((1.0, 0.0),))
 
+    def test_infinite_cost_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            PipeCatalog(1, ((1.0, math.inf),))
+
     def test_row_shape_checked(self):
         with pytest.raises(ValidationError):
             PipeCatalog(2, ((1.0,),))
@@ -93,6 +97,12 @@ class TestInstanceValidation:
             Instance(g, cat, TerminalGroups(((1, 2),)), frozenset(), frozenset({0}))
         with pytest.raises(ValidationError):
             Instance(g, cat, TerminalGroups(((1, 2),)), frozenset({1}), frozenset())
+
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_infinite_multiplier_rejected(self, fig2, stage):
+        inst = fig2.first_stage if stage == 0 else fig2.scenarios[0]
+        with pytest.raises(ValidationError, match="finite"):
+            dataclasses.replace(inst, cost_multiplier=math.inf)
 
     def test_probabilities_must_sum_to_one(self, fig2):
         with pytest.raises(ValidationError):
@@ -181,11 +191,11 @@ class TestConnectivity:
 
     def test_no_edges_means_disconnected(self):
         g = Graph(3, ((1, 2), (2, 3)))
-        assert not vertices_connected(g, [1, 3], [])
+        assert first_disconnected(g, ((1, 3),), []) is not None
 
     def test_single_vertex_is_vacuously_connected(self):
         g = Graph(3, ((1, 2),))
-        assert vertices_connected(g, [3], [])
+        assert first_disconnected(g, ((3,),), []) is None
 
     def test_first_disconnected_names_group_and_terminal(self):
         g = Graph(4, ((1, 2), (2, 3), (3, 4)))

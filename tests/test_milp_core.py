@@ -152,6 +152,48 @@ class TestLpFormat:
         with pytest.raises(LpSyntaxError):
             parse_lp("Minimize\n obj:\nSubject To\n")
 
+    def test_declaration_order_survives_round_trip(self):
+        # the objective mentions "early" first, but "late" is declared first
+        m = MilpModel()
+        late = m.add_variable("late", "continuous", 0.0, 4.0)
+        early = m.add_variable("early", "binary", objective=1.0)
+        m.add_constraint("c", [(early, 1.0), (late, 2.0)], "<=", 3.0)
+        assert parse_lp(export_lp(m)).variables == m.variables
+
+    def test_empty_row_placeholders_round_trip(self):
+        for num_variables in (0, 1):
+            m = MilpModel()
+            for i in range(num_variables):
+                m.add_variable(f"x{i}")
+            m.add_constraint("c", [], "<=", 3.0)
+            assert parse_lp(export_lp(m)) == m
+
+    def test_row_variable_without_bounds_line_rejected(self):
+        text = "Minimize\n obj:\nSubject To\n c1: 1 x >= 0\nBounds\nBinary\nEnd\n"
+        with pytest.raises(LpSyntaxError) as err:
+            parse_lp(text)
+        assert "line 4" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("Minimize\n", "min\n", 1),
+            ("Subject To\n", "st\n", 3),
+            ("Subject To\n", "Subject To\n\\ a comment\n", 4),
+            (" c1: 1 x + 1 y >= 0\n", " c1: 1 x\n + 1 y >= 0\n", 4),
+        ],
+        ids=["min", "st", "comment", "split-row"],
+    )
+    def test_other_lp_dialects_rejected(self, old, new, line):
+        text = (
+            "Minimize\n obj: 1 x\nSubject To\n c1: 1 x + 1 y >= 0\n"
+            "Bounds\n x >= 0\n y >= 0\nBinary\nEnd\n"
+        )
+        parse_lp(text)
+        with pytest.raises(LpSyntaxError) as err:
+            parse_lp(text.replace(old, new))
+        assert f"line {line}," in str(err.value)
+
 
 names = st.lists(
     st.text(alphabet="abcdxyz_", min_size=1, max_size=6).filter(lambda s: not s[0].isdigit()),

@@ -93,7 +93,7 @@ def _cheapest_path(inst, source, target):
             return d
         if d > dist.get(v, math.inf):
             continue
-        for eid in inst.graph.incident[v]:
+        for eid in (e for e, edge in enumerate(inst.graph.edges) if v in edge):
             if eid not in inst.admissible_edges:
                 continue
             u1, v1 = inst.graph.endpoints(eid)
