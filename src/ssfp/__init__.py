@@ -11,7 +11,6 @@ from .graph_core import (
     TwoStageInstance,
     ValidationError,
     cost,
-    is_connected_within,
     validate_feasible,
 )
 from .instances import (

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from .solver import BnbConfig, solve_milp
 from .experiments import (
     cost_curves,
     run_sweep,
-    sweep_threads,
     write_curves_csv,
     write_matrix_csv,
     write_ratios_csv,
@@ -129,14 +129,12 @@ def _parse_settings(spec: str, seeds: list[int]) -> list[SweepConfig]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise CliError("--seeds must be at least 1")
-    try:
-        threads = sweep_threads(args.threads)
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    if args.threads < 1:
+        raise CliError("--threads must be at least 1")
     configs = _parse_settings(args.settings, list(range(args.seeds)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, _ = run_sweep(configs, threads)
+    records = run_sweep(configs, args.threads)
     write_sweep_csv(records, out_dir / "sweep.csv")
     write_matrix_csv(records, out_dir / "matrix.csv")
     write_ratios_csv(records, out_dir / "ratios.csv")
@@ -237,7 +235,8 @@ def _make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--settings", default="all", help='"all" or "S,G,T"')
     sweep.add_argument("--seeds", type=int, required=True, help="seeds 0..N-1 per setting")
     sweep.add_argument("--out-dir", required=True)
-    sweep.add_argument("--threads", type=int, default=None)
+    sweep.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="worker processes (default: all cores)")
     sweep.set_defaults(func=_cmd_sweep)
 
     curves = sub.add_parser("curves", help="expected-cost curves over rho2")

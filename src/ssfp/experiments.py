@@ -8,7 +8,6 @@ deterministic given configs and seeds, except for the timing columns of
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -54,10 +53,7 @@ def _recourse_costs(
 
 
 def evaluate_under(
-    objective: Objective,
-    two_stage: TwoStageInstance,
-    first_stage_solution: EdgePipeSet,
-    probabilities: Sequence[float] | None = None,
+    objective: Objective, two_stage: TwoStageInstance, first_stage_solution: EdgePipeSet
 ) -> float:
     """Value of a fixed first-stage solution under one of the three
     objectives: first-stage cost alone (DO), plus worst-case optimal recourse
@@ -69,10 +65,7 @@ def evaluate_under(
     if objective == "ro":
         return first_cost + max(recourse)
     if objective == "so":
-        rho = two_stage.probabilities if probabilities is None else tuple(probabilities)
-        if len(rho) != two_stage.num_scenarios:
-            raise ValueError("need one probability per scenario")
-        return first_cost + sum(r * c for r, c in zip(rho, recourse))
+        return first_cost + sum(r * c for r, c in zip(two_stage.probabilities, recourse))
     raise ValueError(f"unknown objective {objective!r}")
 
 
@@ -83,11 +76,11 @@ def deterministic_first_stage(two_stage: TwoStageInstance) -> EdgePipeSet:
     return first
 
 
-def vss(two_stage: TwoStageInstance, probabilities: Sequence[float] | None = None) -> float:
+def vss(two_stage: TwoStageInstance) -> float:
     """Value of the stochastic solution: the expected cost of deploying the
     deterministic solution (EEVS) minus the stochastic optimum."""
-    eevs = evaluate_under("so", two_stage, deterministic_first_stage(two_stage), probabilities)
-    built = build_model(ModelKind("so", "d"), two_stage, probabilities)
+    eevs = evaluate_under("so", two_stage, deterministic_first_stage(two_stage))
+    built = build_model(ModelKind("so", "d"), two_stage)
     return eevs - _solve_or_raise(built).objective
 
 
@@ -111,7 +104,7 @@ def _line_for(two_stage: TwoStageInstance, first_set: EdgePipeSet) -> CandidateL
 
 
 def _solve_so_at(two_stage: TwoStageInstance, rho2: float) -> tuple[float, EdgePipeSet]:
-    built = build_model(ModelKind("so", "d"), two_stage, (1.0 - rho2, rho2))
+    built = build_model(ModelKind("so", "d"), two_stage.with_probabilities((1.0 - rho2, rho2)))
     solution = _solve_or_raise(built)
     first, _ = built.extract_sets(solution)
     return solution.objective, first
@@ -218,9 +211,6 @@ class CrossObjectiveMatrix:
                         f"entry ({i},{j}) = {self.values[i][j]} undercuts the column optimum"
                     )
 
-    def entry(self, row: Objective, column: Objective) -> float:
-        return self.values[OBJECTIVE_ORDER.index(row)][OBJECTIVE_ORDER.index(column)]
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -278,19 +268,25 @@ def _solve_six(
 def sweep_record(
     config: SweepConfig, seed: int, two_stage: TwoStageInstance | None = None
 ) -> SweepRecord:
+    """The record of one (setting, seed) instance, generated unless given.
+    Any error raised on the way keeps its class and gains the setting and
+    seed as a message prefix."""
     if two_stage is None:
         two_stage = random_artificial(config, seed)
     try:
-        solutions, builds, first_sets = _solve_six(two_stage)
-    except SolverError as err:
-        raise SolverError(f"{config.setting_id} seed {seed}: {err}") from err
+        return _measure(config, seed, two_stage)
+    except (SolverError, ValueError) as err:
+        raise type(err)(f"{config.setting_id} seed {seed}: {err}") from err
+
+
+def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> SweepRecord:
+    solutions, builds, first_sets = _solve_six(two_stage)
     for optimization in OBJECTIVE_ORDER:
         d_obj = solutions[ModelKind(optimization, "d").label].objective
         u_obj = solutions[ModelKind(optimization, "u").label].objective
         if abs(d_obj - u_obj) > AGREEMENT_TOL:
             raise SolverError(
-                f"{config.setting_id} seed {seed}: {optimization.upper()} flow formulations "
-                f"disagree ({u_obj} vs {d_obj})"
+                f"{optimization.upper()} flow formulations disagree ({u_obj} vs {d_obj})"
             )
     evaluations = tuple(
         tuple(
@@ -304,8 +300,8 @@ def sweep_record(
         model_obj = solutions[ModelKind(optimization, "d").label].objective
         if abs(optima[i] - model_obj) > AGREEMENT_TOL:
             raise SolverError(
-                f"{config.setting_id} seed {seed}: re-evaluated {optimization.upper()} optimum "
-                f"{optima[i]} disagrees with the model objective {model_obj}"
+                f"re-evaluated {optimization.upper()} optimum {optima[i]} disagrees with "
+                f"the model objective {model_obj}"
             )
     matrix = tuple(
         tuple(evaluations[i][j] / optima[j] for j in range(3)) for i in range(3)
@@ -326,42 +322,19 @@ def sweep_record(
     )
 
 
-def _sweep_task(args: tuple[SweepConfig, int]) -> SweepRecord:
-    return sweep_record(*args)
-
-
-def sweep_threads(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("SSFP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"SSFP_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
-def run_sweep(
-    configs: Sequence[SweepConfig], threads: int | None = None
-) -> tuple[list[SweepRecord], CrossObjectiveMatrix]:
-    """Solve all six models on every (setting, seed) instance and aggregate
-    the cross-objective matrix as the entrywise mean of per-instance ratios.
-
-    Tasks run in parallel (capped by ``threads`` or SSFP_THREADS); the record
-    order is always (setting, seed).  Any failed solve raises with the
+def run_sweep(configs: Sequence[SweepConfig], threads: int) -> list[SweepRecord]:
+    """The record of every (setting, seed) instance, in that order, computed
+    in up to ``threads`` worker processes.  Any failed solve raises with the
     setting and seed in the message.
     """
     tasks = [(config, seed) for config in configs for seed in config.seeds]
-    workers = min(sweep_threads(threads), max(len(tasks), 1))
-    if workers > 1 and len(tasks) > 1:
+    workers = min(threads, len(tasks))
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            records = pool.map(_sweep_task, tasks, chunksize=1)
-    else:
-        records = [_sweep_task(task) for task in tasks]
-    return list(records), aggregate_matrix(records)
+            return pool.starmap(sweep_record, tasks, chunksize=1)
+    return [sweep_record(*task) for task in tasks]
 
 
 def aggregate_matrix(records: Sequence[SweepRecord]) -> CrossObjectiveMatrix:

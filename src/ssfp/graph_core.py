@@ -90,10 +90,9 @@ class Graph:
             raise ValidationError(f"edge id {edge_id} out of range")
         return self.edges[edge_id]
 
-    def arcs(self, edge_ids: Iterable[int] | None = None) -> Iterator[tuple[int, int, int]]:
+    def arcs(self, edge_ids: Iterable[int]) -> Iterator[tuple[int, int, int]]:
         """Yield (tail, head, edge id) for both orientations of each edge."""
-        ids = range(len(self.edges)) if edge_ids is None else edge_ids
-        for eid in ids:
+        for eid in edge_ids:
             u, v = self.edges[eid]
             yield u, v, eid
             yield v, u, eid
@@ -376,11 +375,3 @@ def validate_feasible(instance: Instance, solution: EdgePipeSet) -> FeasibilityR
     return FeasibilityResult(
         False, f"group {k}: terminals {instance.terminals.groups[k][0]} and {t} are not connected"
     )
-
-
-def is_connected_within(instance: Instance, group_index: int) -> bool:
-    """True iff the group's terminals are connected in (V, admissible edges)."""
-    if not 0 <= group_index < instance.terminals.num_groups:
-        raise ValidationError(f"group index {group_index} out of range")
-    group = instance.terminals.groups[group_index]
-    return first_disconnected(instance.graph, (group,), instance.admissible_edges) is None

@@ -27,6 +27,13 @@ from .graph_core import (
 SCENARIO_CHOICES = (2, 3, 4)
 GROUP_CHOICES = (1, 2, 3)
 TERMINALS_PER_GROUP_CHOICES = (3, 4, 5)
+#: Single-walled edge costs of :func:`random_grid_instance` are drawn
+#: uniformly from [COST_LOW, COST_HIGH].
+COST_LOW, COST_HIGH = 1.0, 10.0
+#: Pipe type p costs PIPE_COST_RATIO ** (p - 1) times the single-walled cost.
+PIPE_COST_RATIO = 2.0
+#: Cost multiplier of every scenario of :func:`random_grid_instance`.
+INFLATION = 2.0
 
 
 class SchemaError(ValidationError):
@@ -144,15 +151,12 @@ def random_grid_instance(
     terminals_per_group: int = 3,
     num_scenarios: int = 2,
     seed: int = 0,
-    cost_low: float = 1.0,
-    cost_high: float = 10.0,
-    pipe_cost_ratio: float = 2.0,
-    inflation: float = 2.0,
 ) -> TwoStageInstance:
     """Seeded random two-stage instance on a grid: single-walled costs drawn
-    uniformly from [cost_low, cost_high], pipe type p costing ratio^(p-1)
-    times that, every pipe feasible and every edge admissible everywhere, and
-    equal scenario probabilities.
+    uniformly from [COST_LOW, COST_HIGH], pipe type p costing
+    PIPE_COST_RATIO^(p-1) times that, every pipe feasible and every edge
+    admissible everywhere, scenario multiplier INFLATION, and equal scenario
+    probabilities.
 
     Draw order: edge costs first, then one terminal permutation for the first
     stage, then one per scenario; each stage's groups are filled sequentially
@@ -165,10 +169,10 @@ def random_grid_instance(
         raise ValidationError(
             f"{need} terminals requested but the grid has {graph.num_vertices} vertices"
         )
-    gamma1 = rng.uniform(cost_low, cost_high, size=graph.num_edges)
+    gamma1 = rng.uniform(COST_LOW, COST_HIGH, size=graph.num_edges)
     catalog = PipeCatalog(
         num_pipe_types,
-        tuple(tuple(gamma1 * pipe_cost_ratio**p) for p in range(num_pipe_types)),
+        tuple(tuple(gamma1 * PIPE_COST_RATIO**p) for p in range(num_pipe_types)),
     )
     all_pipes = frozenset(range(1, num_pipe_types + 1))
     all_edges = frozenset(range(graph.num_edges))
@@ -183,7 +187,7 @@ def random_grid_instance(
 
     first = Instance(graph, catalog, draw_groups(), all_pipes, all_edges, 1.0)
     scenarios = tuple(
-        Instance(graph, catalog, draw_groups(), all_pipes, all_edges, inflation)
+        Instance(graph, catalog, draw_groups(), all_pipes, all_edges, INFLATION)
         for _ in range(num_scenarios)
     )
     rho = (1.0 / num_scenarios,) * num_scenarios
@@ -392,11 +396,7 @@ def realistic_terminals_path() -> Path:
     return Path(str(resources.files("ssfp").joinpath("data/realistic_terminals.json")))
 
 
-def load_realistic(
-    graph: Graph,
-    gamma1: Sequence[float],
-    data_path: str | Path | None = None,
-) -> TwoStageInstance:
+def load_realistic(graph: Graph, gamma1: Sequence[float]) -> TwoStageInstance:
     """Combine the case study's terminal sets, pipe feasibility, and
     forbidden rooms with a user-supplied ship graph and single-walled edge
     costs.
@@ -404,8 +404,7 @@ def load_realistic(
     The data ships without the ship's room adjacency, so the graph is an
     input; it must cover the data's full room range.
     """
-    path = Path(data_path) if data_path is not None else realistic_terminals_path()
-    data = json.loads(path.read_text())
+    data = json.loads(realistic_terminals_path().read_text())
     required = int(data["num_vertices_required"])
     if graph.num_vertices < required:
         raise ValidationError(

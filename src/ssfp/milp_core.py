@@ -47,11 +47,31 @@ class Constraint:
     rhs: float
 
 
+def _has_space(name: str) -> bool:
+    return bool(name) and name.split() != [name]
+
+
+def _is_number(token: str) -> bool:
+    # float() reads only text that starts with a sign, a point, a decimal
+    # digit or the i/n of inf/nan; checking that first spares the exception
+    # for every ordinary name
+    head = token[:1]
+    if not (head in "+-.iInN" or head.isdecimal()):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 class MilpModel:
     """Minimization model over binary and continuous variables.
 
     ``add_variable`` and ``add_constraint`` return integer handles; constraint
-    terms reference variables by handle.  Names must be unique.
+    terms reference variables by handle.  Names must be unique and free of
+    whitespace, and a variable name must not read as a number or a sign, so
+    every model survives an LP text round trip.
     """
 
     def __init__(self, name: str = "model") -> None:
@@ -85,6 +105,8 @@ class MilpModel:
     ) -> int:
         if name in self._var_index:
             raise ModelError(f"duplicate variable name {name!r}")
+        if not name or _has_space(name) or name in ("+", "-") or _is_number(name):
+            raise ModelError(f"variable name {name!r} cannot be written as LP text")
         if kind == "binary":
             lower, upper = 0.0, 1.0
         elif kind != "continuous":
@@ -105,6 +127,8 @@ class MilpModel:
     ) -> int:
         if name in self._con_index:
             raise ModelError(f"duplicate constraint name {name!r}")
+        if _has_space(name):
+            raise ModelError(f"constraint name {name!r} cannot be written as LP text")
         if sense not in _SENSES:
             raise ModelError(f"unknown constraint sense {sense!r}")
         merged: dict[int, float] = {}

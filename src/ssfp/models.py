@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
 from .milp_core import MilpModel, MilpSolution
@@ -352,11 +352,7 @@ def build_do(instance: Instance, existing: EdgePipeSet = EdgePipeSet(), flow: Fl
     return BuiltModel(kind, model, _x_name_map(model, [x]), 1, time.perf_counter() - started)
 
 
-def _build_two_stage(
-    two_stage: TwoStageInstance,
-    kind: ModelKind,
-    probabilities: Sequence[float] | None,
-) -> BuiltModel:
+def _build_two_stage(two_stage: TwoStageInstance, kind: ModelKind) -> BuiltModel:
     """RO: first-stage cost plus the worst-case retrofit, captured by an
     epigraph variable ``d`` over the scenario retrofit costs.  SO: first-stage
     cost plus probability-weighted retrofit costs per scenario."""
@@ -366,9 +362,7 @@ def _build_two_stage(
         raise ValueError(
             f"{'robust' if robust else 'stochastic'} model needs at least one scenario"
         )
-    rho = two_stage.probabilities if robust or probabilities is None else tuple(probabilities)
-    if len(rho) != two_stage.num_scenarios:
-        raise ValueError("need one probability per scenario")
+    rho = two_stage.probabilities
     model = MilpModel(kind.label)
     first = two_stage.first_stage
     existing = two_stage.existing.pairs
@@ -410,17 +404,13 @@ def _build_two_stage(
     )
 
 
-def build_model(
-    kind: ModelKind,
-    two_stage: TwoStageInstance,
-    probabilities: Sequence[float] | None = None,
-) -> BuiltModel:
-    """Any of the six models on a two-stage instance.  ``probabilities``
-    overrides the instance's scenario probabilities for SO; DO and RO ignore
-    it.  RO and SO need at least one scenario."""
+def build_model(kind: ModelKind, two_stage: TwoStageInstance) -> BuiltModel:
+    """Any of the six models on a two-stage instance; SO weights each
+    scenario by the instance's probability.  RO and SO need at least one
+    scenario."""
     if kind.optimization == "do":
         return build_do(two_stage.first_stage, two_stage.existing, kind.flow)
-    return _build_two_stage(two_stage, kind, probabilities)
+    return _build_two_stage(two_stage, kind)
 
 
 ALL_KINDS = tuple(ModelKind(o, f) for o in ("do", "ro", "so") for f in ("u", "d"))

@@ -323,11 +323,7 @@ def _connecting(
     return connecting
 
 
-def brute_force(
-    two_stage: TwoStageInstance,
-    mode: Literal["do", "ro", "so"],
-    probabilities: Sequence[float] | None = None,
-) -> BruteForceResult:
+def brute_force(two_stage: TwoStageInstance, mode: Literal["do", "ro", "so"]) -> BruteForceResult:
     """Exhaustive optimum over every subset of the pipe-edge pairs not yet
     installed.
 
@@ -361,9 +357,6 @@ def brute_force(
     if mode in ("ro", "so"):
         if not two_stage.scenarios:
             raise ValueError("RO/SO need at least one scenario")
-        rho = tuple(probabilities) if probabilities is not None else two_stage.probabilities
-        if len(rho) != two_stage.num_scenarios:
-            raise ValueError("need one probability per scenario")
         recourse = []
         for inst in two_stage.scenarios:
             cost = _subset_costs(inst, pairs)
@@ -378,7 +371,7 @@ def brute_force(
         if mode == "ro":
             total += functools.reduce(np.maximum, recourse)
         else:
-            total += sum(r * g for r, g in zip(rho, recourse))
+            total += sum(r * g for r, g in zip(two_stage.probabilities, recourse))
     best_mask = int(np.argmin(total))
     if total[best_mask] == np.inf:
         raise SolverError("no feasible first-stage solution exists")

@@ -78,8 +78,9 @@ def test_criterion_1_worked_example(fig2):
 
     expected_so = {0.0: 4.0, 0.45: 10.8, 0.5: 11.0, 1.0: 11.0}
     for rho2, value in expected_so.items():
+        at_rho2 = fig2.with_probabilities((1 - rho2, rho2))
         per_flow = [
-            solve_milp(build_model(ModelKind("so", flow), fig2, (1 - rho2, rho2)).milp).objective
+            solve_milp(build_model(ModelKind("so", flow), at_rho2).milp).objective
             for flow in ("u", "d")
         ]
         assert per_flow[0] == pytest.approx(value, abs=1e-7), f"SO at rho2={rho2}"
@@ -108,7 +109,7 @@ def test_criterion_2_vss_range(fig2):
     assert values[1.0] == pytest.approx(9.0, abs=1e-9)
     ratio = max(v / so for _, v, so in curve)
     assert ratio == pytest.approx(0.818, abs=0.01)
-    assert vss(fig2, (0.0, 1.0)) == pytest.approx(9.0, abs=1e-9)
+    assert vss(fig2.with_probabilities((0.0, 1.0))) == pytest.approx(9.0, abs=1e-9)
     report(
         "criterion 2",
         f"VSS spans [0, 9] with max 9 at rho2=1; max VSS/SO = {ratio:.4f}",

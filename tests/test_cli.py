@@ -1,10 +1,18 @@
+import csv
 import json
 import math
+import multiprocessing
 
 import pytest
 
 from ssfp.cli import main
-from ssfp.instances import SweepConfig, fig2_instance, random_artificial, save_instance
+from ssfp.instances import (
+    SweepConfig,
+    fig2_instance,
+    random_artificial,
+    random_grid_instance,
+    save_instance,
+)
 from ssfp.milp_core import parse_lp
 
 
@@ -156,15 +164,54 @@ class TestSweep:
         assert err.strip() == "--seeds must be at least 1"
         assert not out_dir.exists()
 
-    def test_non_integer_threads_variable_is_usage_error(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("SSFP_THREADS", "two")
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, capsys, monkeypatch, tmp_path, threads):
+        def no_sweep(*args):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr("ssfp.cli.run_sweep", no_sweep)
         out_dir = tmp_path / "out"
         code, _, err = run(
-            capsys, "sweep", "--settings", "2,1,3", "--seeds", "1", "--out-dir", str(out_dir)
+            capsys, "sweep", "--settings", "2,1,3", "--seeds", "1", "--out-dir", str(out_dir),
+            "--threads", threads,
         )
         assert code == 2
-        assert err.strip() == "SSFP_THREADS must be an integer, got 'two'"
+        assert err.strip() == "--threads must be at least 1"
         assert not out_dir.exists()
+
+    def test_sweep_end_to_end(self, capsys, monkeypatch, tmp_path):
+        # 3x3 instances with one pipe type keep each record well under a second
+        def small_instance(config, seed):
+            return random_grid_instance(
+                3, 3, num_pipe_types=1, num_groups=config.num_groups,
+                terminals_per_group=config.terminals_per_group,
+                num_scenarios=config.num_scenarios, seed=seed,
+            )
+
+        monkeypatch.setattr("ssfp.experiments.random_artificial", small_instance)
+        # worker processes see the patch only when they are forked
+        thread_counts = ["1", "2"] if multiprocessing.get_start_method() == "fork" else ["1"]
+        outputs = []
+        for threads in thread_counts:
+            out_dir = tmp_path / f"threads-{threads}"
+            code, out, _ = run(
+                capsys, "sweep", "--settings", "2,1,3", "--seeds", "3",
+                "--out-dir", str(out_dir), "--threads", threads,
+            )
+            assert code == 0
+            assert out == f"wrote 3 records to {out_dir}\n"
+            names = ("sweep.csv", "matrix.csv", "ratios.csv", "curves.csv")
+            assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+            with open(out_dir / "sweep.csv", newline="") as handle:
+                rows = list(csv.reader(handle))
+            assert [row[:2] for row in rows[1:]] == [["s2g1t3", str(s)] for s in range(3)]
+            untimed = [i for i, name in enumerate(rows[0]) if "_time_" not in name]
+            assert len(rows[0]) - len(untimed) == 12  # build and solve time per model
+            outputs.append((
+                [[row[i] for i in untimed] for row in rows],
+                *((out_dir / name).read_bytes() for name in names[1:]),
+            ))
+        assert all(output == outputs[0] for output in outputs)
 
 
 class TestValidate:

@@ -9,9 +9,8 @@ from ssfp.experiments import (
     cost_curves,
     deterministic_first_stage,
     evaluate_under,
-    run_sweep,
     so_candidate_lines,
-    sweep_threads,
+    sweep_record,
     vss,
     vss_curve,
     write_curves_csv,
@@ -20,7 +19,8 @@ from ssfp.experiments import (
     write_sweep_csv,
 )
 from ssfp.graph_core import EdgePipeSet
-from ssfp.instances import fig2_instance
+from ssfp.instances import SweepConfig, fig2_instance, random_grid_instance
+from ssfp.solver import SolverNumericalError
 
 
 @pytest.fixture(scope="module")
@@ -51,18 +51,18 @@ class TestEvaluateUnder:
     def test_deterministic_route_expected_cost_line(self, fig2, routes):
         deterministic, _, _ = routes
         for rho2 in (0.0, 0.25, 1.0):
-            value = evaluate_under("so", fig2, deterministic, (1 - rho2, rho2))
+            value = evaluate_under("so", fig2.with_probabilities((1 - rho2, rho2)), deterministic)
             assert value == pytest.approx(4.0 + 16.0 * rho2, abs=1e-9)
 
     def test_robust_route_is_flat_eleven(self, fig2, routes):
         _, robust, _ = routes
         assert evaluate_under("ro", fig2, robust) == pytest.approx(11.0, abs=1e-9)
-        assert evaluate_under("so", fig2, robust, (0.5, 0.5)) == pytest.approx(11.0, abs=1e-9)
+        assert evaluate_under("so", fig2, robust) == pytest.approx(11.0, abs=1e-9)
 
     def test_hedged_route_line(self, fig2, routes):
         _, _, hedged = routes
         for rho2 in (0.0, 0.45, 1.0):
-            value = evaluate_under("so", fig2, hedged, (1 - rho2, rho2))
+            value = evaluate_under("so", fig2.with_probabilities((1 - rho2, rho2)), hedged)
             assert value == pytest.approx(9.0 + 4.0 * rho2, abs=1e-9)
 
     def test_do_objective_is_first_stage_cost(self, fig2, routes):
@@ -73,10 +73,10 @@ class TestEvaluateUnder:
 
 class TestVss:
     def test_zero_at_rho_zero(self, fig2):
-        assert vss(fig2, (1.0, 0.0)) == pytest.approx(0.0, abs=1e-9)
+        assert vss(fig2.with_probabilities((1.0, 0.0))) == pytest.approx(0.0, abs=1e-9)
 
     def test_nine_at_rho_one(self, fig2):
-        assert vss(fig2, (0.0, 1.0)) == pytest.approx(9.0, abs=1e-9)
+        assert vss(fig2.with_probabilities((0.0, 1.0))) == pytest.approx(9.0, abs=1e-9)
 
     def test_curve_peaks_at_eighty_two_percent(self, fig2):
         grid = [i / 100 for i in range(101)]
@@ -117,18 +117,10 @@ class TestMatrix:
             CrossObjectiveMatrix(((1.2, 1.1, 1.1), (1.1, 1.0, 1.1), (1.1, 1.1, 1.0)))
         CrossObjectiveMatrix(((1.0, 1.3, 1.1), (1.6, 1.0, 1.05), (1.2, 1.1, 1.0)))
 
-    def test_threads_from_environment(self, monkeypatch):
-        monkeypatch.setenv("SSFP_THREADS", "3")
-        assert sweep_threads() == 3
-        assert sweep_threads(2) == 2
-
 
 @pytest.fixture(scope="module")
 def small_sweep():
     # tiny but real: 3x3 grids run the full record pipeline fast
-    from ssfp.experiments import sweep_record
-    from ssfp.instances import SweepConfig, random_grid_instance
-
     config = SweepConfig(2, 1, 3, (0, 1, 2))
     records = []
     for seed in config.seeds:
@@ -194,3 +186,38 @@ class TestSweepRecords:
         assert pickle.loads(pickle.dumps(config)) == config
         restored = pickle.loads(pickle.dumps(small_sweep[0]))
         assert restored == small_sweep[0]
+
+
+class TestSweepRecordErrors:
+    """A fault anywhere in a record reaches the caller once prefixed with the
+    setting and seed, and with its class intact."""
+
+    @pytest.fixture
+    def instance(self):
+        return random_grid_instance(
+            3, 3, num_pipe_types=1, num_groups=1, terminals_per_group=3,
+            num_scenarios=2, seed=0,
+        )
+
+    def _fail_on_call(self, monkeypatch, failing_call):
+        import ssfp.experiments as experiments
+
+        original = experiments.evaluate_under
+        calls = []
+
+        def evaluate_under(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise SolverNumericalError("HiGHS gave up")
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "evaluate_under", evaluate_under)
+
+    # _solve_six evaluates twice to seed the SO and RO cutoffs; the matrix
+    # evaluations follow
+    @pytest.mark.parametrize("failing_call", [1, 3], ids=["in-solve-six", "in-evaluation"])
+    def test_error_keeps_class_and_gains_one_prefix(self, monkeypatch, instance, failing_call):
+        self._fail_on_call(monkeypatch, failing_call)
+        with pytest.raises(SolverNumericalError) as raised:
+            sweep_record(SweepConfig(2, 1, 3, (0,)), 0, instance)
+        assert str(raised.value) == "s2g1t3 seed 0: HiGHS gave up"

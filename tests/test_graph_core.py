@@ -15,7 +15,6 @@ from ssfp.graph_core import (
     ValidationError,
     cost,
     first_disconnected,
-    is_connected_within,
     validate_feasible,
 )
 from ssfp.instances import fig2_instance, grid_graph
@@ -43,7 +42,7 @@ class TestGraph:
 
     def test_arcs_are_both_orientations(self):
         g = Graph(3, ((1, 2), (2, 3)))
-        assert list(g.arcs()) == [(1, 2, 0), (2, 1, 0), (2, 3, 1), (3, 2, 1)]
+        assert list(g.arcs(range(g.num_edges))) == [(1, 2, 0), (2, 1, 0), (2, 3, 1), (3, 2, 1)]
 
     def test_edge_id_normalizes_orientation(self):
         g = Graph(3, ((1, 2), (2, 3)))
@@ -183,11 +182,9 @@ class TestValidateFeasible:
 
 class TestConnectivity:
     def test_group_connected_through_admissible_edges(self, fig2):
-        assert is_connected_within(fig2.first_stage, 0)
-
-    def test_index_out_of_range(self, fig2):
-        with pytest.raises(ValidationError):
-            is_connected_within(fig2.first_stage, 5)
+        inst = fig2.first_stage
+        group = inst.terminals.groups[0]
+        assert first_disconnected(inst.graph, (group,), inst.admissible_edges) is None
 
     def test_no_edges_means_disconnected(self):
         g = Graph(3, ((1, 2), (2, 3)))

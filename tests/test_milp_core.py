@@ -61,6 +61,19 @@ class TestBuilder:
         assert m.constraints[c].terms == ((y, 2.0),)
 
 
+    @pytest.mark.parametrize(
+        "name", ["inf", "nan", "1e3", "-1", "+", "-", "", "a b", "\tx", "x\n"]
+    )
+    def test_variable_names_lp_text_cannot_carry_rejected(self, name):
+        with pytest.raises(ModelError):
+            MilpModel().add_variable(name)
+
+    @pytest.mark.parametrize("name", ["a b", "\tc", "c\n"])
+    def test_constraint_names_with_whitespace_rejected(self, name):
+        with pytest.raises(ModelError):
+            MilpModel().add_constraint(name, [], "=", 0.0)
+
+
 class TestRelax:
     def test_binaries_become_unit_continuous(self):
         relaxed = relax(toy_model())
@@ -195,12 +208,7 @@ class TestLpFormat:
         assert f"line {line}," in str(err.value)
 
 
-names = st.lists(
-    st.text(alphabet="abcdxyz_", min_size=1, max_size=6).filter(lambda s: not s[0].isdigit()),
-    min_size=1,
-    max_size=8,
-    unique=True,
-)
+names = st.lists(st.text(max_size=6), min_size=1, max_size=8, unique=True)
 coefs = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 ).filter(lambda c: c == 0.0 or abs(c) > 1e-9)
@@ -214,18 +222,18 @@ def test_export_parse_round_trip_random_models(data):
     handles = []
     for name in var_names:
         kind = data.draw(st.sampled_from(["binary", "continuous"]))
-        if kind == "binary":
-            handles.append(m.add_variable(name, "binary", objective=data.draw(coefs)))
-        else:
-            lo = data.draw(st.floats(-100, 100, allow_nan=False))
-            hi = data.draw(st.floats(-100, 100, allow_nan=False).map(lambda v: max(v, lo)))
-            handles.append(m.add_variable(name, "continuous", lo, hi, data.draw(coefs)))
-    n_rows = data.draw(st.integers(0, 5))
-    for i in range(n_rows):
-        terms = [
-            (h, data.draw(coefs))
-            for h in data.draw(st.lists(st.sampled_from(handles), max_size=4, unique=True))
-        ]
+        lo = data.draw(st.floats(-100, 100, allow_nan=False))
+        hi = data.draw(st.floats(-100, 100, allow_nan=False).map(lambda v: max(v, lo)))
+        try:
+            handles.append(m.add_variable(name, kind, lo, hi, data.draw(coefs)))
+        except ModelError:  # a name LP text cannot carry
+            continue
+    terms_of = st.lists(st.sampled_from(handles), max_size=4, unique=True) if handles else st.just([])
+    for name in data.draw(st.lists(st.text(max_size=6), max_size=5, unique=True)):
+        terms = [(h, data.draw(coefs)) for h in data.draw(terms_of)]
         sense = data.draw(st.sampled_from(["<=", "=", ">="]))
-        m.add_constraint(f"row{i}", terms, sense, data.draw(coefs))
+        try:
+            m.add_constraint(name, terms, sense, data.draw(coefs))
+        except ModelError:
+            continue
     assert parse_lp(export_lp(m)) == m

@@ -112,7 +112,7 @@ class TestTwoStageBuilders:
         expected = {0.0: 4.0, 0.45: 10.8, 0.5: 11.0, 1.0: 11.0}
         for rho2, value in expected.items():
             for flow in ("u", "d"):
-                built = build_model(ModelKind("so", flow), fig2, (1.0 - rho2, rho2))
+                built = build_model(ModelKind("so", flow), fig2.with_probabilities((1.0 - rho2, rho2)))
                 assert solve_milp(built.milp).objective == pytest.approx(value, abs=1e-9)
 
     def test_so_at_point_45_hedges_with_one_retrofit_pipe(self, fig2):
@@ -121,7 +121,7 @@ class TestTwoStageBuilders:
         # from 26 to 32 if the methanol scenario arrives
         from ssfp.graph_core import cost
 
-        built = build_model(ModelKind("so", "d"), fig2, (0.55, 0.45))
+        built = build_model(ModelKind("so", "d"), fig2.with_probabilities((0.55, 0.45)))
         sol = solve_milp(built.milp)
         assert sol.objective == pytest.approx(10.8, abs=1e-9)
         first, scenarios = built.extract_sets(sol)
@@ -145,10 +145,12 @@ class TestTwoStageBuilders:
 
         ts = fig2 if scenarios else TwoStageInstance(fig2.first_stage, (), ())
         with pytest.raises(ValueError, match=message):
-            build_model(ModelKind(optimization, "u"), ts, probabilities)
+            if probabilities is not None:
+                ts = ts.with_probabilities(probabilities)
+            build_model(ModelKind(optimization, "u"), ts)
 
     def test_scenario_linking_holds_in_solutions(self, fig2):
-        built = build_model(ModelKind("so", "u"), fig2, (0.5, 0.5))
+        built = build_model(ModelKind("so", "u"), fig2)
         sol = solve_milp(built.milp)
         by_stage = {}
         for name, (stage, pipe, edge) in built.x_map.items():

@@ -199,7 +199,7 @@ class TestBruteForce:
         # versus 3 up front: retrofit wins at these probabilities
         result = brute_force(ts, "so")
         assert result.objective == pytest.approx(1.0 + 0.25 * 6.0)
-        hedged = brute_force(ts, "so", probabilities=(0.25, 0.75))
+        hedged = brute_force(ts.with_probabilities((0.25, 0.75)), "so")
         assert hedged.objective == pytest.approx(4.0)
 
     def test_ro_mode_matches_milp_on_small_instances(self):
