@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from ssfp.graph_core import EdgePipeSet, validate_feasible
 from ssfp.instances import fig2_instance, four_cycle_instance, random_grid_instance
-from ssfp.milp_core import relax
+from ssfp.milp_core import export_lp, relax
 from ssfp.models import (
     ALL_KINDS,
     ModelKind,
@@ -199,3 +201,58 @@ class TestSolutionExtraction:
                     assert solve_milp(built.milp).objective == pytest.approx(
                         oracle, abs=1e-9
                     ), f"{mode}-{flow} seed {seed}"
+
+
+def _grid_3x3_three_groups():
+    return random_grid_instance(
+        3, 3, num_pipe_types=2, num_groups=3, terminals_per_group=2,
+        num_scenarios=3, seed=11,
+    )
+
+
+def _fig2_recourse(scenario: int):
+    # the model evaluate_under solves: one scenario with DO-D's plan installed
+    fig2 = fig2_instance()
+    do_d = build_do(fig2.first_stage, fig2.existing, "d")
+    first, _ = do_d.extract_sets(solve_milp(do_d.milp))
+    return build_do(fig2.scenarios[scenario], first, "d")
+
+
+_KIND = {k.label: k for k in ALL_KINDS}
+
+#: sha256 of export_lp per model.  Variable, row and term order and every
+#: name are part of the exported bytes, so these pin the builders exactly.
+EXPORT_SHA256 = {
+    "fig2 DO-U": "007c094d91ab0bc5a49072b0c0c50dab608445ce4673042b844e37d69d73c1b7",
+    "fig2 DO-D": "72942de75ef7c62b411de04231bdbb921c8804f0f7af15090528ca4bad621419",
+    "fig2 RO-U": "810429558599e7586d36fb8154f29fb56052e39121e9c267d0d6a077dbacda0c",
+    "fig2 RO-D": "c6d4d2b193f424330650f02acaab2b3ae121a9c99475c8c0da414781f77714db",
+    "fig2 SO-U": "f1fd35e5aaee68029034f14dc32c6e58392be6a3a40ff66c7af70ebc57d55f34",
+    "fig2 SO-D": "5dd210a3049dd0dafa9b24231cfc3c78f72c878d5d667b3b31043a7064b82951",
+    "four-cycle DO-U": "07fe4b137005807f11ff6d24e1a2de0438369d0cf5a06dd8b230b3504692fd98",
+    "four-cycle DO-D": "61bc62601318a8a56eeeb08a494fa60a8506f5922bf314ab46fb33d9da182b64",
+    "grid3x3g3 DO-U": "efb46d5b2e7db03baf034a1cb6cd6b785f4a17296addd25ed905c75a97eb630f",
+    "grid3x3g3 DO-D": "6f95e4321820e4244ccacbc84f166b78a61d967be92a2572e80c19e3557e8435",
+    "grid3x3g3 RO-U": "24e1af6441b350cbb22f38bf22404242df4999fbadc786c39887beb8edd5148d",
+    "grid3x3g3 RO-D": "05f84913f349d87f6cd6cc2210b3329ec9ee8924a5d17330fff0bb997835132b",
+    "grid3x3g3 SO-U": "7ec27c92dbf03d04995102908ee0faacd9fc9787c3a5d7de23b11e268b60369d",
+    "grid3x3g3 SO-D": "3c1812f040a960dd337039fab38a029ac3a72dd61e0cc70499dfcf15bb2a38e9",
+    "fig2-recourse s1": "d30a298b0d4471b902c20df419236c3e3dd60a747bbcb5c67668154269ad2732",
+    "fig2-recourse s2": "fc0bbb576739e17bb7c46c6224b899aa3b0f99dae99f0ed5b7045b0b1b7efb27",
+}
+
+
+def _pinned_model(case: str):
+    source, _, label = case.partition(" ")
+    if source == "fig2-recourse":
+        return _fig2_recourse(int(label[1:]) - 1)
+    if source == "four-cycle":
+        return build_do(four_cycle_instance(), flow=label[-1].lower())
+    instance = fig2_instance() if source == "fig2" else _grid_3x3_three_groups()
+    return build_model(_KIND[label], instance)
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_SHA256))
+def test_export_bytes_are_pinned(case):
+    text = export_lp(_pinned_model(case).milp)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[case]
