@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from .instances import (
     all_settings,
     fig2_instance,
     four_cycle_instance,
+    is_json_integer,
     load_instance,
     save_instance,
 )
@@ -42,6 +44,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NODE_LIMIT = 4
+#: Most points ``ssfp curves --grid`` may ask for; the default grid has 101.
+MAX_GRID_POINTS = 10_001
 
 
 class CliError(Exception):
@@ -51,9 +55,11 @@ class CliError(Exception):
 
 
 def _load_target(spec: str, rho2: float | None) -> TwoStageInstance:
+    if rho2 is not None and not 0.0 <= rho2 <= 1.0:
+        raise CliError(f"--rho2 must lie in [0, 1], got {rho2}")
     if spec == "builtin:fig2":
-        return fig2_instance(0.5 if rho2 is None else rho2)
-    if spec == "builtin:four-cycle":
+        target = fig2_instance()
+    elif spec == "builtin:four-cycle":
         target = TwoStageInstance(four_cycle_instance(), (), ())
     elif spec.startswith("builtin:"):
         raise CliError(f"unknown builtin instance {spec!r}")
@@ -149,17 +155,13 @@ def _parse_grid(spec: str) -> list[float]:
         start, end, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise CliError(f"bad --grid value {spec!r}; expected start:end:step") from None
-    if not (0.0 <= start <= end <= 1.0 and step > 0):
-        raise CliError("grid needs 0 <= start <= end <= 1 and a positive step")
-    values = []
-    k = 0
-    while True:
-        value = start + k * step
-        if value > end + 1e-12:
-            break
-        values.append(round(value, 12))
-        k += 1
-    return values
+    if not (0.0 <= start <= end <= 1.0 and 0.0 < step < math.inf):
+        raise CliError("grid needs 0 <= start <= end <= 1 and a positive finite step")
+    # the points are start + k * step for k >= 0 up to end (+1e-12)
+    last = (end - start + 1e-12) / step
+    if last >= MAX_GRID_POINTS:
+        raise CliError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [round(start + k * step, 12) for k in range(int(last) + 1)]
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
@@ -176,9 +178,11 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     target = _load_target(args.instance, None)
     try:
-        data = json.loads(Path(args.solution).read_text())
-        pairs = frozenset((int(p), int(e)) for p, e in data["pairs"])
-        solution = EdgePipeSet(pairs)
+        pairs = json.loads(Path(args.solution).read_text())["pairs"]
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_json_integer, pair))):
+                raise ValueError(f"pair {pair!r} is not a [pipe, edge] pair of integers")
+        solution = EdgePipeSet(frozenset((p, e) for p, e in pairs))
     except FileNotFoundError:
         raise CliError(f"solution file not found: {args.solution}") from None
     except (KeyError, TypeError, ValueError) as err:

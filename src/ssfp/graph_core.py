@@ -157,10 +157,6 @@ class TerminalGroups:
                 raise ValidationError(f"groups overlap on vertices {sorted(overlap)}")
             seen.update(group)
 
-    @property
-    def num_groups(self) -> int:
-        return len(self.groups)
-
     @cached_property
     def roots(self) -> tuple[int, ...]:
         return tuple(group[0] for group in self.groups)
@@ -229,12 +225,6 @@ class Instance:
 
     def pair_cost(self, pipe: int, edge_id: int) -> float:
         return self.cost_multiplier * self.pipes.cost(pipe, edge_id)
-
-    def admissible_edges_sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.admissible_edges))
-
-    def feasible_pipes_sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.feasible_pipes))
 
 
 @dataclass(frozen=True)

@@ -64,16 +64,13 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, tuple(edges))
 
 
-def fig2_instance(rho2: float = 0.5) -> TwoStageInstance:
+def fig2_instance() -> TwoStageInstance:
     """The worked small example: a 6x6 grid with rooms 11, 15, and 21 blocked
     (their vertices keep their numbers but lose all incident edges), unit
     single-walled costs, double-walled pipes twice as expensive, and a
-    diesel-or-methanol second stage with inflation 2.
-
-    ``rho2`` is the methanol-scenario probability.
+    diesel-or-methanol second stage with inflation 2, each scenario at
+    probability 1/2.  ``with_probabilities`` sets another weighting.
     """
-    if not 0.0 <= rho2 <= 1.0:
-        raise ValidationError(f"rho2 must lie in [0, 1], got {rho2}")
     blocked = {11, 15, 21}
     base = grid_graph(6, 6)
     kept = tuple(e for e in base.edges if not (set(e) & blocked))
@@ -89,7 +86,7 @@ def fig2_instance(rho2: float = 0.5) -> TwoStageInstance:
     methanol = Instance(
         graph, catalog, TerminalGroups(((8, 32),)), frozenset({2}), all_edges, 2.0, "methanol"
     )
-    return TwoStageInstance(first, (diesel, methanol), (1.0 - rho2, rho2))
+    return TwoStageInstance(first, (diesel, methanol), (0.5, 0.5))
 
 
 def four_cycle_instance() -> Instance:
@@ -213,6 +210,16 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
+def is_json_integer(value: object) -> bool:
+    """A JSON integer as ``json`` reads it: an ``int`` but not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value: object) -> bool:
+    """A JSON integer or float, never a ``bool`` or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _stage_dict(inst: Instance, graph: Graph) -> dict:
     if inst.admissible_edges == frozenset(range(graph.num_edges)):
         admissible: object = "all"
@@ -261,13 +268,13 @@ def _parse_stage(
     _expect(isinstance(groups, list) and groups, f"{path}.groups", "must be a non-empty list")
     for i, g in enumerate(groups):
         _expect(
-            isinstance(g, list) and all(isinstance(t, int) for t in g),
+            isinstance(g, list) and all(is_json_integer(t) for t in g),
             f"{path}.groups[{i}]",
             "must be a list of vertex ids",
         )
     pipes = data.get("feasible_pipes")
     _expect(
-        isinstance(pipes, list) and all(isinstance(p, int) for p in pipes),
+        isinstance(pipes, list) and all(is_json_integer(p) for p in pipes),
         f"{path}.feasible_pipes",
         "must be a list of pipe ids",
     )
@@ -276,23 +283,17 @@ def _parse_stage(
         admissible = frozenset(range(graph.num_edges))
     else:
         _expect(
-            isinstance(adm, list) and all(isinstance(e, int) for e in adm),
+            isinstance(adm, list) and all(is_json_integer(e) for e in adm),
             f"{path}.admissible_edges",
             'must be "all" or a list of edge indices',
         )
         admissible = frozenset(adm)
     multiplier = data.get("multiplier", 1.0)
-    _expect(
-        isinstance(multiplier, (int, float)), f"{path}.multiplier", "must be a number"
-    )
+    _expect(is_json_number(multiplier), f"{path}.multiplier", "must be a number")
     probability = 0.0
     if not first_stage:
         probability = data.get("probability")
-        _expect(
-            isinstance(probability, (int, float)),
-            f"{path}.probability",
-            "must be a number",
-        )
+        _expect(is_json_number(probability), f"{path}.probability", "must be a number")
     label = data.get("label", "")
     try:
         instance = Instance(
@@ -322,12 +323,12 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     graph_data = document.get("graph")
     _expect(isinstance(graph_data, dict), "graph", "must be an object")
     num_vertices = graph_data.get("num_vertices")
-    _expect(isinstance(num_vertices, int), "graph.num_vertices", "must be an integer")
+    _expect(is_json_integer(num_vertices), "graph.num_vertices", "must be an integer")
     edges = graph_data.get("edges")
     _expect(isinstance(edges, list), "graph.edges", "must be a list of [u, v] pairs")
     for i, e in enumerate(edges):
         _expect(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e),
+            isinstance(e, list) and len(e) == 2 and all(is_json_integer(x) for x in e),
             f"graph.edges[{i}]",
             "must be a [u, v] pair",
         )
@@ -339,7 +340,9 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     pipes_data = document.get("pipes")
     _expect(isinstance(pipes_data, dict), "pipes", "must be an object")
     num_types = pipes_data.get("num_types")
-    _expect(isinstance(num_types, int) and num_types >= 1, "pipes.num_types", "must be a positive integer")
+    _expect(
+        is_json_integer(num_types) and num_types >= 1, "pipes.num_types", "must be a positive integer"
+    )
     per_edge = pipes_data.get("base_costs", {}).get("per_edge")
     _expect(
         isinstance(per_edge, list) and len(per_edge) == graph.num_edges,
@@ -352,6 +355,8 @@ def load_instance(path: str | Path) -> TwoStageInstance:
             f"pipes.base_costs.per_edge[{i}]",
             f"must list {num_types} pipe costs",
         )
+        for p, cost in enumerate(row):
+            _expect(is_json_number(cost), f"pipes.base_costs.per_edge[{i}][{p}]", "must be a number")
     try:
         catalog = PipeCatalog(
             num_types,
@@ -374,7 +379,7 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     _expect(isinstance(existing_data, list), "existing", "must be a list of [pipe, edge] pairs")
     for i, pair in enumerate(existing_data):
         _expect(
-            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair),
+            isinstance(pair, list) and len(pair) == 2 and all(is_json_integer(x) for x in pair),
             f"existing[{i}]",
             "must be a [pipe, edge] pair",
         )

@@ -1,7 +1,9 @@
-"""Builders for the six pipe-routing programs: deterministic, robust, and
+"""One builder for the six pipe-routing programs: deterministic, robust, and
 stochastic objectives, each in an undirected and a directed flow formulation.
+``build_model`` and ``build_do`` are its entries; DO is the case with no
+scenarios.
 
-Conventions shared by all builders:
+Conventions of the builder:
 
 * ``x_{p}_{u}_{v}`` is the installation variable of pipe ``p`` on edge
   ``(u, v)``.  In single-stage models it is declared continuous on [0, 1]
@@ -82,13 +84,53 @@ class BuiltModel:
         return first, tuple(EdgePipeSet(frozenset(s)) for s in stages[1:])
 
 
-def _active_vertices(inst: Instance) -> list[int]:
-    touched = set()
-    for eid in inst.admissible_edges:
-        u, v = inst.graph.endpoints(eid)
-        touched.add(u)
-        touched.add(v)
-    return sorted(touched)
+ArcVariables = dict[tuple[int, int, int], int]  # (pipe, tail, head) -> handle
+
+
+class _StageIndex:
+    """What the flow blocks of one stage iterate over: feasible pipes and
+    admissible edges ascending, both arcs of each admissible edge in edge
+    order, the heads of each vertex's outgoing arcs, and the active
+    vertices (those touched by an admissible edge), ascending."""
+
+    def __init__(self, inst: Instance) -> None:
+        graph = inst.graph
+        adm = sorted(inst.admissible_edges)
+        self.pipes = tuple(sorted(inst.feasible_pipes))
+        self.edges = tuple((eid, *graph.endpoints(eid)) for eid in adm)
+        self.arcs = tuple((u, v) for u, v, _ in graph.arcs(adm))
+        self.heads: dict[int, list[int]] = {}
+        for u, v in self.arcs:
+            self.heads.setdefault(u, []).append(v)
+        self.active = tuple(sorted(self.heads))
+
+    def arc_variables(self, model: MilpModel, prefix: str, kind: str, suffix: str) -> ArcVariables:
+        """One [0, 1] variable ``{prefix}_{p}_{u}_{v}{suffix}`` per feasible
+        pipe and arc, pipe-major."""
+        return {
+            (p, u, v): model.add_variable(f"{prefix}_{p}_{u}_{v}{suffix}", kind, 0.0, 1.0)
+            for p in self.pipes
+            for u, v in self.arcs
+        }
+
+    def into(
+        self, var: ArcVariables, v: int, pipes: tuple[int, ...] | None = None
+    ) -> list[tuple[int, float]]:
+        """Each arc into ``v`` at +1, over ``pipes`` (default: all feasible)."""
+        return [(var[(p, w, v)], 1.0) for p in pipes or self.pipes for w in self.heads.get(v, ())]
+
+    def out_of(self, var: ArcVariables, v: int, coef: float = 1.0) -> list[tuple[int, float]]:
+        """Each arc out of ``v`` at ``coef``."""
+        return [(var[(p, v, w)], coef) for p in self.pipes for w in self.heads.get(v, ())]
+
+    def net_out(self, var: ArcVariables, v: int) -> list[tuple[int, float]]:
+        """Each arc out of ``v`` at +1 followed by its reverse at -1."""
+        return [
+            term
+            for p in self.pipes
+            for w in self.heads.get(v, ())
+            for term in ((var[(p, v, w)], 1.0), (var[(p, w, v)], -1.0))
+        ]
 
 
 def _add_x_variables(
@@ -118,42 +160,25 @@ def _add_undirected_block(
     commodity per non-root terminal, flow conservation summed over feasible
     pipes, and anti-parallel coupling of flows to installations."""
     x = _add_x_variables(model, inst, existing, suffix)
-    graph = inst.graph
-    pipes = inst.feasible_pipes_sorted()
-    adm = inst.admissible_edges_sorted()
+    index = _StageIndex(inst)
     terminals = inst.terminals.non_root_terminals()
     roots = inst.terminals.roots
     group_of = inst.terminals.group_of
 
-    f: dict[tuple[int, int, int, int], int] = {}  # (t, p, u, v) -> handle
-    for t in terminals:
-        for p in pipes:
-            for u, v, _ in graph.arcs(adm):
-                f[(t, p, u, v)] = model.add_variable(f"f_{t}_{p}_{u}_{v}{suffix}", "binary")
-
-    out_arcs: dict[int, list[tuple[int, int]]] = {}
-    for u, v, _ in graph.arcs(adm):
-        out_arcs.setdefault(u, []).append((u, v))
-    active = _active_vertices(inst)
+    f = {t: index.arc_variables(model, f"f_{t}", "binary", suffix) for t in terminals}
 
     for t in terminals:
         root = roots[group_of[t]]
-        for v in active:
-            terms: list[tuple[int, float]] = []
-            for p in pipes:
-                for a, b in out_arcs.get(v, ()):
-                    terms.append((f[(t, p, a, b)], 1.0))
-                    terms.append((f[(t, p, b, a)], -1.0))
+        for v in index.active:
             rhs = 1.0 if v == root else -1.0 if v == t else 0.0
-            model.add_constraint(f"flow_{t}_{v}{suffix}", terms, "=", rhs)
+            model.add_constraint(f"flow_{t}_{v}{suffix}", index.net_out(f[t], v), "=", rhs)
 
     for t in terminals:
-        for p in pipes:
-            for eid in adm:
-                u, v = graph.endpoints(eid)
+        for p in index.pipes:
+            for eid, u, v in index.edges:
                 model.add_constraint(
                     f"cap_{t}_{p}_{u}_{v}{suffix}",
-                    [(f[(t, p, u, v)], 1.0), (f[(t, p, v, u)], 1.0), (x[(p, eid)], -1.0)],
+                    [(f[t][(p, u, v)], 1.0), (f[t][(p, v, u)], 1.0), (x[(p, eid)], -1.0)],
                     "<=",
                     0.0,
                 )
@@ -170,63 +195,30 @@ def _add_directed_block(
     that merge overlapping groups under a single root, which rules out the
     opposing fractional flow cycles the undirected relaxation admits."""
     x = _add_x_variables(model, inst, existing, suffix)
-    graph = inst.graph
-    pipes = inst.feasible_pipes_sorted()
-    adm = inst.admissible_edges_sorted()
+    index = _StageIndex(inst)
     groups = inst.terminals.groups
     roots = inst.terminals.roots
     group_of = inst.terminals.group_of
     num_groups = len(groups)
-    arcs = [(u, v) for u, v, _ in graph.arcs(adm)]
+    ks = range(1, num_groups + 1)
 
     def tail_union(k: int) -> list[int]:
         """Terminals of groups k..K (1-based k), ascending."""
-        out: set[int] = set()
-        for g in groups[k - 1 :]:
-            out.update(g)
-        return sorted(out)
+        return sorted(t for g in groups[k - 1 :] for t in g)
 
-    commodities = [
-        (k, t) for k in range(1, num_groups + 1) for t in tail_union(k) if t != roots[k - 1]
-    ]
+    commodities = [(k, t) for k in ks for t in tail_union(k) if t != roots[k - 1]]
 
-    f: dict[tuple[int, int, int, int, int], int] = {}
-    for k, t in commodities:
-        for p in pipes:
-            for u, v in arcs:
-                f[(k, t, p, u, v)] = model.add_variable(f"fD_{k}_{t}_{p}_{u}_{v}{suffix}", "binary")
-    yk: dict[tuple[int, int, int, int], int] = {}
-    for k in range(1, num_groups + 1):
-        for p in pipes:
-            for u, v in arcs:
-                yk[(k, p, u, v)] = model.add_variable(
-                    f"yk_{k}_{p}_{u}_{v}{suffix}", "continuous", 0.0, 1.0
-                )
-    y: dict[tuple[int, int, int], int] = {}
-    for p in pipes:
-        for u, v in arcs:
-            y[(p, u, v)] = model.add_variable(f"y_{p}_{u}_{v}{suffix}", "continuous", 0.0, 1.0)
-    z: dict[tuple[int, int], int] = {}
-    for k in range(1, num_groups + 1):
-        for l in range(k, num_groups + 1):
-            z[(k, l)] = model.add_variable(f"z_{k}_{l}{suffix}", "binary")
-
-    out_arcs: dict[int, list[tuple[int, int]]] = {}
-    for u, v in arcs:
-        out_arcs.setdefault(u, []).append((u, v))
-    active = _active_vertices(inst)
+    f = {(k, t): index.arc_variables(model, f"fD_{k}_{t}", "binary", suffix) for k, t in commodities}
+    yk = {k: index.arc_variables(model, f"yk_{k}", "continuous", suffix) for k in ks}
+    y = index.arc_variables(model, "y", "continuous", suffix)
+    z = {(k, l): model.add_variable(f"z_{k}_{l}{suffix}", "binary") for k in ks for l in ks if l >= k}
 
     # flow conservation with z on the right-hand side, folded to the left
     for k, t in commodities:
         l = group_of[t] + 1
-        root = roots[k - 1]
-        for v in active:
-            terms: list[tuple[int, float]] = []
-            for p in pipes:
-                for a, b in out_arcs.get(v, ()):
-                    terms.append((f[(k, t, p, a, b)], 1.0))
-                    terms.append((f[(k, t, p, b, a)], -1.0))
-            if v == root:
+        for v in index.active:
+            terms = index.net_out(f[(k, t)], v)
+            if v == roots[k - 1]:
                 terms.append((z[(k, l)], -1.0))
             elif v == t:
                 terms.append((z[(k, l)], 1.0))
@@ -234,26 +226,23 @@ def _add_directed_block(
 
     # flows activate the per-arborescence arc indicators
     for k, t in commodities:
-        for p in pipes:
-            for u, v in arcs:
-                model.add_constraint(
-                    f"act_{k}_{t}_{p}_{u}_{v}{suffix}",
-                    [(f[(k, t, p, u, v)], 1.0), (yk[(k, p, u, v)], -1.0)],
-                    "<=",
-                    0.0,
-                )
+        for (p, u, v), handle in f[(k, t)].items():
+            model.add_constraint(
+                f"act_{k}_{t}_{p}_{u}_{v}{suffix}",
+                [(handle, 1.0), (yk[k][(p, u, v)], -1.0)],
+                "<=",
+                0.0,
+            )
 
     # every arc belongs to at most one arborescence
-    for p in pipes:
-        for u, v in arcs:
-            terms = [(yk[(k, p, u, v)], 1.0) for k in range(1, num_groups + 1)]
-            terms.append((y[(p, u, v)], -1.0))
-            model.add_constraint(f"arb_{p}_{u}_{v}{suffix}", terms, "<=", 0.0)
+    for (p, u, v), handle in y.items():
+        terms = [(yk[k][(p, u, v)], 1.0) for k in ks]
+        terms.append((handle, -1.0))
+        model.add_constraint(f"arb_{p}_{u}_{v}{suffix}", terms, "<=", 0.0)
 
     # one direction per installed edge
-    for p in pipes:
-        for eid in adm:
-            u, v = graph.endpoints(eid)
+    for p in index.pipes:
+        for eid, u, v in index.edges:
             model.add_constraint(
                 f"dir_{p}_{u}_{v}{suffix}",
                 [(y[(p, u, v)], 1.0), (y[(p, v, u)], 1.0), (x[(p, eid)], -1.0)],
@@ -263,7 +252,7 @@ def _add_directed_block(
 
     # every group is rooted exactly once, and only at the root of its own
     # arborescence
-    for k in range(1, num_groups + 1):
+    for k in ks:
         model.add_constraint(
             f"root_{k}{suffix}", [(z[(l, k)], 1.0) for l in range(1, k + 1)], "=", 1.0
         )
@@ -276,43 +265,34 @@ def _add_directed_block(
     # strengthening rows: single receiving pipe per vertex, no flow into
     # earlier groups, no flow out of a commodity's own sink, and flow balance
     # at vertices that are not targets
-    for v in active:
-        # inbound arcs are the reverses of v's outbound ones
-        terms = [(y[(p, b, a)], 1.0) for p in pipes for a, b in out_arcs.get(v, ())]
-        model.add_constraint(f"onepipe_{v}{suffix}", terms, "<=", 1.0)
+    for v in index.active:
+        model.add_constraint(f"onepipe_{v}{suffix}", index.into(y, v), "<=", 1.0)
 
     for k in range(2, num_groups + 1):
         for t in sorted(t for g in groups[: k - 1] for t in g):
-            terms = [(yk[(k, p, b, a)], 1.0) for p in pipes for a, b in out_arcs.get(t, ())]
-            model.add_constraint(f"noearly_{k}_{t}{suffix}", terms, "=", 0.0)
+            model.add_constraint(f"noearly_{k}_{t}{suffix}", index.into(yk[k], t), "=", 0.0)
 
     for k, t in commodities:
-        terms = [(f[(k, t, p, a, b)], 1.0) for p in pipes for a, b in out_arcs.get(t, ())]
-        model.add_constraint(f"nosinkout_{k}_{t}{suffix}", terms, "=", 0.0)
+        model.add_constraint(f"nosinkout_{k}_{t}{suffix}", index.out_of(f[(k, t)], t), "=", 0.0)
 
     all_terminals = inst.terminals.all_terminals
-    for v in active:
-        if v in all_terminals:
-            continue
-        terms = [(y[(p, b, a)], 1.0) for p in pipes for a, b in out_arcs.get(v, ())]
-        terms += [(y[(p, a, b)], -1.0) for p in pipes for a, b in out_arcs.get(v, ())]
-        model.add_constraint(f"bal_{v}{suffix}", terms, "<=", 0.0)
+    for v in index.active:
+        if v not in all_terminals:
+            terms = index.into(y, v) + index.out_of(y, v, -1.0)
+            model.add_constraint(f"bal_{v}{suffix}", terms, "<=", 0.0)
 
-    for k in range(1, num_groups + 1):
+    for k in ks:
         targets = set(tail_union(k)) - {roots[k - 1]}
-        for v in active:
-            if v in targets:
-                continue
-            terms = [(yk[(k, p, b, a)], 1.0) for p in pipes for a, b in out_arcs.get(v, ())]
-            terms += [(yk[(k, p, a, b)], -1.0) for p in pipes for a, b in out_arcs.get(v, ())]
-            model.add_constraint(f"balk_{k}_{v}{suffix}", terms, "<=", 0.0)
+        for v in index.active:
+            if v not in targets:
+                terms = index.into(yk[k], v) + index.out_of(yk[k], v, -1.0)
+                model.add_constraint(f"balk_{k}_{v}{suffix}", terms, "<=", 0.0)
 
     # an arborescence may enter a later root only if it owns that group
     for k in range(1, num_groups):
         for l in range(k + 1, num_groups + 1):
-            rl = roots[l - 1]
-            for p in pipes:
-                terms = [(yk[(k, p, b, a)], 1.0) for a, b in out_arcs.get(rl, ())]
+            for p in index.pipes:
+                terms = index.into(yk[k], roots[l - 1], (p,))
                 terms.append((z[(k, l)], -1.0))
                 model.add_constraint(f"rootuse_{k}_{l}_{p}{suffix}", terms, "<=", 0.0)
     return x
@@ -321,66 +301,40 @@ def _add_directed_block(
 _BLOCKS = {"u": _add_undirected_block, "d": _add_directed_block}
 
 
-def _stage_cost_coefficients(
-    inst: Instance, x: dict[tuple[int, int], int], existing: frozenset[tuple[int, int]]
-) -> dict[int, float]:
-    return {
-        handle: inst.pair_cost(p, eid)
-        for (p, eid), handle in x.items()
+def _build(
+    kind: ModelKind,
+    first: Instance,
+    existing: EdgePipeSet,
+    scenarios: tuple[Instance, ...] = (),
+    probabilities: tuple[float, ...] = (),
+) -> BuiltModel:
+    """The first-stage block, costed over the pairs not in ``existing``,
+    plus one linked block per scenario.  With no scenarios this is DO.  RO
+    adds the worst-case retrofit through an epigraph variable ``d`` over the
+    scenario retrofit costs; SO adds the probability-weighted retrofit
+    costs."""
+    started = time.perf_counter()
+    existing.check(first.graph, first.pipes.num_pipe_types)
+    model = MilpModel(kind.label)
+    block = _BLOCKS[kind.flow]
+    robust = kind.optimization == "ro"
+
+    stage_x = [block(model, first, existing.pairs, "")]
+    objective = {
+        handle: first.pair_cost(p, eid)
+        for (p, eid), handle in stage_x[0].items()
         if (p, eid) not in existing
     }
-
-
-def _x_name_map(
-    model: MilpModel, stages: list[dict[tuple[int, int], int]]
-) -> dict[str, tuple[int, int, int]]:
-    out: dict[str, tuple[int, int, int]] = {}
-    for stage, x in enumerate(stages):
-        for (p, eid), handle in x.items():
-            out[model.variables[handle].name] = (stage, p, eid)
-    return out
-
-
-def build_do(instance: Instance, existing: EdgePipeSet = EdgePipeSet(), flow: Flow = "u") -> BuiltModel:
-    """Single-stage deterministic model on one instance."""
-    started = time.perf_counter()
-    existing.check(instance.graph, instance.pipes.num_pipe_types)
-    kind = ModelKind("do", flow)
-    model = MilpModel(kind.label)
-    x = _BLOCKS[flow](model, instance, existing.pairs, "")
-    model.set_objective(_stage_cost_coefficients(instance, x, existing.pairs))
-    return BuiltModel(kind, model, _x_name_map(model, [x]), 1, time.perf_counter() - started)
-
-
-def _build_two_stage(two_stage: TwoStageInstance, kind: ModelKind) -> BuiltModel:
-    """RO: first-stage cost plus the worst-case retrofit, captured by an
-    epigraph variable ``d`` over the scenario retrofit costs.  SO: first-stage
-    cost plus probability-weighted retrofit costs per scenario."""
-    started = time.perf_counter()
-    robust = kind.optimization == "ro"
-    if not two_stage.scenarios:
-        raise ValueError(
-            f"{'robust' if robust else 'stochastic'} model needs at least one scenario"
-        )
-    rho = two_stage.probabilities
-    model = MilpModel(kind.label)
-    first = two_stage.first_stage
-    existing = two_stage.existing.pairs
-    block = _BLOCKS[kind.flow]
-
-    stage_x = [block(model, first, existing, "")]
-    for (p, eid), handle in stage_x[0].items():
-        if (p, eid) not in existing:  # fixed pairs stay continuous at [1, 1]
+    if scenarios:
+        for handle in objective:  # fixed pairs stay continuous at [1, 1]
             model.make_binary(handle)
-    for s, scenario in enumerate(two_stage.scenarios, start=1):
+    for s, scenario in enumerate(scenarios, start=1):
         stage_x.append(block(model, scenario, frozenset(), f"_s{s}"))
 
-    objective = _stage_cost_coefficients(first, stage_x[0], existing)
     d_handle = model.add_variable("d", "continuous", 0.0) if robust else None
     if robust:
         objective[d_handle] = 1.0
-
-    for s, scenario in enumerate(two_stage.scenarios, start=1):
+    for s, (scenario, rho) in enumerate(zip(scenarios, probabilities), start=1):
         epigraph: list[tuple[int, float]] = [(d_handle, 1.0)] if robust else []
         for (p, eid), handle in stage_x[s].items():
             inflated = scenario.pair_cost(p, eid)
@@ -393,15 +347,22 @@ def _build_two_stage(two_stage: TwoStageInstance, kind: ModelKind) -> BuiltModel
                 epigraph.append((handle, -inflated))
                 epigraph.append((first_handle, inflated))
             else:
-                objective[handle] = objective.get(handle, 0.0) + rho[s - 1] * inflated
-                objective[first_handle] = objective.get(first_handle, 0.0) - rho[s - 1] * inflated
+                objective[handle] = objective.get(handle, 0.0) + rho * inflated
+                objective[first_handle] = objective.get(first_handle, 0.0) - rho * inflated
         if robust:
             model.add_constraint(f"worst_s{s}", epigraph, ">=", 0.0)
     model.set_objective(objective)
-    return BuiltModel(
-        kind, model, _x_name_map(model, stage_x), 1 + two_stage.num_scenarios,
-        time.perf_counter() - started,
-    )
+    x_map = {
+        model.variables[handle].name: (stage, p, eid)
+        for stage, x in enumerate(stage_x)
+        for (p, eid), handle in x.items()
+    }
+    return BuiltModel(kind, model, x_map, len(stage_x), time.perf_counter() - started)
+
+
+def build_do(instance: Instance, existing: EdgePipeSet = EdgePipeSet(), flow: Flow = "u") -> BuiltModel:
+    """Single-stage deterministic model on one instance."""
+    return _build(ModelKind("do", flow), instance, existing)
 
 
 def build_model(kind: ModelKind, two_stage: TwoStageInstance) -> BuiltModel:
@@ -410,7 +371,13 @@ def build_model(kind: ModelKind, two_stage: TwoStageInstance) -> BuiltModel:
     scenario."""
     if kind.optimization == "do":
         return build_do(two_stage.first_stage, two_stage.existing, kind.flow)
-    return _build_two_stage(two_stage, kind)
+    if not two_stage.scenarios:
+        name = "robust" if kind.optimization == "ro" else "stochastic"
+        raise ValueError(f"{name} model needs at least one scenario")
+    return _build(
+        kind, two_stage.first_stage, two_stage.existing, two_stage.scenarios,
+        two_stage.probabilities,
+    )
 
 
 ALL_KINDS = tuple(ModelKind(o, f) for o in ("do", "ro", "so") for f in ("u", "d"))
@@ -423,7 +390,7 @@ def _stage_size(inst: Instance, flow: Flow) -> tuple[int, int]:
     feas = len(inst.feasible_pipes)
     adm = len(inst.admissible_edges)
     arcs = 2 * adm
-    active = len(_active_vertices(inst))
+    active = len(_StageIndex(inst).active)
     groups = inst.terminals.groups
     sizes = [len(g) for g in groups]
     num_groups = len(groups)

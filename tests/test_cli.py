@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from ssfp.cli import main
+from ssfp.cli import MAX_GRID_POINTS, main
 from ssfp.instances import (
     SweepConfig,
     fig2_instance,
@@ -84,6 +84,19 @@ class TestSolve:
         )
         assert code == 2
         assert len(err.strip().splitlines()) == 1 and "nan" in err
+
+    @pytest.mark.parametrize("source", ["builtin", "file"])
+    @pytest.mark.parametrize("rho2", ["1.5", "-0.25"])
+    def test_rho2_outside_unit_interval_is_usage_error(self, capsys, tmp_path, source, rho2):
+        inst = "builtin:fig2"
+        if source == "file":
+            inst = str(tmp_path / "inst.json")
+            save_instance(fig2_instance(), inst)
+        code, _, err = run(
+            capsys, "solve", "--instance", inst, "--model", "so", "--rho2", rho2
+        )
+        assert code == 2
+        assert err.strip() == f"--rho2 must lie in [0, 1], got {float(rho2)}"
 
     def test_nan_probability_in_file_is_usage_error(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
@@ -233,6 +246,16 @@ class TestValidate:
         )
         assert code == 0 and "feasible" in out
 
+    @pytest.mark.parametrize("pair", [[1.7, 0], ["1", 1], [True, 0], [1, 0, 2]])
+    def test_non_integer_pair_is_usage_error(self, capsys, tmp_path, pair):
+        solution = tmp_path / "pairs.json"
+        solution.write_text(json.dumps({"pairs": [pair]}))
+        code, _, err = run(
+            capsys, "validate", "--instance", "builtin:fig2", "--solution", str(solution)
+        )
+        assert code == 2
+        assert err.startswith("bad solution file: ") and len(err.strip().splitlines()) == 1
+
 
 class TestExportAndGen:
     def test_export_lp_round_trips(self, capsys, tmp_path):
@@ -301,6 +324,21 @@ class TestCurves:
                            "--out", str(out))
         assert code == 2 and "0 <= start <= end <= 1" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-5", "0:1:inf"])
+    def test_grid_point_count_is_bounded(self, capsys, tmp_path, grid):
+        out = tmp_path / "c.csv"
+        code, _, err = run(capsys, "curves", "--instance", "builtin:fig2", f"--grid={grid}",
+                           "--out", str(out))
+        assert code == 2 and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_largest_grid_is_accepted(self, capsys, tmp_path):
+        out = tmp_path / "c.csv"
+        code, _, _ = run(capsys, "curves", "--instance", "builtin:fig2", "--grid=0:1:1e-4",
+                         "--out", str(out))
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + MAX_GRID_POINTS
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

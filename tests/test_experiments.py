@@ -7,7 +7,6 @@ from ssfp.experiments import (
     aggregate_matrix,
     aggregate_matrix_of_means,
     cost_curves,
-    deterministic_first_stage,
     evaluate_under,
     so_candidate_lines,
     sweep_record,

@@ -17,7 +17,7 @@ from ssfp.graph_core import (
     first_disconnected,
     validate_feasible,
 )
-from ssfp.instances import fig2_instance, grid_graph
+from ssfp.instances import fig2_instance
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import pytest
 
 from ssfp.graph_core import Graph, InfeasibleInstanceError, ValidationError
 from ssfp.instances import (
+    SchemaError,
     SweepConfig,
     all_settings,
     fig2_instance,
@@ -47,7 +48,7 @@ class TestFig2:
         assert all(not (set(e) & blocked) for e in graph.edges)
 
     def test_stage_data(self):
-        ts = fig2_instance(0.3)
+        ts = fig2_instance().with_probabilities((0.7, 0.3))
         assert ts.first_stage.terminals.groups == ((8, 22),)
         assert ts.scenarios[0].feasible_pipes == frozenset({1, 2})
         assert ts.scenarios[1].feasible_pipes == frozenset({2})
@@ -57,7 +58,7 @@ class TestFig2:
 
     def test_rho_bounds_checked(self):
         with pytest.raises(ValidationError):
-            fig2_instance(1.5)
+            fig2_instance().with_probabilities((-0.5, 1.5))
 
 
 class TestFourCycle:
@@ -94,7 +95,7 @@ class TestRandomArtificial:
 
     def test_shape_of_first_stage(self):
         ts = random_artificial(SweepConfig(2, 1, 3), 4)
-        assert ts.first_stage.terminals.num_groups == 1
+        assert len(ts.first_stage.terminals.groups) == 1
         assert len(ts.first_stage.terminals.groups[0]) == 3
         assert ts.num_scenarios == 2
         assert ts.probabilities == (0.5, 0.5)
@@ -118,7 +119,7 @@ class TestRandomArtificial:
 
 class TestInstanceFiles:
     def test_round_trip_fig2(self, tmp_path):
-        ts = fig2_instance(0.25)
+        ts = fig2_instance().with_probabilities((0.75, 0.25))
         path = tmp_path / "fig2.json"
         save_instance(ts, path)
         loaded = load_instance(path)
@@ -159,6 +160,63 @@ class TestInstanceFiles:
         path.write_text(json.dumps(document))
         with pytest.raises(InfeasibleInstanceError):
             load_instance(path)
+
+
+def _one_edge_document() -> dict:
+    return {
+        "graph": {"num_vertices": 2, "edges": [[1, 2]]},
+        "pipes": {"num_types": 1, "base_costs": {"per_edge": [[1.0]]}},
+        "first_stage": {
+            "groups": [[1, 2]], "feasible_pipes": [1], "admissible_edges": "all",
+            "multiplier": 1.0,
+        },
+        "scenarios": [{
+            "groups": [[1, 2]], "feasible_pipes": [1], "admissible_edges": [0],
+            "multiplier": 2.0, "probability": 1.0,
+        }],
+        "existing": [[1, 0]],
+    }
+
+
+def _set(document: dict, path: tuple, value: object) -> dict:
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return document
+
+
+class TestJsonScalarTypes:
+    """Booleans and strings are not JSON integers or numbers, even where
+    Python's ``int``/``float`` would read them."""
+
+    def test_one_edge_document_loads(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(_one_edge_document()))
+        assert load_instance(path).num_scenarios == 1
+
+    @pytest.mark.parametrize(
+        "where, value, field",
+        [
+            (("graph", "num_vertices"), True, "graph.num_vertices"),
+            (("graph", "edges", 0), [True, 2], "graph.edges[0]"),
+            (("pipes", "num_types"), True, "pipes.num_types"),
+            (("pipes", "base_costs", "per_edge", 0, 0), "1e0", "pipes.base_costs.per_edge[0][0]"),
+            (("pipes", "base_costs", "per_edge", 0, 0), True, "pipes.base_costs.per_edge[0][0]"),
+            (("first_stage", "groups", 0), [True, 2], "first_stage.groups[0]"),
+            (("first_stage", "feasible_pipes"), [True], "first_stage.feasible_pipes"),
+            (("first_stage", "multiplier"), True, "first_stage.multiplier"),
+            (("scenarios", 0, "admissible_edges"), [False], "scenarios[0].admissible_edges"),
+            (("scenarios", 0, "probability"), True, "scenarios[0].probability"),
+            (("existing", 0), [True, 0], "existing[0]"),
+        ],
+    )
+    def test_bool_or_string_is_refused(self, tmp_path, where, value, field):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(_set(_one_edge_document(), where, value)))
+        with pytest.raises(SchemaError) as err:
+            load_instance(path)
+        assert str(err.value).startswith(f"{field}: ")
 
 
 class TestRealisticData:
