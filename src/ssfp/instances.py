@@ -295,6 +295,7 @@ def _parse_stage(
         probability = data.get("probability")
         _expect(is_json_number(probability), f"{path}.probability", "must be a number")
     label = data.get("label", "")
+    _expect(isinstance(label, str), f"{path}.label", "must be a string")
     try:
         instance = Instance(
             graph,
@@ -303,7 +304,7 @@ def _parse_stage(
             frozenset(pipes),
             admissible,
             float(multiplier),
-            str(label),
+            label,
         )
     except SchemaError:
         raise
@@ -318,7 +319,10 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     Schema violations raise :class:`SchemaError` with the offending field's
     path; disconnected terminal groups are rejected at this point.
     """
-    document = json.loads(Path(path).read_text())
+    try:
+        document = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"$: not valid JSON: {err}") from None
     _expect(isinstance(document, dict), "$", "instance file must hold an object")
     graph_data = document.get("graph")
     _expect(isinstance(graph_data, dict), "graph", "must be an object")
@@ -343,7 +347,9 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     _expect(
         is_json_integer(num_types) and num_types >= 1, "pipes.num_types", "must be a positive integer"
     )
-    per_edge = pipes_data.get("base_costs", {}).get("per_edge")
+    base_costs = pipes_data.get("base_costs")
+    _expect(isinstance(base_costs, dict), "pipes.base_costs", "must be an object")
+    per_edge = base_costs.get("per_edge")
     _expect(
         isinstance(per_edge, list) and len(per_edge) == graph.num_edges,
         "pipes.base_costs.per_edge",

@@ -98,6 +98,13 @@ class TestSolve:
         assert code == 2
         assert err.strip() == f"--rho2 must lie in [0, 1], got {float(rho2)}"
 
+    def test_malformed_instance_file_is_usage_error(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"graph": ')
+        code, _, err = run(capsys, "solve", "--instance", str(inst), "--model", "do")
+        assert code == 2
+        assert err.startswith("$: not valid JSON: ") and len(err.strip().splitlines()) == 1
+
     def test_nan_probability_in_file_is_usage_error(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
         save_instance(fig2_instance(), inst)

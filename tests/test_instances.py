@@ -143,6 +143,20 @@ class TestInstanceFiles:
             load_instance(path)
         assert "first_stage" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "where, value, field",
+        [
+            (("pipes", "base_costs"), [[1.0]], "pipes.base_costs"),
+            (("first_stage", "label"), [1], "first_stage.label"),
+        ],
+    )
+    def test_wrong_json_type_reports_path(self, tmp_path, where, value, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_set(_one_edge_document(), where, value)))
+        with pytest.raises(SchemaError) as err:
+            load_instance(path)
+        assert str(err.value).startswith(f"{field}: ")
+
     def test_disconnected_groups_rejected_at_load(self, tmp_path):
         path = tmp_path / "disconnected.json"
         document = {
