@@ -220,3 +220,44 @@ class TestSweepRecordErrors:
         with pytest.raises(SolverNumericalError) as raised:
             sweep_record(SweepConfig(2, 1, 3, (0,)), 0, instance)
         assert str(raised.value) == "s2g1t3 seed 0: HiGHS gave up"
+
+
+def _sha256(path) -> str:
+    import hashlib
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+SWEEP_UNTIMED_SHA256 = "3003016cb0b717e19bc9c3695ac17c5b35d7534d1254a71ec15c8d2749304fa7"
+MATRIX_SHA256 = "497eab4d3ed7107dcffd7c8bbb3085125f364eb5d04689c7a3d46aab0a8cc853"
+RATIOS_SHA256 = "41002a8ccd193e1c722c1746288b968fcb17cf271ce4ea3a35be43e193ad5d80"
+CURVES_SHA256 = "83e6a6c0e2c5b78f2be10e9d8351fdde028bfb01eb99acff968cb1b31cd848a1"
+
+
+class TestAnalysisBytes:
+    """The analysis CSVs are pinned byte for byte; any change to which plans
+    are solved, evaluated or reported shows here first."""
+
+    def test_sweep_matrix_and_ratio_csvs(self, small_sweep, tmp_path):
+        import csv
+
+        write_sweep_csv(small_sweep, tmp_path / "sweep.csv")
+        write_matrix_csv(small_sweep, tmp_path / "matrix.csv")
+        write_ratios_csv(small_sweep, tmp_path / "ratios.csv")
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        keep = [
+            i for i, name in enumerate(rows[0])
+            if not name.startswith(("build_time_", "solve_time_"))
+        ]
+        (tmp_path / "sweep_untimed.csv").write_text(
+            "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+        )
+        assert _sha256(tmp_path / "sweep_untimed.csv") == SWEEP_UNTIMED_SHA256
+        assert _sha256(tmp_path / "matrix.csv") == MATRIX_SHA256
+        assert _sha256(tmp_path / "ratios.csv") == RATIOS_SHA256
+
+    def test_fig2_curves_csv(self, fig2, tmp_path):
+        write_curves_csv(cost_curves(fig2, [i / 100 for i in range(101)]), tmp_path / "curves.csv")
+        assert _sha256(tmp_path / "curves.csv") == CURVES_SHA256
+
