@@ -1,7 +1,8 @@
 """Command-line entry point: solve, sweep, curves, validate, export-lp, gen.
 
-Exit codes: 0 success, 2 usage error, 3 infeasible instance or solution,
-4 solver node limit.  Diagnostics go to standard error, one line each.
+Exit codes: 0 success, 2 usage error (including a path that cannot be read
+or written), 3 infeasible instance or solution, 4 solver node limit.
+Diagnostics go to standard error, one line each.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .instances import (
     four_cycle_instance,
     is_json_integer,
     load_instance,
+    random_artificial,
     save_instance,
 )
 from .milp_core import export_lp
@@ -213,8 +215,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     configs = _parse_settings(args.config, [args.seed])
     if len(configs) != 1:
         raise CliError("gen needs a single setting, e.g. --config 2,1,3")
-    from .instances import random_artificial
-
     save_instance(random_artificial(configs[0], args.seed), args.out)
     print(f"wrote {configs[0].setting_id} seed {args.seed} to {args.out}")
     return EXIT_OK
@@ -285,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         print(str(err), file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValidationError as err:
+        print(str(err), file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as err:  # a path that cannot be read or written
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,11 +29,16 @@ AGREEMENT_TOL = 1e-6
 CUTOFF_SLACK = 1e-6
 
 
-def _solve_or_raise(built: BuiltModel, config: BnbConfig = BnbConfig()) -> MilpSolution:
-    solution = solve_milp(built.milp, config)
+def _solve(
+    built: BuiltModel, cutoff: float | None = None
+) -> tuple[MilpSolution, EdgePipeSet | None]:
+    """Solve to optimality or raise, and give the first-stage pipe set of a
+    directed model; an undirected twin only confirms its objective."""
+    solution = solve_milp(built.milp, BnbConfig(cutoff=cutoff))
     if solution.status != "optimal":
         raise SolverError(f"{built.kind.label} solve ended with status {solution.status}")
-    return solution
+    first = built.extract_sets(solution)[0] if built.kind.flow == "d" else None
+    return solution, first
 
 
 def _recourse_costs(
@@ -69,19 +74,13 @@ def evaluate_under(
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def deterministic_first_stage(two_stage: TwoStageInstance) -> EdgePipeSet:
-    """First-stage pipe set of the deterministic optimum."""
-    built = build_do(two_stage.first_stage, two_stage.existing, "d")
-    first, _ = built.extract_sets(_solve_or_raise(built))
-    return first
-
-
 def vss(two_stage: TwoStageInstance) -> float:
     """Value of the stochastic solution: the expected cost of deploying the
     deterministic solution (EEVS) minus the stochastic optimum."""
-    eevs = evaluate_under("so", two_stage, deterministic_first_stage(two_stage))
-    built = build_model(ModelKind("so", "d"), two_stage)
-    return eevs - _solve_or_raise(built).objective
+    _, deterministic = _solve(build_do(two_stage.first_stage, two_stage.existing, "d"))
+    eevs = evaluate_under("so", two_stage, deterministic)
+    stochastic, _ = _solve(build_model(ModelKind("so", "d"), two_stage))
+    return eevs - stochastic.objective
 
 
 @dataclass(frozen=True)
@@ -103,53 +102,6 @@ def _line_for(two_stage: TwoStageInstance, first_set: EdgePipeSet) -> CandidateL
     return CandidateLine(first_set, first_cost + r1, r2 - r1)
 
 
-def _solve_so_at(two_stage: TwoStageInstance, rho2: float) -> tuple[float, EdgePipeSet]:
-    built = build_model(ModelKind("so", "d"), two_stage.with_probabilities((1.0 - rho2, rho2)))
-    solution = _solve_or_raise(built)
-    first, _ = built.extract_sets(solution)
-    return solution.objective, first
-
-
-def so_candidate_lines(two_stage: TwoStageInstance) -> list[CandidateLine]:
-    """All first-stage solutions on the lower envelope of the stochastic
-    value function of a two-scenario instance, found by exact parametric
-    refinement; sorted by slope descending, i.e. in the order they minimize
-    as rho2 grows."""
-    if two_stage.num_scenarios != 2:
-        raise ValueError("candidate lines require exactly two scenarios")
-    lines: dict[frozenset, CandidateLine] = {}
-
-    def line_at(rho2: float) -> CandidateLine:
-        _, first = _solve_so_at(two_stage, rho2)
-        line = _line_for(two_stage, first)
-        lines[line.first_stage.pairs] = line
-        return line
-
-    def refine(left: CandidateLine, right: CandidateLine, lo: Fraction, hi: Fraction) -> None:
-        if left.first_stage.pairs == right.first_stage.pairs:
-            return
-        denominator = Fraction(left.slope) - Fraction(right.slope)
-        if denominator == 0:
-            return
-        crossing = (Fraction(right.intercept) - Fraction(left.intercept)) / denominator
-        if not lo < crossing < hi:
-            return
-        rho = float(crossing)
-        envelope = min(left.value(rho), right.value(rho))
-        value, first = _solve_so_at(two_stage, rho)
-        if value >= envelope - 1e-9:
-            return
-        middle = _line_for(two_stage, first)
-        lines[middle.first_stage.pairs] = middle
-        refine(left, middle, lo, crossing)
-        refine(middle, right, crossing, hi)
-
-    left = line_at(0.0)
-    right = line_at(1.0)
-    refine(left, right, Fraction(0), Fraction(1))
-    return sorted(lines.values(), key=lambda l: (-l.slope, l.intercept))
-
-
 @dataclass(frozen=True)
 class CurveTable:
     """Expected-cost lines of the envelope candidates over a rho2 grid."""
@@ -169,17 +121,44 @@ class CurveTable:
 
 
 def cost_curves(two_stage: TwoStageInstance, rho_grid: Sequence[float]) -> CurveTable:
-    """Expected cost of every envelope candidate on the grid, the stochastic
-    optimum (their pointwise minimum), and the exact crossing points of
-    consecutive minimizers."""
-    candidates = so_candidate_lines(two_stage)
-    intersections: list[Fraction] = []
-    for a, b in zip(candidates, candidates[1:]):
-        crossing = (Fraction(a.intercept) - Fraction(b.intercept)) / (
-            Fraction(b.slope) - Fraction(a.slope)
+    """Expected cost over the grid of every first-stage solution on the lower
+    envelope of the stochastic value function of a two-scenario instance,
+    the stochastic optimum (their pointwise minimum), and the exact crossing
+    points of consecutive minimizers.  The envelope comes from exact
+    parametric refinement: solve at rho2 = 0 and 1, then at each crossing
+    where a solve still undercuts the lines found so far."""
+    if two_stage.num_scenarios != 2:
+        raise ValueError("candidate lines require exactly two scenarios")
+
+    def solve_at(rho2: float) -> tuple[float, EdgePipeSet]:
+        built = build_model(ModelKind("so", "d"), two_stage.with_probabilities((1.0 - rho2, rho2)))
+        solution, first = _solve(built)
+        return solution.objective, first
+
+    def envelope(
+        left: CandidateLine, right: CandidateLine, lo: Fraction, hi: Fraction
+    ) -> tuple[list[CandidateLine], list[Fraction]]:
+        """The envelope lines from ``left`` (optimal at ``lo``) to ``right``
+        (optimal at ``hi``), left to right, and each adjacent crossing."""
+        if left.first_stage == right.first_stage or left.slope == right.slope:
+            return [left], []
+        crossing = (Fraction(right.intercept) - Fraction(left.intercept)) / (
+            Fraction(left.slope) - Fraction(right.slope)
         )
-        intersections.append(crossing)
-    return CurveTable(tuple(float(r) for r in rho_grid), tuple(candidates), tuple(intersections))
+        if lo < crossing < hi:
+            rho = float(crossing)
+            value, first = solve_at(rho)
+            if value < min(left.value(rho), right.value(rho)) - 1e-9:
+                middle = _line_for(two_stage, first)
+                left_lines, left_crossings = envelope(left, middle, lo, crossing)
+                right_lines, right_crossings = envelope(middle, right, crossing, hi)
+                return left_lines + right_lines[1:], left_crossings + right_crossings
+        return [left, right], [crossing]
+
+    left = _line_for(two_stage, solve_at(0.0)[1])
+    right = _line_for(two_stage, solve_at(1.0)[1])
+    lines, crossings = envelope(left, right, Fraction(0), Fraction(1))
+    return CurveTable(tuple(float(r) for r in rho_grid), tuple(lines), tuple(crossings))
 
 
 def vss_curve(
@@ -187,7 +166,8 @@ def vss_curve(
 ) -> list[tuple[float, float, float]]:
     """(rho2, VSS, stochastic optimum) along a grid, via the exact envelope."""
     table = cost_curves(two_stage, rho_grid)
-    eevs = _line_for(two_stage, deterministic_first_stage(two_stage))
+    _, deterministic = _solve(build_do(two_stage.first_stage, two_stage.existing, "d"))
+    eevs = _line_for(two_stage, deterministic)
     return [
         (rho, eevs.value(rho) - table.so_value(rho), table.so_value(rho))
         for rho in table.rho_values
@@ -219,14 +199,27 @@ class SweepRecord:
     setting_id: str
     seed: int
     objectives: tuple[float, ...]  # per MODEL_LABELS
-    matrix: tuple[tuple[float, float, float], ...]
-    evaluations: tuple[tuple[float, float, float], ...]  # unnormalized matrix numerators
-    ro_do_ratio: float
+    #: row: the directed optimum's first stage of one objective (do, ro, so);
+    #: column: its value under each objective
+    evaluations: tuple[tuple[float, float, float], ...]
     variable_counts: tuple[int, ...]  # per MODEL_LABELS
     constraint_counts: tuple[int, ...]
     build_times: tuple[float, ...]
     solve_times: tuple[float, ...]
     node_counts: tuple[int, ...]
+
+    @property
+    def matrix(self) -> tuple[tuple[float, float, float], ...]:
+        """The evaluations, each normalized by its column owner's optimum
+        (the diagonal)."""
+        e = self.evaluations
+        return tuple(tuple(e[i][j] / e[j][j] for j in range(3)) for i in range(3))
+
+    @property
+    def ro_do_ratio(self) -> float:
+        """First-stage cost of the robust plan over the deterministic optimum,
+        ``matrix[1][0]``."""
+        return self.matrix[1][0]
 
 
 def _solve_six(
@@ -244,24 +237,19 @@ def _solve_six(
     solutions: dict[str, MilpSolution] = {}
     builds: dict[str, BuiltModel] = {}
     first_sets: dict[Objective, EdgePipeSet] = {}
-    seed_cutoff: dict[str, float | None] = {"do": None, "so": None, "ro": None}
-    for optimization in ("do", "so", "ro"):
-        directed = ModelKind(optimization, "d").label
+    cutoff: float | None = None
+    for optimization, next_objective in (("do", "so"), ("so", "ro"), ("ro", None)):
         for flow in ("d", "u"):
             kind = ModelKind(optimization, flow)
             built = build_model(kind, two_stage)
-            if flow == "u":
-                cutoff = solutions[directed].objective + CUTOFF_SLACK
-            else:
-                cutoff = seed_cutoff[optimization]
-            solutions[kind.label] = _solve_or_raise(built, BnbConfig(cutoff=cutoff))
+            solutions[kind.label], first = _solve(built, cutoff)
             builds[kind.label] = built
-        first, _ = builds[directed].extract_sets(solutions[directed])
-        first_sets[optimization] = first
-        if optimization == "do":
-            seed_cutoff["so"] = evaluate_under("so", two_stage, first) + CUTOFF_SLACK
-        elif optimization == "so":
-            seed_cutoff["ro"] = evaluate_under("ro", two_stage, first) + CUTOFF_SLACK
+            if flow == "d":
+                first_sets[optimization] = first
+                cutoff = solutions[kind.label].objective + CUTOFF_SLACK
+        if next_objective is not None:
+            value = evaluate_under(next_objective, two_stage, first_sets[optimization])
+            cutoff = value + CUTOFF_SLACK
     return solutions, builds, first_sets
 
 
@@ -289,37 +277,29 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
                 f"{optimization.upper()} flow formulations disagree ({u_obj} vs {d_obj})"
             )
     evaluations = tuple(
-        tuple(
-            evaluate_under(column, two_stage, first_sets[row])
-            for column in OBJECTIVE_ORDER
-        )
+        tuple(evaluate_under(column, two_stage, first_sets[row]) for column in OBJECTIVE_ORDER)
         for row in OBJECTIVE_ORDER
     )
-    optima = tuple(evaluations[i][i] for i in range(3))
     for i, optimization in enumerate(OBJECTIVE_ORDER):
         model_obj = solutions[ModelKind(optimization, "d").label].objective
-        if abs(optima[i] - model_obj) > AGREEMENT_TOL:
+        if abs(evaluations[i][i] - model_obj) > AGREEMENT_TOL:
             raise SolverError(
-                f"re-evaluated {optimization.upper()} optimum {optima[i]} disagrees with "
+                f"re-evaluated {optimization.upper()} optimum {evaluations[i][i]} disagrees with "
                 f"the model objective {model_obj}"
             )
-    matrix = tuple(
-        tuple(evaluations[i][j] / optima[j] for j in range(3)) for i in range(3)
-    )
-    CrossObjectiveMatrix(matrix)  # raises on a violated bound
-    return SweepRecord(
+    record = SweepRecord(
         setting_id=config.setting_id,
         seed=seed,
         objectives=tuple(solutions[label].objective for label in MODEL_LABELS),
-        matrix=matrix,
         evaluations=evaluations,
-        ro_do_ratio=matrix[1][0],
         variable_counts=tuple(builds[label].num_variables for label in MODEL_LABELS),
         constraint_counts=tuple(builds[label].num_constraints for label in MODEL_LABELS),
         build_times=tuple(builds[label].build_time for label in MODEL_LABELS),
         solve_times=tuple(solutions[label].solve_time for label in MODEL_LABELS),
         node_counts=tuple(solutions[label].node_count for label in MODEL_LABELS),
     )
+    CrossObjectiveMatrix(record.matrix)  # raises on a violated bound
+    return record
 
 
 def run_sweep(configs: Sequence[SweepConfig], threads: int) -> list[SweepRecord]:

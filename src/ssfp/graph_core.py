@@ -6,6 +6,7 @@ the operations at the bottom of the module are pure functions.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -51,8 +52,7 @@ class UnionFind:
 class Graph:
     """Undirected graph on vertices 1..num_vertices with an ordered edge list.
 
-    Edge ids are positions in ``edges``.  Arcs are derived (both orientations
-    of every edge), never stored.
+    Edge ids are positions in ``edges``.
     """
 
     num_vertices: int
@@ -89,13 +89,6 @@ class Graph:
         if not 0 <= edge_id < len(self.edges):
             raise ValidationError(f"edge id {edge_id} out of range")
         return self.edges[edge_id]
-
-    def arcs(self, edge_ids: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-        """Yield (tail, head, edge id) for both orientations of each edge."""
-        for eid in edge_ids:
-            u, v = self.edges[eid]
-            yield u, v, eid
-            yield v, u, eid
 
 
 @dataclass(frozen=True)
@@ -333,15 +326,21 @@ def first_disconnected(
 ) -> tuple[int, int] | None:
     """The first (group index, terminal) whose terminal is not joined to its
     group's first terminal in the subgraph spanned by ``edge_ids``, or None
-    when every group is connected.  Pure union-find, no MILP machinery."""
-    uf = UnionFind(graph.num_vertices + 1)
-    for eid in edge_ids:
-        u, v = graph.endpoints(eid)
-        uf.union(u, v)
+    when every group is connected.  Pure union-find, no MILP machinery, over
+    the vertices that the edges and groups touch, so memory does not grow
+    with the declared vertex count."""
+    edges = [graph.endpoints(eid) for eid in edge_ids]
+    groups = [tuple(group) for group in groups]
+    index: dict[int, int] = {}
+    for v in chain(chain.from_iterable(edges), chain.from_iterable(groups)):
+        index.setdefault(v, len(index))
+    uf = UnionFind(len(index))
+    for u, v in edges:
+        uf.union(index[u], index[v])
     for k, group in enumerate(groups):
-        root = uf.find(group[0])
+        root = uf.find(index[group[0]])
         for t in group[1:]:
-            if uf.find(t) != root:
+            if uf.find(index[t]) != root:
                 return k, t
     return None
 

@@ -94,11 +94,11 @@ class _StageIndex:
     vertices (those touched by an admissible edge), ascending."""
 
     def __init__(self, inst: Instance) -> None:
-        graph = inst.graph
-        adm = sorted(inst.admissible_edges)
         self.pipes = tuple(sorted(inst.feasible_pipes))
-        self.edges = tuple((eid, *graph.endpoints(eid)) for eid in adm)
-        self.arcs = tuple((u, v) for u, v, _ in graph.arcs(adm))
+        self.edges = tuple(
+            (eid, *inst.graph.endpoints(eid)) for eid in sorted(inst.admissible_edges)
+        )
+        self.arcs = tuple(arc for _, u, v in self.edges for arc in ((u, v), (v, u)))
         self.heads: dict[int, list[int]] = {}
         for u, v in self.arcs:
             self.heads.setdefault(u, []).append(v)

@@ -174,8 +174,10 @@ def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolutio
 
     Branching fixes the most fractional binary to 0/1 in the two children;
     the incumbent is updated whenever a node's LP solution is integral in the
-    binaries.  With the default zero gap the returned objective is the exact
-    optimum of the model as declared.
+    binaries.  A node is pruned only when its LP bound comes within
+    ``PRUNE_TOL`` of the incumbent (or of ``config.cutoff``); there is no
+    optimality-gap setting, so an ``optimal`` status carries the optimum of
+    the model as declared.
     """
     started = time.perf_counter()
     form = _ArrayForm(model)

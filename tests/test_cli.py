@@ -353,3 +353,30 @@ class TestCurves:
             run(capsys, "curves", "--instance", "builtin:fig2", "--grid", "0:1:0.5",
                 "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUnusablePaths:
+    """A path that cannot be read or written is one stderr line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--instance", "builtin:fig2", "--model", "do", "--out", "{missing}/r.json"),
+            ("export-lp", "--instance", "builtin:fig2", "--model", "do", "--out", "{missing}/x.lp"),
+            ("curves", "--grid", "0:1:0.5", "--out", "{missing}/c.csv"),
+            ("sweep", "--settings", "2,1,3", "--seeds", "1", "--out-dir", "{file}"),
+            ("validate", "--instance", "builtin:fig2", "--solution", "{dir}"),
+            ("solve", "--instance", "{dir}", "--model", "do"),
+            ("gen", "--config", "2,1,3", "--seed", "0", "--out", "{missing}/g.json"),
+        ],
+        ids=["solve-out", "export-lp-out", "curves-out", "sweep-out-dir-is-file",
+             "validate-solution-is-dir", "solve-instance-is-dir", "gen-out"],
+    )
+    def test_is_usage_error(self, capsys, tmp_path, argv):
+        existing_file = tmp_path / "file"
+        existing_file.write_text("")
+        paths = {"missing": tmp_path / "missing", "file": existing_file, "dir": tmp_path}
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err

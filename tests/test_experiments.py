@@ -8,7 +8,6 @@ from ssfp.experiments import (
     aggregate_matrix_of_means,
     cost_curves,
     evaluate_under,
-    so_candidate_lines,
     sweep_record,
     vss,
     vss_curve,
@@ -100,12 +99,37 @@ class TestCostCurves:
             assert row[-1] == pytest.approx(min(row[1:-1]), abs=1e-12)
         assert table.so_value(0.45) == pytest.approx(10.8, abs=1e-9)
 
+    @pytest.mark.parametrize("seed, num_lines", [(30, 4), (36, 6)])
+    def test_envelope_longer_than_fig2(self, seed, num_lines):
+        from ssfp.models import ModelKind, build_model
+        from ssfp.solver import solve_milp
+
+        two_stage = random_grid_instance(
+            3, 3, num_pipe_types=2, num_groups=1, terminals_per_group=3,
+            num_scenarios=2, seed=seed,
+        )
+        grid = [i / 4 for i in range(5)]
+        table = cost_curves(two_stage, grid)
+        assert len(table.candidates) == num_lines
+        crossings = table.intersections
+        assert 0 < crossings[0] and crossings[-1] < 1
+        assert all(a < b for a, b in zip(crossings, crossings[1:]))
+        for a, b, rho in zip(table.candidates, table.candidates[1:], crossings):
+            assert Fraction(a.intercept) + Fraction(a.slope) * rho == (
+                Fraction(b.intercept) + Fraction(b.slope) * rho
+            )
+        for rho in grid:
+            built = build_model(ModelKind("so", "d"), two_stage.with_probabilities((1 - rho, rho)))
+            direct = solve_milp(built.milp)
+            assert direct.status == "optimal"
+            assert table.so_value(rho) == pytest.approx(direct.objective, abs=1e-9)
+
     def test_requires_two_scenarios(self, fig2):
         from ssfp.graph_core import TwoStageInstance
 
         single = TwoStageInstance(fig2.first_stage, fig2.scenarios[:1], (1.0,))
         with pytest.raises(ValueError):
-            so_candidate_lines(single)
+            cost_curves(single, [0.0, 1.0])
 
 
 class TestMatrix:

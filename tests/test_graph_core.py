@@ -40,10 +40,6 @@ class TestGraph:
         with pytest.raises(ValidationError):
             Graph(3, ((1, 4),))
 
-    def test_arcs_are_both_orientations(self):
-        g = Graph(3, ((1, 2), (2, 3)))
-        assert list(g.arcs(range(g.num_edges))) == [(1, 2, 0), (2, 1, 0), (2, 3, 1), (3, 2, 1)]
-
     def test_edge_id_normalizes_orientation(self):
         g = Graph(3, ((1, 2), (2, 3)))
         assert g.edge_id(2, 1) == 0
@@ -200,6 +196,19 @@ class TestConnectivity:
         assert first_disconnected(g, groups, [0, 1, 2]) is None
         assert first_disconnected(g, groups, [0, 2]) == (1, 3)
         assert first_disconnected(g, groups, [2]) == (0, 2)
+
+    def test_memory_does_not_grow_with_declared_vertex_count(self):
+        import tracemalloc
+
+        g = Graph(10**6, ((1, 2), (2, 3)))
+        tracemalloc.start()
+        try:
+            assert first_disconnected(g, ((1, 3),), [0, 1]) is None
+            assert first_disconnected(g, ((1, 3),), [0]) == (0, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def small_solution_sets(graph):
