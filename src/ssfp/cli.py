@@ -25,13 +25,13 @@ from .instances import (
     all_settings,
     fig2_instance,
     four_cycle_instance,
-    is_json_integer,
+    json_integers,
     load_instance,
     random_artificial,
     save_instance,
 )
 from .milp_core import export_lp
-from .models import ModelKind, build_model
+from .models import BuiltModel, ModelKind, build_model
 from .solver import BnbConfig, solve_milp
 from .experiments import (
     cost_curves,
@@ -46,14 +46,14 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NODE_LIMIT = 4
-#: Most points ``ssfp curves --grid`` may ask for; the default grid has 101.
+#: Most points ``ssfp curves --grid`` may ask for.
 MAX_GRID_POINTS = 10_001
+#: The rho2 grid of fig2's curves: ``curves --grid`` by default, and ``sweep``.
+FIG2_GRID = "0:1:0.01"
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
-        super().__init__(message)
-        self.code = code
+    """A usage error: one line on standard error and exit 2."""
 
 
 def _load_target(spec: str, rho2: float | None) -> TwoStageInstance:
@@ -70,10 +70,6 @@ def _load_target(spec: str, rho2: float | None) -> TwoStageInstance:
             target = load_instance(spec)
         except FileNotFoundError:
             raise CliError(f"instance file not found: {spec}") from None
-        except InfeasibleInstanceError as err:
-            raise CliError(str(err), EXIT_INFEASIBLE) from None
-        except ValidationError as err:
-            raise CliError(str(err)) from None
     if rho2 is not None:
         if target.num_scenarios != 2:
             raise CliError("--rho2 needs an instance with exactly two scenarios")
@@ -81,14 +77,20 @@ def _load_target(spec: str, rho2: float | None) -> TwoStageInstance:
     return target
 
 
+def _load_model(args: argparse.Namespace) -> tuple[TwoStageInstance, BuiltModel]:
+    """The instance and the model named by ``--instance``, ``--model``,
+    ``--flow`` and ``--rho2``."""
+    target = _load_target(args.instance, args.rho2)
+    try:
+        return target, build_model(ModelKind(args.model, args.flow), target)
+    except ValueError as err:
+        raise CliError(str(err)) from None
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.node_limit is not None and args.node_limit < 1:
         raise CliError("--node-limit must be at least 1")
-    target = _load_target(args.instance, args.rho2)
-    try:
-        built = build_model(ModelKind(args.model, args.flow), target)
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    target, built = _load_model(args)
     config = BnbConfig() if args.node_limit is None else BnbConfig(node_limit=args.node_limit)
     solution = solve_milp(built.milp, config)
     if solution.status == "node_limit":
@@ -146,7 +148,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     write_sweep_csv(records, out_dir / "sweep.csv")
     write_matrix_csv(records, out_dir / "matrix.csv")
     write_ratios_csv(records, out_dir / "ratios.csv")
-    table = cost_curves(fig2_instance(), [i / 100 for i in range(101)])
+    table = cost_curves(fig2_instance(), _parse_grid(FIG2_GRID))
     write_curves_csv(table, out_dir / "curves.csv")
     print(f"wrote {len(records)} records to {out_dir}")
     return EXIT_OK
@@ -181,10 +183,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     target = _load_target(args.instance, None)
     try:
         pairs = json.loads(Path(args.solution).read_text())["pairs"]
-        for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_json_integer, pair))):
-                raise ValueError(f"pair {pair!r} is not a [pipe, edge] pair of integers")
-        solution = EdgePipeSet(frozenset((p, e) for p, e in pairs))
+        solution = EdgePipeSet(frozenset(
+            tuple(json_integers(pair, f"pairs[{i}]", "must be a [pipe, edge] pair", 2))
+            for i, pair in enumerate(pairs)
+        ))
     except FileNotFoundError:
         raise CliError(f"solution file not found: {args.solution}") from None
     except (KeyError, TypeError, ValueError) as err:
@@ -198,11 +200,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
-    target = _load_target(args.instance, args.rho2)
-    try:
-        built = build_model(ModelKind(args.model, args.flow), target)
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    _, built = _load_model(args)
     Path(args.out).write_text(export_lp(built.milp))
     print(f"wrote {built.kind.label} model ({built.num_variables} variables, "
           f"{built.num_constraints} constraints) to {args.out}")
@@ -225,12 +223,14 @@ def _make_parser() -> argparse.ArgumentParser:
         prog="ssfp", description="Two-stage stochastic Steiner forest pipe routing toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --instance, --model, --flow and --rho2 of solve and export-lp
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--instance", required=True, help="path or builtin:fig2 / builtin:four-cycle")
+    model.add_argument("--model", choices=("do", "ro", "so"), required=True)
+    model.add_argument("--flow", choices=("u", "d"), default="u")
+    model.add_argument("--rho2", type=float, default=None)
 
-    solve = sub.add_parser("solve", help="build and solve one model")
-    solve.add_argument("--instance", required=True, help="path or builtin:fig2 / builtin:four-cycle")
-    solve.add_argument("--model", choices=("do", "ro", "so"), required=True)
-    solve.add_argument("--flow", choices=("u", "d"), default="u")
-    solve.add_argument("--rho2", type=float, default=None)
+    solve = sub.add_parser("solve", parents=[model], help="build and solve one model")
     solve.add_argument("--node-limit", type=int, default=None)
     solve.add_argument("--out", default=None, help="write a JSON report here")
     solve.set_defaults(func=_cmd_solve)
@@ -245,7 +245,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     curves = sub.add_parser("curves", help="expected-cost curves over rho2")
     curves.add_argument("--instance", default="builtin:fig2")
-    curves.add_argument("--grid", default="0:1:0.01")
+    curves.add_argument("--grid", default=FIG2_GRID)
     curves.add_argument("--out", required=True)
     curves.set_defaults(func=_cmd_curves)
 
@@ -254,11 +254,7 @@ def _make_parser() -> argparse.ArgumentParser:
     validate.add_argument("--solution", required=True, help='JSON: {"pairs": [[pipe, edge], ...]}')
     validate.set_defaults(func=_cmd_validate)
 
-    export = sub.add_parser("export-lp", help="write a model in CPLEX LP format")
-    export.add_argument("--instance", required=True)
-    export.add_argument("--model", choices=("do", "ro", "so"), required=True)
-    export.add_argument("--flow", choices=("u", "d"), default="u")
-    export.add_argument("--rho2", type=float, default=None)
+    export = sub.add_parser("export-lp", parents=[model], help="write a model in CPLEX LP format")
     export.add_argument("--out", required=True)
     export.set_defaults(func=_cmd_export_lp)
 
@@ -277,17 +273,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
+        # refuse an unwritable --out before any work is done
+        out = getattr(args, "out", None)
+        if out is not None and not Path(out).parent.is_dir():
+            raise CliError(f"cannot write {out}: {Path(out).parent} is not a directory")
         return args.func(args)
-    except CliError as err:
-        print(str(err), file=sys.stderr)
-        return err.code
     except InfeasibleInstanceError as err:
         print(str(err), file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValidationError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:  # a path that cannot be read or written
+    # OSError: a path that cannot be read or written
+    except (CliError, ValidationError, OSError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
 

@@ -252,12 +252,6 @@ class EdgePipeSet:
     def __or__(self, other: "EdgePipeSet") -> "EdgePipeSet":
         return EdgePipeSet(self.pairs | other.pairs)
 
-    def __sub__(self, other: "EdgePipeSet") -> "EdgePipeSet":
-        return EdgePipeSet(self.pairs - other.pairs)
-
-    def __and__(self, other: "EdgePipeSet") -> "EdgePipeSet":
-        return EdgePipeSet(self.pairs & other.pairs)
-
 
 @dataclass(frozen=True)
 class TwoStageInstance:

@@ -220,17 +220,33 @@ def is_json_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def json_integers(value: object, path: str, message: str, length: int | None = None) -> list[int]:
+    """``value`` if it is a list of JSON integers (of ``length`` items, when
+    given); otherwise :class:`SchemaError` with ``path`` and ``message``."""
+    _expect(
+        isinstance(value, list)
+        and all(is_json_integer(x) for x in value)
+        and (length is None or len(value) == length),
+        path,
+        message,
+    )
+    return value  # type: ignore[return-value]
+
+
 def _stage_dict(inst: Instance, graph: Graph) -> dict:
     if inst.admissible_edges == frozenset(range(graph.num_edges)):
         admissible: object = "all"
     else:
         admissible = sorted(inst.admissible_edges)
-    return {
+    stage = {
         "groups": [list(g) for g in inst.terminals.groups],
         "feasible_pipes": sorted(inst.feasible_pipes),
         "admissible_edges": admissible,
         "multiplier": inst.cost_multiplier,
     }
+    if inst.label:
+        stage["label"] = inst.label
+    return stage
 
 
 def save_instance(two_stage: TwoStageInstance, path: str | Path) -> None:
@@ -267,26 +283,14 @@ def _parse_stage(
     groups = data.get("groups")
     _expect(isinstance(groups, list) and groups, f"{path}.groups", "must be a non-empty list")
     for i, g in enumerate(groups):
-        _expect(
-            isinstance(g, list) and all(is_json_integer(t) for t in g),
-            f"{path}.groups[{i}]",
-            "must be a list of vertex ids",
-        )
+        json_integers(g, f"{path}.groups[{i}]", "must be a list of vertex ids")
     pipes = data.get("feasible_pipes")
-    _expect(
-        isinstance(pipes, list) and all(is_json_integer(p) for p in pipes),
-        f"{path}.feasible_pipes",
-        "must be a list of pipe ids",
-    )
+    json_integers(pipes, f"{path}.feasible_pipes", "must be a list of pipe ids")
     adm = data.get("admissible_edges", "all")
     if adm == "all":
         admissible = frozenset(range(graph.num_edges))
     else:
-        _expect(
-            isinstance(adm, list) and all(is_json_integer(e) for e in adm),
-            f"{path}.admissible_edges",
-            'must be "all" or a list of edge indices',
-        )
+        json_integers(adm, f"{path}.admissible_edges", 'must be "all" or a list of edge indices')
         admissible = frozenset(adm)
     multiplier = data.get("multiplier", 1.0)
     _expect(is_json_number(multiplier), f"{path}.multiplier", "must be a number")
@@ -306,11 +310,18 @@ def _parse_stage(
             float(multiplier),
             label,
         )
-    except SchemaError:
-        raise
     except ValidationError as err:
         raise type(err)(f"{path}: {err}") from None
     return instance, float(probability)
+
+
+def _read_object(path: str | Path) -> dict:
+    try:
+        document = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"$: not valid JSON: {err}") from None
+    _expect(isinstance(document, dict), "$", "instance file must hold an object")
+    return document
 
 
 def load_instance(path: str | Path) -> TwoStageInstance:
@@ -319,11 +330,7 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     Schema violations raise :class:`SchemaError` with the offending field's
     path; disconnected terminal groups are rejected at this point.
     """
-    try:
-        document = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"$: not valid JSON: {err}") from None
-    _expect(isinstance(document, dict), "$", "instance file must hold an object")
+    document = _read_object(path)
     graph_data = document.get("graph")
     _expect(isinstance(graph_data, dict), "graph", "must be an object")
     num_vertices = graph_data.get("num_vertices")
@@ -331,11 +338,7 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     edges = graph_data.get("edges")
     _expect(isinstance(edges, list), "graph.edges", "must be a list of [u, v] pairs")
     for i, e in enumerate(edges):
-        _expect(
-            isinstance(e, list) and len(e) == 2 and all(is_json_integer(x) for x in e),
-            f"graph.edges[{i}]",
-            "must be a [u, v] pair",
-        )
+        json_integers(e, f"graph.edges[{i}]", "must be a [u, v] pair", 2)
     try:
         graph = Graph(num_vertices, tuple((u, v) for u, v in edges))
     except ValidationError as err:
@@ -374,32 +377,21 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     first, _ = _parse_stage(document.get("first_stage"), "first_stage", graph, catalog, True)
     scenarios_data = document.get("scenarios", [])
     _expect(isinstance(scenarios_data, list), "scenarios", "must be a list")
-    scenarios: list[Instance] = []
-    probabilities: list[float] = []
-    for s, entry in enumerate(scenarios_data):
-        inst, rho = _parse_stage(entry, f"scenarios[{s}]", graph, catalog, False)
-        scenarios.append(inst)
-        probabilities.append(rho)
+    scenarios = [
+        _parse_stage(entry, f"scenarios[{s}]", graph, catalog, False)
+        for s, entry in enumerate(scenarios_data)
+    ]
 
     existing_data = document.get("existing", [])
     _expect(isinstance(existing_data, list), "existing", "must be a list of [pipe, edge] pairs")
     for i, pair in enumerate(existing_data):
-        _expect(
-            isinstance(pair, list) and len(pair) == 2 and all(is_json_integer(x) for x in pair),
-            f"existing[{i}]",
-            "must be a [pipe, edge] pair",
-        )
-    try:
-        return TwoStageInstance(
-            first,
-            tuple(scenarios),
-            tuple(probabilities),
-            EdgePipeSet(frozenset((p, e) for p, e in existing_data)),
-        )
-    except SchemaError:
-        raise
-    except ValidationError as err:
-        raise type(err)(str(err)) from None
+        json_integers(pair, f"existing[{i}]", "must be a [pipe, edge] pair", 2)
+    return TwoStageInstance(
+        first,
+        tuple(inst for inst, _ in scenarios),
+        tuple(rho for _, rho in scenarios),
+        EdgePipeSet(frozenset((p, e) for p, e in existing_data)),
+    )
 
 
 def realistic_terminals_path() -> Path:
@@ -413,10 +405,12 @@ def load_realistic(graph: Graph, gamma1: Sequence[float]) -> TwoStageInstance:
     costs.
 
     The data ships without the ship's room adjacency, so the graph is an
-    input; it must cover the data's full room range.
+    input; it must cover the data's full room range.  The data's stages are
+    checked like an instance file's, with the same field paths.
     """
-    data = json.loads(realistic_terminals_path().read_text())
-    required = int(data["num_vertices_required"])
+    data = _read_object(realistic_terminals_path())
+    required = data.get("num_vertices_required")
+    _expect(is_json_integer(required), "num_vertices_required", "must be an integer")
     if graph.num_vertices < required:
         raise ValidationError(
             f"graph has {graph.num_vertices} vertices but the data references rooms up to {required}"
@@ -424,30 +418,32 @@ def load_realistic(graph: Graph, gamma1: Sequence[float]) -> TwoStageInstance:
     gamma1 = tuple(float(c) for c in gamma1)
     if len(gamma1) != graph.num_edges:
         raise ValidationError("need one single-walled cost per graph edge")
-    ratio = float(data["pipes"]["cost_ratio"])
-    num_types = int(data["pipes"]["num_types"])
+    pipes = data.get("pipes")
+    _expect(isinstance(pipes, dict), "pipes", "must be an object")
+    ratio, num_types = pipes.get("cost_ratio"), pipes.get("num_types")
+    _expect(is_json_number(ratio), "pipes.cost_ratio", "must be a number")
+    _expect(is_json_integer(num_types), "pipes.num_types", "must be an integer")
     catalog = PipeCatalog(
         num_types, tuple(tuple(c * ratio**p for c in gamma1) for p in range(num_types))
     )
-    forbidden = set(data["forbidden_rooms"])
-    open_edges = frozenset(
-        eid for eid, (u, v) in enumerate(graph.edges) if u not in forbidden and v not in forbidden
+    forbidden = set(
+        json_integers(data.get("forbidden_rooms"), "forbidden_rooms", "must be a list of room ids")
     )
-    all_edges = frozenset(range(graph.num_edges))
+    open_edges = [
+        eid for eid, (u, v) in enumerate(graph.edges) if u not in forbidden and v not in forbidden
+    ]
 
-    def build(stage: dict, multiplier: float) -> Instance:
-        admissible = open_edges if stage.get("avoid_forbidden_rooms", False) else all_edges
-        return Instance(
-            graph,
-            catalog,
-            TerminalGroups(tuple(tuple(g) for g in stage["groups"])),
-            frozenset(stage["feasible_pipes"]),
-            admissible,
-            multiplier,
-            stage.get("label", ""),
-        )
+    def stage(entry: object, path: str, first_stage: bool) -> tuple[Instance, float]:
+        _expect(isinstance(entry, dict), path, "must be an object")
+        avoid = entry.get("avoid_forbidden_rooms", False)
+        _expect(isinstance(avoid, bool), f"{path}.avoid_forbidden_rooms", "must be true or false")
+        entry = {**entry, "admissible_edges": open_edges if avoid else "all"}
+        return _parse_stage(entry, path, graph, catalog, first_stage)
 
-    first = build(data["first_stage"], 1.0)
-    scenarios = tuple(build(s, float(s["multiplier"])) for s in data["scenarios"])
-    probabilities = tuple(float(s["probability"]) for s in data["scenarios"])
-    return TwoStageInstance(first, scenarios, probabilities)
+    first, _ = stage(data.get("first_stage"), "first_stage", True)
+    scenarios_data = data.get("scenarios")
+    _expect(isinstance(scenarios_data, list), "scenarios", "must be a list")
+    scenarios = [stage(entry, f"scenarios[{s}]", False) for s, entry in enumerate(scenarios_data)]
+    return TwoStageInstance(
+        first, tuple(inst for inst, _ in scenarios), tuple(rho for _, rho in scenarios)
+    )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 try:
     from scipy.optimize._highspy._core import (
@@ -104,13 +103,10 @@ class _ArrayForm:
                 indices.append(h)
                 data.append(c)
             indptr.append(len(indices))
-        matrix = csr_matrix(
-            (np.array(data, dtype=float), np.array(indices, dtype=np.int32), np.array(indptr)),
-            shape=(m, n),
-        ).tocsc()
+        coefficients = np.array(data, dtype=float)
         cost = np.array([v.objective for v in model.variables], dtype=float)
         rhs = np.array([con.rhs for con in model.constraints], dtype=float)
-        if not all(np.isfinite(values).all() for values in (cost, matrix.data, rhs)):
+        if not all(np.isfinite(values).all() for values in (cost, coefficients, rhs)):
             raise ValueError(
                 f"model {model.name!r}: objective coefficients, constraint coefficients "
                 "and right-hand sides must be finite"
@@ -124,11 +120,11 @@ class _ArrayForm:
         lp.col_cost_ = cost
         lp.col_lower_, lp.col_upper_ = self.lb, self.ub
         lp.row_lower_, lp.row_upper_ = self.row_lower, self.row_upper
-        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.format_ = MatrixFormat.kRowwise
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, m
-        lp.a_matrix_.start_ = matrix.indptr.astype(np.int32)
-        lp.a_matrix_.index_ = matrix.indices.astype(np.int32)
-        lp.a_matrix_.value_ = matrix.data
+        lp.a_matrix_.start_ = np.array(indptr, dtype=np.int32)
+        lp.a_matrix_.index_ = np.array(indices, dtype=np.int32)
+        lp.a_matrix_.value_ = coefficients
         self.highs = _Highs()
         # before passModel, or HiGHS writes its banner and log to stdout
         self.highs.setOptionValue("output_flag", False)

@@ -300,7 +300,7 @@ def test_criterion_7_structural_checks(fig2):
     do_built = build_do(fig2.first_stage, flow="u")
     do_first, _ = do_built.extract_sets(solve_milp(do_built.milp))
     for pair in do_first:
-        assert not validate_feasible(fig2.first_stage, do_first - EdgePipeSet(frozenset({pair})))
+        assert not validate_feasible(fig2.first_stage, EdgePipeSet(do_first.pairs - {pair}))
     report(
         "criterion 7",
         "size formulas exact on all six builds; LP round-trip identical; "

@@ -376,7 +376,29 @@ class TestUnusablePaths:
         existing_file = tmp_path / "file"
         existing_file.write_text("")
         paths = {"missing": tmp_path / "missing", "file": existing_file, "dir": tmp_path}
-        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 2
+        assert out == ""  # refused before any work
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--instance", "builtin:fig2", "--model", "do"),
+            ("export-lp", "--instance", "builtin:fig2", "--model", "do"),
+            ("curves", "--grid", "0:1:0.5"),
+            ("gen", "--config", "2,1,3", "--seed", "0"),
+        ],
+        ids=["solve", "export-lp", "curves", "gen"],
+    )
+    def test_out_is_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("no work may start before --out is checked")
+
+        for name in ("build_model", "cost_curves", "random_artificial"):
+            monkeypatch.setattr(f"ssfp.cli.{name}", no_work)
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, *argv, "--out", str(missing / "out"))
+        assert code == 2 and out == ""
+        assert err.strip() == f"cannot write {missing / 'out'}: {missing} is not a directory"

@@ -234,8 +234,9 @@ def test_cost_is_monotone_and_linear_over_set_difference(data):
     cheaper = cost(inst, existing | EdgePipeSet(frozenset({extra})), solution)
     assert cheaper <= base + 1e-12
     # difference decomposition over positive costs
+    shared = EdgePipeSet(solution.pairs & existing.pairs)
     assert cost(inst, existing, solution) == pytest.approx(
-        cost(inst, EdgePipeSet(), solution) - cost(inst, EdgePipeSet(), solution & existing)
+        cost(inst, EdgePipeSet(), solution) - cost(inst, EdgePipeSet(), shared)
     )
 
 

@@ -124,6 +124,9 @@ class TestInstanceFiles:
         save_instance(ts, path)
         loaded = load_instance(path)
         assert loaded == ts
+        # labels are not part of equality, so compare them on their own
+        stages = (loaded.first_stage, *loaded.scenarios)
+        assert [inst.label for inst in stages] == ["diesel", "diesel", "methanol"]
 
     def test_round_trip_artificial(self, tmp_path):
         ts = random_artificial(SweepConfig(3, 2, 3), 11)
@@ -271,3 +274,26 @@ class TestRealisticData:
         assert ts.scenarios[1].admissible_edges == frozenset(range(graph.num_edges))
         built = build_do(ts.first_stage, ts.existing, flow="u")
         assert solve_milp(built.milp).status == "optimal"
+
+    @pytest.mark.parametrize(
+        "where, value, field",
+        [
+            (("first_stage", "groups", 0), [37, "42"], "first_stage.groups[0]"),
+            (("first_stage", "groups"), True, "first_stage.groups"),
+            (("scenarios", 1, "feasible_pipes"), [True], "scenarios[1].feasible_pipes"),
+            (("scenarios", 0, "avoid_forbidden_rooms"), "yes", "scenarios[0].avoid_forbidden_rooms"),
+            (("scenarios", 0, "probability"), "0.5", "scenarios[0].probability"),
+            (("scenarios", 1, "label"), 7, "scenarios[1].label"),
+            (("forbidden_rooms",), [1, 2.5], "forbidden_rooms"),
+        ],
+    )
+    def test_malformed_stage_field_reports_path(self, tmp_path, monkeypatch, where, value, field):
+        data = json.loads(realistic_terminals_path().read_text())
+        path = tmp_path / "realistic_terminals.json"
+        path.write_text(json.dumps(_set(data, where, value)))
+        monkeypatch.setattr("ssfp.instances.realistic_terminals_path", lambda: path)
+        # a star around diesel room 37 connects every stage of the intact data
+        graph = Graph(75, tuple((min(37, v), max(37, v)) for v in range(1, 76) if v != 37))
+        with pytest.raises(SchemaError) as err:
+            load_realistic(graph, [1.0] * graph.num_edges)
+        assert str(err.value).startswith(f"{field}: ")

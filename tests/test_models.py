@@ -128,10 +128,10 @@ class TestTwoStageBuilders:
         assert sol.objective == pytest.approx(10.8, abs=1e-9)
         first, scenarios = built.extract_sets(sol)
         assert cost(fig2.first_stage, fig2.existing, first) == pytest.approx(9.0)
-        retrofit = scenarios[1] - first
+        retrofit = scenarios[1].pairs - first.pairs
         graph = fig2.first_stage.graph
-        assert sorted((p, graph.endpoints(e)) for p, e in retrofit.pairs) == [(2, (26, 32))]
-        assert len(scenarios[0] - first) == 0
+        assert sorted((p, graph.endpoints(e)) for p, e in retrofit) == [(2, (26, 32))]
+        assert len(scenarios[0].pairs - first.pairs) == 0
 
     @pytest.mark.parametrize(
         "optimization, scenarios, probabilities, message",
