@@ -34,7 +34,7 @@ from .models import (
     build_model,
     expected_size,
 )
-from .solver import BnbConfig, BruteForceResult, brute_force, solve_milp
+from .solver import BruteForceResult, brute_force, solve_milp
 from .experiments import (
     CrossObjectiveMatrix,
     SweepRecord,

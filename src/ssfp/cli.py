@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -32,8 +31,9 @@ from .instances import (
 )
 from .milp_core import export_lp
 from .models import BuiltModel, ModelKind, build_model
-from .solver import BnbConfig, solve_milp
+from .solver import solve_milp
 from .experiments import (
+    core_count,
     cost_curves,
     run_sweep,
     write_curves_csv,
@@ -91,8 +91,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.node_limit is not None and args.node_limit < 1:
         raise CliError("--node-limit must be at least 1")
     target, built = _load_model(args)
-    config = BnbConfig() if args.node_limit is None else BnbConfig(node_limit=args.node_limit)
-    solution = solve_milp(built.milp, config)
+    solution = solve_milp(built.milp, node_limit=args.node_limit)
     if solution.status == "node_limit":
         print(f"node limit reached after {solution.node_count} nodes", file=sys.stderr)
         return EXIT_NODE_LIMIT
@@ -239,8 +238,8 @@ def _make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--settings", default="all", help='"all" or "S,G,T"')
     sweep.add_argument("--seeds", type=int, required=True, help="seeds 0..N-1 per setting")
     sweep.add_argument("--out-dir", required=True)
-    sweep.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker processes (default: all cores)")
+    sweep.add_argument("--threads", type=int, default=core_count(),
+                       help="worker processes, at most one per core (default: all cores)")
     sweep.set_defaults(func=_cmd_sweep)
 
     curves = sub.add_parser("curves", help="expected-cost curves over rho2")

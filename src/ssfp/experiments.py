@@ -8,6 +8,7 @@ deterministic given configs and seeds, except for the timing columns of
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ from .graph_core import EdgePipeSet, TwoStageInstance, cost
 from .instances import SweepConfig, random_artificial
 from .milp_core import MilpSolution
 from .models import ALL_KINDS, BuiltModel, ModelKind, build_do, build_model
-from .solver import BnbConfig, SolverError, solve_milp
+from .solver import SolverError, solve_milp
 
 Objective = Literal["do", "ro", "so"]
 OBJECTIVE_ORDER: tuple[Objective, ...] = ("do", "ro", "so")
@@ -34,7 +35,7 @@ def _solve(
 ) -> tuple[MilpSolution, EdgePipeSet | None]:
     """Solve to optimality or raise, and give the first-stage pipe set of a
     directed model; an undirected twin only confirms its objective."""
-    solution = solve_milp(built.milp, BnbConfig(cutoff=cutoff))
+    solution = solve_milp(built.milp, cutoff=cutoff)
     if solution.status != "optimal":
         raise SolverError(f"{built.kind.label} solve ended with status {solution.status}")
     first = built.extract_sets(solution)[0] if built.kind.flow == "d" else None
@@ -302,13 +303,18 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
     return record
 
 
+def core_count() -> int:
+    """The CPU cores of this machine: the most sweep workers that can run at once."""
+    return os.cpu_count() or 1
+
+
 def run_sweep(configs: Sequence[SweepConfig], threads: int) -> list[SweepRecord]:
     """The record of every (setting, seed) instance, in that order, computed
-    in up to ``threads`` worker processes.  Any failed solve raises with the
-    setting and seed in the message.
+    in up to ``threads`` worker processes, never more than there are tasks or
+    cores.  Any failed solve raises with the setting and seed in the message.
     """
     tasks = [(config, seed) for config in configs for seed in config.seeds]
-    workers = min(threads, len(tasks))
+    workers = min(threads, len(tasks), core_count())
     if workers > 1:
         import multiprocessing
 

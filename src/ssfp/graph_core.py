@@ -13,6 +13,8 @@ from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 PipeEdge = tuple[int, int]  # (pipe id, edge id)
+#: How far scenario probabilities may sum from 1.
+PROBABILITY_SUM_TOL = 1e-12
 
 
 class ValidationError(ValueError):
@@ -284,7 +286,7 @@ class TwoStageInstance:
             for s, rho in enumerate(self.probabilities):
                 if not rho >= 0.0:  # NaN fails this
                     raise ValidationError(f"probability of scenario {s} is {rho}, not >= 0")
-            if not abs(sum(self.probabilities) - 1.0) <= 1e-12:
+            if not abs(sum(self.probabilities) - 1.0) <= PROBABILITY_SUM_TOL:
                 raise ValidationError(f"probabilities sum to {sum(self.probabilities)}, not 1")
         self.existing.check(self.first_stage.graph, self.first_stage.pipes.num_pipe_types)
 

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph_core import (
+    PROBABILITY_SUM_TOL,
     EdgePipeSet,
     Graph,
     Instance,
@@ -295,9 +296,13 @@ def _parse_stage(
     multiplier = data.get("multiplier", 1.0)
     _expect(is_json_number(multiplier), f"{path}.multiplier", "must be a number")
     probability = 0.0
-    if not first_stage:
+    if first_stage:
+        _expect(multiplier == 1.0, f"{path}.multiplier", "must be exactly 1")
+    else:
+        _expect(multiplier > 1.0, f"{path}.multiplier", "must be > 1")
         probability = data.get("probability")
         _expect(is_json_number(probability), f"{path}.probability", "must be a number")
+        _expect(probability >= 0.0, f"{path}.probability", f"must be >= 0, got {probability}")
     label = data.get("label", "")
     _expect(isinstance(label, str), f"{path}.label", "must be a string")
     try:
@@ -313,6 +318,20 @@ def _parse_stage(
     except ValidationError as err:
         raise type(err)(f"{path}: {err}") from None
     return instance, float(probability)
+
+
+def _two_stage(
+    first: Instance, scenarios: list[tuple[Instance, float]], existing: EdgePipeSet = EdgePipeSet()
+) -> TwoStageInstance:
+    """The instance of parsed stages, with the probability sum checked at
+    the path ``scenarios``."""
+    probabilities = tuple(rho for _, rho in scenarios)
+    _expect(
+        not scenarios or abs(sum(probabilities) - 1.0) <= PROBABILITY_SUM_TOL,
+        "scenarios",
+        f"probabilities sum to {sum(probabilities)}, not 1",
+    )
+    return TwoStageInstance(first, tuple(inst for inst, _ in scenarios), probabilities, existing)
 
 
 def _read_object(path: str | Path) -> dict:
@@ -386,12 +405,11 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     _expect(isinstance(existing_data, list), "existing", "must be a list of [pipe, edge] pairs")
     for i, pair in enumerate(existing_data):
         json_integers(pair, f"existing[{i}]", "must be a [pipe, edge] pair", 2)
-    return TwoStageInstance(
-        first,
-        tuple(inst for inst, _ in scenarios),
-        tuple(rho for _, rho in scenarios),
-        EdgePipeSet(frozenset((p, e) for p, e in existing_data)),
-    )
+        try:
+            EdgePipeSet(frozenset([tuple(pair)])).check(graph, num_types)
+        except ValidationError as err:
+            raise SchemaError(f"existing[{i}]: {err}") from None
+    return _two_stage(first, scenarios, EdgePipeSet(frozenset((p, e) for p, e in existing_data)))
 
 
 def realistic_terminals_path() -> Path:
@@ -444,6 +462,4 @@ def load_realistic(graph: Graph, gamma1: Sequence[float]) -> TwoStageInstance:
     scenarios_data = data.get("scenarios")
     _expect(isinstance(scenarios_data, list), "scenarios", "must be a list")
     scenarios = [stage(entry, f"scenarios[{s}]", False) for s, entry in enumerate(scenarios_data)]
-    return TwoStageInstance(
-        first, tuple(inst for inst, _ in scenarios), tuple(rho for _, rho in scenarios)
-    )
+    return _two_stage(first, scenarios)

@@ -8,7 +8,7 @@ afterwards; solved models are shareable across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
 INF = math.inf
@@ -180,16 +180,16 @@ class MilpSolution:
 
     ``bound`` is the best proven lower bound (equal to the objective when the
     status is optimal); ``root_bound`` is the LP-relaxation value at the root
-    node of a branch-and-bound run.
+    node of a branch-and-bound run, NaN when no solution was found.
     """
 
     status: Literal["optimal", "infeasible", "unbounded", "node_limit"]
     objective: float
-    values: dict[str, float] = field(default_factory=dict)
-    bound: float = -INF
-    node_count: int = 0
-    solve_time: float = 0.0
-    root_bound: float = math.nan
+    values: dict[str, float]
+    bound: float
+    node_count: int
+    solve_time: float
+    root_bound: float
 
 
 def relax(model: MilpModel) -> MilpModel:

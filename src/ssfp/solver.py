@@ -63,25 +63,6 @@ class BruteForceBudgetError(SolverError):
     """The instance exceeds the exhaustive-search budget."""
 
 
-@dataclass(frozen=True)
-class BnbConfig:
-    """Branch-and-bound settings.  The search strategy is fixed: branching
-    picks the most fractional binary (lowest declaration index on ties) and
-    node selection is best-bound.
-
-    ``cutoff``, when set, seeds the incumbent objective so nodes that cannot
-    beat a known value are pruned; the reported optimum is unaffected as long
-    as the true optimum lies below the cutoff.
-    """
-
-    node_limit: int = 10_000_000
-    cutoff: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.node_limit < 1:
-            raise ValueError("node_limit must be at least 1")
-
-
 class _ArrayForm:
     """The model loaded once into HiGHS: columns with their declared bounds,
     and one ranged row ``row_lower <= a x <= row_upper`` per constraint.
@@ -161,32 +142,33 @@ def linprog(form: _ArrayForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     return LpResult(status, info.objective_function_value, x, info.simplex_iteration_count)
 
 
-def _values_dict(form: _ArrayForm, x: np.ndarray) -> dict[str, float]:
-    return {name: float(v) for name, v in zip(form.names, x)}
-
-
-def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolution:
+def solve_milp(
+    model: MilpModel, *, node_limit: int | None = None, cutoff: float | None = None
+) -> MilpSolution:
     """Best-bound branch and bound over the declared binary variables.
 
-    Branching fixes the most fractional binary to 0/1 in the two children;
-    the incumbent is updated whenever a node's LP solution is integral in the
-    binaries.  A node is pruned only when its LP bound comes within
-    ``PRUNE_TOL`` of the incumbent (or of ``config.cutoff``); there is no
-    optimality-gap setting, so an ``optimal`` status carries the optimum of
-    the model as declared.
+    Branching fixes the most fractional binary (lowest declaration index on
+    ties) to 0/1 in the two children; nodes of equal bound pop in push order.
+    A node is pruned only when its LP bound comes within ``PRUNE_TOL`` of the
+    incumbent; there is no optimality-gap setting, so an ``optimal`` status
+    carries the optimum of the model as declared.
+
+    ``node_limit`` (``None``: no limit) stops the search with status
+    ``node_limit`` and the least open bound.  ``cutoff`` seeds the incumbent
+    objective, so nodes that cannot beat it are pruned; if no solution beats
+    it, ``SolverError`` is raised.
     """
+    if node_limit is not None and node_limit < 1:
+        raise ValueError("node_limit must be at least 1")
     started = time.perf_counter()
     form = _ArrayForm(model)
     binary_idx = np.flatnonzero(form.binary)
 
-    incumbent_obj = math.inf if config.cutoff is None else float(config.cutoff)
+    incumbent_obj = math.inf if cutoff is None else float(cutoff)
     incumbent_x: np.ndarray | None = None
-    root_bound = math.nan
-    node_count = 0
-    counter = 0
-    # heap entries: (parent LP bound, insertion counter, branch decisions)
+    root_bound, node_count = math.nan, 0
+    # heap entries: (parent LP bound, 2 * parent node + side, branch decisions)
     heap: list[tuple[float, int, tuple[tuple[int, int], ...]]] = [(-math.inf, 0, ())]
-    hit_limit = False
     if not model.variables:
         # HiGHS calls a model with no columns empty and solves nothing; its
         # one point x = () is optimal at 0 unless some (empty) row excludes 0
@@ -195,13 +177,13 @@ def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolutio
         if feasible and 0.0 < incumbent_obj - PRUNE_TOL:
             incumbent_obj, incumbent_x, root_bound = 0.0, np.empty(0), 0.0
 
+    stop = None  # "node_limit" or "unbounded" when the search ends early
     while heap:
         parent_bound, _, decisions = heapq.heappop(heap)
         if parent_bound >= incumbent_obj - PRUNE_TOL:
             continue
-        if node_count >= config.node_limit:
-            hit_limit = True
-            heapq.heappush(heap, (parent_bound, 0, decisions))
+        if node_count == node_limit:  # the popped node has the least open bound
+            stop = "node_limit"
             break
         node_count += 1
         lb, ub = form.lb.copy(), form.ub.copy()
@@ -222,47 +204,40 @@ def solve_milp(model: MilpModel, config: BnbConfig = BnbConfig()) -> MilpSolutio
             )
         if not decisions:
             root_bound = objective
-        if objective == -math.inf:  # unbounded; only the root can be: children restrict it
+        if objective == -math.inf:  # only the root can be unbounded: children restrict it
+            stop = "unbounded"
             break
         if objective >= incumbent_obj - PRUNE_TOL:  # infeasible, or no better
             continue
-        values = lp.x[binary_idx]
-        frac = np.abs(values - np.round(values))
-        fractional = np.flatnonzero(frac > INTEGRALITY_TOL)
+        binaries = lp.x[binary_idx]
+        fractional = np.flatnonzero(np.abs(binaries - np.round(binaries)) > INTEGRALITY_TOL)
         if fractional.size == 0:
-            incumbent_obj = objective
-            incumbent_x = lp.x
+            incumbent_obj, incumbent_x = objective, lp.x
             continue
-        # most fractional binary, lowest declaration index on ties
-        scores = np.abs(values[fractional] - 0.5)
-        pick = fractional[np.lexsort((fractional, scores))[0]]
-        branch_var = int(binary_idx[pick])
+        # fractional is ascending and argmin takes the first minimum
+        branch_var = int(binary_idx[fractional[np.argmin(np.abs(binaries[fractional] - 0.5))]])
         for side in (0, 1):
-            counter += 1
-            heapq.heappush(heap, (objective, counter, decisions + ((branch_var, side),)))
+            child = decisions + ((branch_var, side),)
+            heapq.heappush(heap, (objective, 2 * node_count + side, child))
 
     found = incumbent_x is not None
-    if root_bound == -math.inf:
-        status, bound = "unbounded", -math.inf
-    elif hit_limit:
-        status, bound = "node_limit", min(entry[0] for entry in heap)
+    if stop == "unbounded":
+        status, objective, bound = stop, -math.inf, -math.inf
+    elif stop == "node_limit":
+        status, objective, bound = stop, incumbent_obj if found else math.inf, parent_bound
     elif found:
-        status, bound = "optimal", incumbent_obj
-    elif config.cutoff is not None:
+        status, objective, bound = "optimal", incumbent_obj, incumbent_obj
+    elif cutoff is not None:
         raise SolverError(
             "no solution found below the cutoff; the model is infeasible "
             "or the cutoff undercuts the optimum"
         )
     else:
-        status, bound = "infeasible", math.inf
+        status, objective, bound = "infeasible", math.inf, math.inf
+    values = {name: float(v) for name, v in zip(form.names, incumbent_x)} if found else {}
+    elapsed = time.perf_counter() - started
     return MilpSolution(
-        status,
-        incumbent_obj if found else -math.inf if status == "unbounded" else math.inf,
-        _values_dict(form, incumbent_x) if found else {},
-        bound,
-        node_count,
-        time.perf_counter() - started,
-        root_bound=root_bound if found else math.nan,
+        status, objective, values, bound, node_count, elapsed, root_bound if found else math.nan
     )
 
 

@@ -14,6 +14,7 @@ from ssfp.instances import (
     save_instance,
 )
 from ssfp.milp_core import parse_lp
+from test_instances import _set
 
 
 def run(capsys, *argv):
@@ -114,6 +115,20 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--instance", str(inst), "--model", "so")
         assert code == 2
         assert len(err.strip().splitlines()) == 1 and "nan" in err
+
+    @pytest.mark.parametrize("where, value, message", [
+        (("scenarios", 0, "probability"), 0.3, "scenarios: probabilities sum to 0.8, not 1"),
+        (("existing",), [[3, 0]], "existing[0]: pipe id 3 out of range 1..2"),
+        (("scenarios", 0, "multiplier"), 1.0, "scenarios[0].multiplier: must be > 1"),
+        (("first_stage", "multiplier"), 2.0, "first_stage.multiplier: must be exactly 1"),
+    ], ids=["probability-sum", "existing-pair", "scenario-multiplier", "first-stage-multiplier"])
+    def test_cross_field_error_in_file_reports_path(self, capsys, tmp_path, where, value, message):
+        inst = tmp_path / "inst.json"
+        save_instance(fig2_instance(), inst)
+        inst.write_text(json.dumps(_set(json.loads(inst.read_text()), where, value)))
+        code, _, err = run(capsys, "solve", "--instance", str(inst), "--model", "so")
+        assert code == 2
+        assert err.strip() == message
 
     @pytest.mark.parametrize("field", ["base cost", "scenario multiplier"])
     def test_infinite_cost_in_file_is_usage_error(self, capsys, tmp_path, field):

@@ -1,13 +1,18 @@
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
 
+from ssfp import experiments
+from ssfp.cli import _make_parser
 from ssfp.experiments import (
     CrossObjectiveMatrix,
     aggregate_matrix,
     aggregate_matrix_of_means,
     cost_curves,
     evaluate_under,
+    run_sweep,
     sweep_record,
     vss,
     vss_curve,
@@ -285,3 +290,43 @@ class TestAnalysisBytes:
         write_curves_csv(cost_curves(fig2, [i / 100 for i in range(101)]), tmp_path / "curves.csv")
         assert _sha256(tmp_path / "curves.csv") == CURVES_SHA256
 
+
+class TestSweepWorkers:
+    """``run_sweep`` starts no more workers than there are tasks or cores.
+    A fake pool stands in for ``multiprocessing.Pool``, so no process starts."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, tasks, chunksize=1):
+                return [func(*task) for task in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "sweep_record", lambda config, seed: (config.setting_id, seed))
+        return started
+
+    @pytest.mark.parametrize("threads, seeds, workers", [
+        (300, 10, [2]),  # capped at the two cores
+        (300, 1, []),  # one task runs in this process
+        (1, 10, []),
+    ])
+    def test_workers_are_capped(self, pools, threads, seeds, workers):
+        records = run_sweep([SweepConfig(2, 1, 3, tuple(range(seeds)))], threads)
+        assert records == [("s2g1t3", seed) for seed in range(seeds)]
+        assert pools == workers
+
+    def test_cli_default_is_the_core_count(self, pools):
+        args = _make_parser().parse_args(["sweep", "--seeds", "1", "--out-dir", "out"])
+        assert args.threads == 2

@@ -32,9 +32,9 @@ from ssfp.instances import (
 from ssfp.milp_core import MilpModel, relax
 from ssfp.models import ALL_KINDS, build_do, build_model
 from ssfp.solver import (
-    BnbConfig,
     BruteForceBudgetError,
     LpResult,
+    SolverError,
     SolverNumericalError,
     brute_force,
     solve_milp,
@@ -118,11 +118,34 @@ class TestSolveMilp:
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_node_limit_status(self):
-        built = build_do(four_cycle_instance(), flow="d")
-        sol = solve_milp(built.milp, BnbConfig(node_limit=1))
-        assert sol.status in ("optimal", "node_limit")
-        if sol.status == "node_limit":
-            assert sol.bound <= sol.objective
+        # RO-D of a 3x3 grid: optimal at 30.9004 after 3 nodes, root LP 28.9430
+        model = _branching_model()
+        sol = solve_milp(model, node_limit=1)
+        assert (sol.status, sol.node_count, sol.objective) == ("node_limit", 1, math.inf)
+        assert sol.values == {}
+        assert sol.bound == solve_milp(relax(model)).objective
+        assert sol.bound == pytest.approx(28.9430, abs=1e-4)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_node_limit_below_one_is_refused(self, limit):
+        with pytest.raises(ValueError, match="node_limit must be at least 1"):
+            solve_milp(_branching_model(), node_limit=limit)
+
+    def test_cutoff_above_the_optimum_keeps_it(self):
+        model = _branching_model()
+        free = solve_milp(model)
+        assert (free.status, free.node_count) == ("optimal", 3)
+        assert free.objective == pytest.approx(30.9004, abs=1e-4)
+        cut = solve_milp(model, cutoff=free.objective + 1e-6)
+        assert cut.status == "optimal"
+        assert cut.objective == free.objective
+        assert cut.node_count <= free.node_count
+
+    def test_cutoff_below_the_optimum_is_an_error(self):
+        model = _branching_model()
+        optimum = solve_milp(model).objective
+        with pytest.raises(SolverError, match="no solution found below the cutoff"):
+            solve_milp(model, cutoff=optimum - 1e-3)
 
     def test_determinism(self):
         built = build_do(four_cycle_instance(), flow="u")
