@@ -93,7 +93,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     target, built = _load_model(args)
     solution = solve_milp(built.milp, node_limit=args.node_limit)
     if solution.status == "node_limit":
-        print(f"node limit reached after {solution.node_count} nodes", file=sys.stderr)
+        best = "none" if solution.objective == math.inf else f"{solution.objective:.6f}"
+        print(
+            f"node limit reached after {solution.node_count} nodes: best objective {best}, "
+            f"proven bound {solution.bound:.6f}, root lp bound {solution.root_bound:.6f}",
+            file=sys.stderr,
+        )
         return EXIT_NODE_LIMIT
     if solution.status != "optimal":
         print(f"solve ended with status {solution.status}", file=sys.stderr)

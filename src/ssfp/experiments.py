@@ -31,11 +31,11 @@ CUTOFF_SLACK = 1e-6
 
 
 def _solve(
-    built: BuiltModel, cutoff: float | None = None
+    built: BuiltModel, cutoff: float | None = None, order: Literal["best", "depth"] = "best"
 ) -> tuple[MilpSolution, EdgePipeSet | None]:
     """Solve to optimality or raise, and give the first-stage pipe set of a
     directed model; an undirected twin only confirms its objective."""
-    solution = solve_milp(built.milp, cutoff=cutoff)
+    solution = solve_milp(built.milp, cutoff=cutoff, order=order)
     if solution.status != "optimal":
         raise SolverError(f"{built.kind.label} solve ended with status {solution.status}")
     first = built.extract_sets(solution)[0] if built.kind.flow == "d" else None
@@ -233,6 +233,10 @@ def _solve_six(
     upper bounds from feasible solutions, so they only prune nodes that
     cannot beat a known plan and never change the reported optimum.
 
+    An undirected twin's cutoff is already its optimum, so it must solve
+    every node below it in any order; it searches depth first, which starts
+    each LP from its parent's basis.  The directed models search best first.
+
     Returns the solutions and builds by model label, and the first stage of
     each directed optimum by objective."""
     solutions: dict[str, MilpSolution] = {}
@@ -243,7 +247,8 @@ def _solve_six(
         for flow in ("d", "u"):
             kind = ModelKind(optimization, flow)
             built = build_model(kind, two_stage)
-            solutions[kind.label], first = _solve(built, cutoff)
+            order = "depth" if flow == "u" else "best"
+            solutions[kind.label], first = _solve(built, cutoff, order)
             builds[kind.label] = built
             if flow == "d":
                 first_sets[optimization] = first

@@ -180,7 +180,8 @@ class MilpSolution:
 
     ``bound`` is the best proven lower bound (equal to the objective when the
     status is optimal); ``root_bound`` is the LP-relaxation value at the root
-    node of a branch-and-bound run, NaN when no solution was found.
+    node, ``+inf`` when that LP is infeasible and ``-inf`` when it is
+    unbounded.  Every solve has one, also when it found no solution.
     """
 
     status: Literal["optimal", "infeasible", "unbounded", "node_limit"]

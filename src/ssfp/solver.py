@@ -75,7 +75,6 @@ class _ArrayForm:
         self.lb = np.array([v.lower for v in model.variables], dtype=float)
         self.ub = np.array([v.upper for v in model.variables], dtype=float)
         self.binary = np.array([v.kind == "binary" for v in model.variables], dtype=bool)
-        self.columns = np.arange(n, dtype=np.int32)
 
         # a constraint with no terms stays a zero row; HiGHS decides it
         data, indices, indptr = [], [], [0]
@@ -106,6 +105,8 @@ class _ArrayForm:
         lp.a_matrix_.start_ = np.array(indptr, dtype=np.int32)
         lp.a_matrix_.index_ = np.array(indices, dtype=np.int32)
         lp.a_matrix_.value_ = coefficients
+        # the bounds HiGHS holds now; a node sends only the columns it changes
+        self.sent_lb, self.sent_ub = self.lb.copy(), self.ub.copy()
         self.highs = _Highs()
         # before passModel, or HiGHS writes its banner and log to stdout
         self.highs.setOptionValue("output_flag", False)
@@ -127,14 +128,19 @@ class LpResult:
 
 def linprog(form: _ArrayForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     """Re-solve the loaded LP under column bounds ``lb``/``ub``, warm from the
-    last basis.
+    last basis.  Only the columns whose bounds differ from the last solve's
+    are sent to HiGHS.
 
     This is the one LP call of a branch-and-bound node.  The benchmark in
     ``perfbench/`` traces it by this name, ``ssfp.solver.linprog``, to count
     LPs and simplex iterations, so ``solve_milp`` calls it as a module global.
     """
     highs = form.highs
-    highs.changeColsBounds(len(form.columns), form.columns, lb, ub)
+    changed = np.flatnonzero((lb != form.sent_lb) | (ub != form.sent_ub))
+    if changed.size:
+        new_lb, new_ub = lb[changed], ub[changed]
+        highs.changeColsBounds(changed.size, changed.astype(np.int32), new_lb, new_ub)
+        form.sent_lb[changed], form.sent_ub[changed] = new_lb, new_ub
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -143,23 +149,38 @@ def linprog(form: _ArrayForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
 
 
 def solve_milp(
-    model: MilpModel, *, node_limit: int | None = None, cutoff: float | None = None
+    model: MilpModel,
+    *,
+    node_limit: int | None = None,
+    cutoff: float | None = None,
+    order: Literal["best", "depth"] = "best",
 ) -> MilpSolution:
-    """Best-bound branch and bound over the declared binary variables.
+    """Branch and bound over the declared binary variables.
 
     Branching fixes the most fractional binary (lowest declaration index on
-    ties) to 0/1 in the two children; nodes of equal bound pop in push order.
-    A node is pruned only when its LP bound comes within ``PRUNE_TOL`` of the
-    incumbent; there is no optimality-gap setting, so an ``optimal`` status
-    carries the optimum of the model as declared.
+    ties) to 0/1 in the two children.  ``order`` picks the next open node:
+    ``"best"`` takes the least parent bound, nodes of equal bound in push
+    order; ``"depth"`` takes the node pushed last, so the up-child of the node
+    just solved goes next and its LP starts from its parent's basis.  Depth
+    first pays only when ``cutoff`` is already the optimum, as when an
+    undirected twin re-proves its directed twin's optimum: then every node
+    below the cutoff is solved in any order.  A node is pruned only when its
+    LP bound comes within ``PRUNE_TOL`` of the incumbent; there is no
+    optimality-gap setting, so an ``optimal`` status carries the optimum of
+    the model as declared.
 
     ``node_limit`` (``None``: no limit) stops the search with status
-    ``node_limit`` and the least open bound.  ``cutoff`` seeds the incumbent
+    ``node_limit`` and the least open bound: under ``"best"`` the popped
+    node's parent bound, under ``"depth"`` the least parent bound over the
+    popped node and the open nodes.  ``cutoff`` seeds the incumbent
     objective, so nodes that cannot beat it are pruned; if no solution beats
     it, ``SolverError`` is raised.
     """
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
+    if order not in ("best", "depth"):
+        raise ValueError(f"order must be 'best' or 'depth', not {order!r}")
+    depth = order == "depth"
     started = time.perf_counter()
     form = _ArrayForm(model)
     binary_idx = np.flatnonzero(form.binary)
@@ -167,22 +188,27 @@ def solve_milp(
     incumbent_obj = math.inf if cutoff is None else float(cutoff)
     incumbent_x: np.ndarray | None = None
     root_bound, node_count = math.nan, 0
-    # heap entries: (parent LP bound, 2 * parent node + side, branch decisions)
-    heap: list[tuple[float, int, tuple[tuple[int, int], ...]]] = [(-math.inf, 0, ())]
+    # heap entries: (key, push tag, parent LP bound, branch decisions); the
+    # push tag 2 * parent node + side grows with push order, and the key is
+    # the parent bound (best first) or minus the tag (depth first)
+    heap: list[tuple[float, int, float, tuple[tuple[int, int], ...]]] = [
+        (-math.inf, 0, -math.inf, ())
+    ]
     if not model.variables:
         # HiGHS calls a model with no columns empty and solves nothing; its
         # one point x = () is optimal at 0 unless some (empty) row excludes 0
         heap.clear()
         feasible = (form.row_lower <= 0.0).all() and (form.row_upper >= 0.0).all()
+        root_bound = 0.0 if feasible else math.inf
         if feasible and 0.0 < incumbent_obj - PRUNE_TOL:
-            incumbent_obj, incumbent_x, root_bound = 0.0, np.empty(0), 0.0
+            incumbent_obj, incumbent_x = 0.0, np.empty(0)
 
     stop = None  # "node_limit" or "unbounded" when the search ends early
     while heap:
-        parent_bound, _, decisions = heapq.heappop(heap)
+        _, _, parent_bound, decisions = heapq.heappop(heap)
         if parent_bound >= incumbent_obj - PRUNE_TOL:
             continue
-        if node_count == node_limit:  # the popped node has the least open bound
+        if node_count == node_limit:
             stop = "node_limit"
             break
         node_count += 1
@@ -217,13 +243,17 @@ def solve_milp(
         # fractional is ascending and argmin takes the first minimum
         branch_var = int(binary_idx[fractional[np.argmin(np.abs(binaries[fractional] - 0.5))]])
         for side in (0, 1):
+            tag = 2 * node_count + side
             child = decisions + ((branch_var, side),)
-            heapq.heappush(heap, (objective, 2 * node_count + side, child))
+            heapq.heappush(heap, (-tag if depth else objective, tag, objective, child))
 
     found = incumbent_x is not None
     if stop == "unbounded":
         status, objective, bound = stop, -math.inf, -math.inf
     elif stop == "node_limit":
+        # best first pops the least open bound; depth first must look at all
+        if depth:
+            parent_bound = min([parent_bound] + [entry[2] for entry in heap])
         status, objective, bound = stop, incumbent_obj if found else math.inf, parent_bound
     elif found:
         status, objective, bound = "optimal", incumbent_obj, incumbent_obj
@@ -236,9 +266,7 @@ def solve_milp(
         status, objective, bound = "infeasible", math.inf, math.inf
     values = {name: float(v) for name, v in zip(form.names, incumbent_x)} if found else {}
     elapsed = time.perf_counter() - started
-    return MilpSolution(
-        status, objective, values, bound, node_count, elapsed, root_bound if found else math.nan
-    )
+    return MilpSolution(status, objective, values, bound, node_count, elapsed, root_bound)
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,23 @@ class TestSolve:
         assert code == 4
         assert "node limit" in err
 
+    @pytest.mark.parametrize("limit, best", [("1", "none"), ("2", "34.848178")])
+    def test_node_limit_reports_what_was_proved(self, capsys, tmp_path, limit, best):
+        # RO-D of this 3x3 grid: root LP 28.942982; node 2 is integral at
+        # 34.848178; the optimum 30.900400 takes 3 nodes
+        inst = tmp_path / "inst.json"
+        save_instance(random_grid_instance(3, 3, num_pipe_types=1, num_groups=2,
+                                           terminals_per_group=2, num_scenarios=2, seed=1), inst)
+        code, out, err = run(
+            capsys, "solve", "--instance", str(inst), "--model", "ro", "--flow", "d",
+            "--node-limit", limit,
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            f"node limit reached after {limit} nodes: best objective {best}, "
+            "proven bound 28.942982, root lp bound 28.942982\n"
+        )
+
     @pytest.mark.parametrize("limit", ["-5", "0"])
     def test_node_limit_below_one_is_usage_error(self, capsys, limit):
         code, _, err = run(

@@ -257,7 +257,7 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-SWEEP_UNTIMED_SHA256 = "3003016cb0b717e19bc9c3695ac17c5b35d7534d1254a71ec15c8d2749304fa7"
+SWEEP_UNTIMED_SHA256 = "871bdf3cd3af199948ad8bceddc864de4839bdd5103ae448cf0ac57819d199e9"
 MATRIX_SHA256 = "497eab4d3ed7107dcffd7c8bbb3085125f364eb5d04689c7a3d46aab0a8cc853"
 RATIOS_SHA256 = "41002a8ccd193e1c722c1746288b968fcb17cf271ce4ea3a35be43e193ad5d80"
 CURVES_SHA256 = "83e6a6c0e2c5b78f2be10e9d8351fdde028bfb01eb99acff968cb1b31cd848a1"

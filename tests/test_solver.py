@@ -29,8 +29,9 @@ from ssfp.instances import (
     random_artificial,
     random_grid_instance,
 )
+from ssfp.experiments import AGREEMENT_TOL, CUTOFF_SLACK
 from ssfp.milp_core import MilpModel, relax
-from ssfp.models import ALL_KINDS, build_do, build_model
+from ssfp.models import ALL_KINDS, ModelKind, build_do, build_model
 from ssfp.solver import (
     BruteForceBudgetError,
     LpResult,
@@ -125,6 +126,7 @@ class TestSolveMilp:
         assert sol.values == {}
         assert sol.bound == solve_milp(relax(model)).objective
         assert sol.bound == pytest.approx(28.9430, abs=1e-4)
+        assert sol.root_bound == sol.bound  # the root LP ran, though no solution was found
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_node_limit_below_one_is_refused(self, limit):
@@ -148,12 +150,18 @@ class TestSolveMilp:
             solve_milp(model, cutoff=optimum - 1e-3)
 
     def test_determinism(self):
-        built = build_do(four_cycle_instance(), flow="u")
-        a = solve_milp(built.milp)
-        b = solve_milp(built.milp)
-        assert a.objective == b.objective
-        assert a.node_count == b.node_count
-        assert a.values == b.values
+        for order in ("best", "depth"):
+            for model in (build_do(four_cycle_instance(), flow="u").milp, _branching_model()):
+                a = solve_milp(model, order=order)
+                b = solve_milp(model, order=order)
+                assert a.objective == b.objective
+                assert a.node_count == b.node_count
+                assert a.values == b.values
+
+    @pytest.mark.parametrize("order", ["", "Best", "dfs", None])
+    def test_unknown_order_is_refused(self, order):
+        with pytest.raises(ValueError, match="order must be 'best' or 'depth'"):
+            solve_milp(_branching_model(), order=order)
 
     def test_infeasible_model(self):
         m = MilpModel()
@@ -179,6 +187,45 @@ class TestSolveMilp:
             assert sol.objective == pytest.approx(1.0, abs=1e-9)
         else:
             assert (sol.objective, sol.bound, sol.values) == (math.inf, math.inf, {})
+
+
+class TestDepthFirst:
+    """``order="depth"`` against the best-first search it replaces for the
+    undirected twins."""
+
+    def test_undirected_twins_agree_with_best_first_under_the_directed_cutoff(self):
+        for seed, ts in enumerate(_criterion_4_corpus(20)):
+            for optimization in ("do", "ro", "so"):
+                directed = solve_milp(build_model(ModelKind(optimization, "d"), ts).milp)
+                cutoff = directed.objective + CUTOFF_SLACK
+                twin = build_model(ModelKind(optimization, "u"), ts).milp
+                best = solve_milp(twin, cutoff=cutoff)
+                depth = solve_milp(twin, cutoff=cutoff, order="depth")
+                assert depth.status == "optimal", (seed, optimization)
+                assert abs(depth.objective - best.objective) <= AGREEMENT_TOL, (seed, optimization)
+
+    def test_node_limit_reports_the_least_open_bound(self):
+        # the up-child of the root (node 2) is integral at 30.9004; the
+        # root's down-child stays open at the root bound
+        sol = solve_milp(_branching_model(), node_limit=2, order="depth")
+        assert sol.status == "node_limit"
+        assert sol.objective == pytest.approx(30.9004, abs=1e-4)
+        assert 28.9430 - 1e-4 <= sol.bound <= 30.9004 + 1e-4
+        assert sol.bound == sol.root_bound
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_node_limit_bound_never_exceeds_the_optimum(self, seed):
+        # depth first pops a deep node while a shallow one with a lower bound
+        # is still open; on these instances the popped node's bound alone
+        # would exceed the optimum
+        ts = _criterion_4_corpus(seed + 1)[seed]
+        for kind in ALL_KINDS:
+            model = build_model(kind, ts).milp
+            optimum = solve_milp(model).objective
+            for limit in range(1, 8):
+                sol = solve_milp(model, node_limit=limit, order="depth")
+                if sol.status == "node_limit":
+                    assert sol.root_bound <= sol.bound <= optimum + 1e-9, (kind.label, limit)
 
 
 class TestBruteForce:
@@ -226,8 +273,6 @@ class TestBruteForce:
         assert hedged.objective == pytest.approx(4.0)
 
     def test_ro_mode_matches_milp_on_small_instances(self):
-        from ssfp.models import build_model, ModelKind
-
         for seed in range(4):
             ts = random_grid_instance(
                 2, 3, num_pipe_types=1, num_groups=1, terminals_per_group=2,
