@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 from .graph_core import EdgePipeSet, TwoStageInstance, cost
 from .instances import SweepConfig, random_artificial
 from .milp_core import MilpSolution
-from .models import ALL_KINDS, BuiltModel, ModelKind, build_do, build_model
+from .models import ALL_KINDS, BuiltModel, ModelKind, build_do, build_model, dominated_pipes
 from .solver import SolverError, solve_milp
 
 Objective = Literal["do", "ro", "so"]
@@ -31,11 +31,15 @@ CUTOFF_SLACK = 1e-6
 
 
 def _solve(
-    built: BuiltModel, cutoff: float | None = None, order: Literal["best", "depth"] = "best"
+    built: BuiltModel,
+    cutoff: float | None = None,
+    order: Literal["best", "depth"] = "best",
+    dropped: frozenset[int] = frozenset(),
 ) -> tuple[MilpSolution, EdgePipeSet | None]:
-    """Solve to optimality or raise, and give the first-stage pipe set of a
-    directed model; an undirected twin only confirms its objective."""
-    solution = solve_milp(built.milp, cutoff=cutoff, order=order)
+    """Solve to optimality or raise, with the columns of the ``dropped`` pipe
+    types fixed to 0, and give the first-stage pipe set of a directed model;
+    an undirected twin only confirms its objective."""
+    solution = solve_milp(built.without_pipes(dropped), cutoff=cutoff, order=order)
     if solution.status != "optimal":
         raise SolverError(f"{built.kind.label} solve ended with status {solution.status}")
     first = built.extract_sets(solution)[0] if built.kind.flow == "d" else None
@@ -46,12 +50,14 @@ def _recourse_costs(
     two_stage: TwoStageInstance, first_stage_solution: EdgePipeSet
 ) -> tuple[float, ...]:
     """Optimal retrofit cost per scenario, at inflated prices, given the
-    first-stage installation."""
+    first-stage installation.  Only the values are read, so each solve drops
+    the pipe types that the scenario with those pairs installed can do
+    without."""
     installed = first_stage_solution | two_stage.existing
     out: list[float] = []
     for s, scenario in enumerate(two_stage.scenarios):
         built = build_do(scenario, installed, "d")
-        solution = solve_milp(built.milp)
+        solution = solve_milp(built.without_pipes(dominated_pipes((scenario,), installed)))
         if solution.status != "optimal":
             raise SolverError(f"scenario {s} recourse solve ended with {solution.status}")
         out.append(solution.objective)
@@ -235,7 +241,10 @@ def _solve_six(
 
     An undirected twin's cutoff is already its optimum, so it must solve
     every node below it in any order; it searches depth first, which starts
-    each LP from its parent's basis.  The directed models search best first.
+    each LP from its parent's basis.  Its plan is never read, so it also
+    drops the dominated pipe types (``dominated_pipes`` over every stage),
+    which leaves its optimum as it is.  The directed models search best first
+    on the declared model, so the plans they report do not change.
 
     Returns the solutions and builds by model label, and the first stage of
     each directed optimum by objective."""
@@ -243,12 +252,16 @@ def _solve_six(
     builds: dict[str, BuiltModel] = {}
     first_sets: dict[Objective, EdgePipeSet] = {}
     cutoff: float | None = None
+    stages = (two_stage.first_stage, *two_stage.scenarios)
+    dropped = dominated_pipes(stages, two_stage.existing)
     for optimization, next_objective in (("do", "so"), ("so", "ro"), ("ro", None)):
         for flow in ("d", "u"):
             kind = ModelKind(optimization, flow)
             built = build_model(kind, two_stage)
-            order = "depth" if flow == "u" else "best"
-            solutions[kind.label], first = _solve(built, cutoff, order)
+            if flow == "u":
+                solutions[kind.label], first = _solve(built, cutoff, "depth", dropped)
+            else:
+                solutions[kind.label], first = _solve(built, cutoff)
             builds[kind.label] = built
             if flow == "d":
                 first_sets[optimization] = first

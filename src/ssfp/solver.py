@@ -175,6 +175,9 @@ def solve_milp(
     popped node and the open nodes.  ``cutoff`` seeds the incumbent
     objective, so nodes that cannot beat it are pruned; if no solution beats
     it, ``SolverError`` is raised.
+
+    Every node solves one LP, so ``lp_count`` equals ``node_count``;
+    ``simplex_iterations`` is the sum of their ``LpResult.nit``.
     """
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
@@ -187,7 +190,7 @@ def solve_milp(
 
     incumbent_obj = math.inf if cutoff is None else float(cutoff)
     incumbent_x: np.ndarray | None = None
-    root_bound, node_count = math.nan, 0
+    root_bound, node_count, simplex_iterations = math.nan, 0, 0
     # heap entries: (key, push tag, parent LP bound, branch decisions); the
     # push tag 2 * parent node + side grows with push order, and the key is
     # the parent bound (best first) or minus the tag (depth first)
@@ -219,6 +222,7 @@ def solve_milp(
             else:
                 lb[var] = 1.0
         lp = linprog(form, lb, ub)
+        simplex_iterations += lp.nit
         if lp.status == HighsModelStatus.kOptimal:
             objective = lp.fun
         elif lp.status in _NO_OPTIMUM_BOUND:
@@ -266,7 +270,10 @@ def solve_milp(
         status, objective, bound = "infeasible", math.inf, math.inf
     values = {name: float(v) for name, v in zip(form.names, incumbent_x)} if found else {}
     elapsed = time.perf_counter() - started
-    return MilpSolution(status, objective, values, bound, node_count, elapsed, root_bound)
+    return MilpSolution(
+        status, objective, values, bound, node_count, elapsed, root_bound,
+        lp_count=node_count, simplex_iterations=simplex_iterations,
+    )
 
 
 @dataclass(frozen=True)

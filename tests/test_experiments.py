@@ -7,6 +7,7 @@ import pytest
 from ssfp import experiments
 from ssfp.cli import _make_parser
 from ssfp.experiments import (
+    AGREEMENT_TOL,
     CrossObjectiveMatrix,
     aggregate_matrix,
     aggregate_matrix_of_means,
@@ -22,7 +23,8 @@ from ssfp.experiments import (
     write_sweep_csv,
 )
 from ssfp.graph_core import EdgePipeSet
-from ssfp.instances import SweepConfig, fig2_instance, random_grid_instance
+from ssfp.instances import SweepConfig, fig2_instance, random_artificial, random_grid_instance
+from ssfp.models import dominated_pipes
 from ssfp.solver import SolverNumericalError
 
 
@@ -249,6 +251,39 @@ class TestSweepRecordErrors:
         with pytest.raises(SolverNumericalError) as raised:
             sweep_record(SweepConfig(2, 1, 3, (0,)), 0, instance)
         assert str(raised.value) == "s2g1t3 seed 0: HiGHS gave up"
+
+
+PILOT = SweepConfig(2, 2, 3, tuple(range(12)))
+RECORD = SweepConfig(2, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [(PILOT, seed) for seed in PILOT.seeds] + [(RECORD, 2)],
+    ids=[f"pilot-{seed}" for seed in PILOT.seeds] + ["record-2"],
+)
+def test_pipe_reduction_agrees_with_the_declared_models(monkeypatch, config, seed):
+    """A sweep record with the dominated pipe types dropped from the U twins
+    and the recourse solves, against one on the declared models: the same
+    optima and evaluations, and the same D searches."""
+    if config is PILOT:
+        two_stage = random_grid_instance(
+            3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2,
+            num_scenarios=2, seed=seed,
+        )
+    else:
+        two_stage = random_artificial(config, seed)
+    stages = (two_stage.first_stage, *two_stage.scenarios)
+    assert dominated_pipes(stages, two_stage.existing) == {2}
+    reduced = sweep_record(config, seed, two_stage)
+    monkeypatch.setattr(experiments, "dominated_pipes", lambda stages, existing: frozenset())
+    declared = sweep_record(config, seed, two_stage)
+    for label, r, d in zip(experiments.MODEL_LABELS, reduced.objectives, declared.objectives):
+        assert abs(r - d) <= AGREEMENT_TOL, label
+    for reduced_row, declared_row in zip(reduced.evaluations, declared.evaluations):
+        for r, d in zip(reduced_row, declared_row):
+            assert abs(r - d) <= AGREEMENT_TOL
+    assert reduced.node_counts[1::2] == declared.node_counts[1::2]  # the D models
 
 
 def _sha256(path) -> str:

@@ -2,14 +2,21 @@ import hashlib
 
 import pytest
 
-from ssfp.graph_core import EdgePipeSet, validate_feasible
-from ssfp.instances import fig2_instance, four_cycle_instance, random_grid_instance
+from ssfp.graph_core import EdgePipeSet, PipeCatalog, validate_feasible
+from ssfp.instances import (
+    SweepConfig,
+    fig2_instance,
+    four_cycle_instance,
+    random_artificial,
+    random_grid_instance,
+)
 from ssfp.milp_core import export_lp, relax
 from ssfp.models import (
     ALL_KINDS,
     ModelKind,
     build_do,
     build_model,
+    dominated_pipes,
     expected_size,
 )
 from ssfp.solver import brute_force, solve_milp
@@ -201,6 +208,103 @@ class TestSolutionExtraction:
                     assert solve_milp(built.milp).objective == pytest.approx(
                         oracle, abs=1e-9
                     ), f"{mode}-{flow} seed {seed}"
+
+
+def _stages(two_stage):
+    return (two_stage.first_stage, *two_stage.scenarios)
+
+
+class TestDominatedPipes:
+    @pytest.mark.parametrize("num_pipe_types", [2, 3])
+    def test_generator_keeps_only_the_cheapest_pipe(self, num_pipe_types):
+        ts = random_grid_instance(
+            3, 3, num_pipe_types=num_pipe_types, num_groups=2, terminals_per_group=2,
+            num_scenarios=2, seed=0,
+        )
+        assert dominated_pipes(_stages(ts), ts.existing) == frozenset(range(2, num_pipe_types + 1))
+
+    def test_artificial_settings_drop_pipe_two(self):
+        for config in (SweepConfig(2, 1, 3), SweepConfig(4, 3, 5)):
+            ts = random_artificial(config, 0)
+            assert dominated_pipes(_stages(ts), ts.existing) == {2}
+
+    def test_fig2_keeps_both_pipes(self, fig2):
+        # the methanol scenario allows only pipe 2
+        assert dominated_pipes(_stages(fig2), fig2.existing) == frozenset()
+
+    def test_fig2_diesel_scenario_alone_drops_pipe_two(self, fig2):
+        diesel = fig2.scenarios[0]
+        assert dominated_pipes((diesel,), EdgePipeSet()) == {2}
+        installed = EdgePipeSet(frozenset({(1, 0), (1, 5)}))
+        assert dominated_pipes((diesel,), installed) == {2}
+
+    def test_an_existing_pipe_two_pair_keeps_pipe_two(self, fig2):
+        assert dominated_pipes((fig2.scenarios[0],), EdgePipeSet(frozenset({(2, 3)}))) == frozenset()
+
+    def test_of_two_equal_pipes_exactly_one_is_kept(self, fig2):
+        from dataclasses import replace
+
+        graph = fig2.first_stage.graph
+        catalog = PipeCatalog(2, ((1.0,) * graph.num_edges,) * 2)
+        stage = replace(fig2.scenarios[0], pipes=catalog)
+        dropped = dominated_pipes((stage,), EdgePipeSet())
+        assert len(dropped) == 1
+        built = build_do(stage, flow="d")
+        assert solve_milp(built.without_pipes(dropped)).objective == pytest.approx(
+            solve_milp(built.milp).objective, abs=1e-9
+        )
+
+    def test_a_cheaper_pipe_that_is_not_feasible_everywhere_keeps_the_dearer(self, fig2):
+        from dataclasses import replace
+
+        first = replace(fig2.first_stage, feasible_pipes=frozenset({1}))
+        diesel_two = replace(fig2.scenarios[0], feasible_pipes=frozenset({2}))
+        assert dominated_pipes((first, diesel_two), EdgePipeSet()) == frozenset()
+        # pipe 2 feasible in no stage: nothing needs it
+        assert dominated_pipes((first,), EdgePipeSet()) == {2}
+
+    def test_stages_must_share_one_catalog(self, fig2):
+        from dataclasses import replace
+
+        graph = fig2.first_stage.graph
+        other = replace(fig2.first_stage, pipes=PipeCatalog(2, ((3.0,) * graph.num_edges,) * 2))
+        with pytest.raises(ValueError, match="one pipe catalog"):
+            dominated_pipes((fig2.first_stage, other), EdgePipeSet())
+
+
+class TestPipeColumns:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+    def test_every_pipe_column_and_nothing_else(self, kind):
+        ts = _grid_3x3_three_groups()
+        built = build_model(kind, ts)
+        by_pipe = {
+            handle: p for p, handles in built.pipe_columns.items() for handle in handles
+        }
+        assert sorted(built.pipe_columns) == [1, 2]
+        assert sum(len(h) for h in built.pipe_columns.values()) == len(by_pipe)
+        for handle, var in enumerate(built.milp.variables):
+            prefix, *rest = var.name.split("_")
+            if prefix in ("x", "y"):
+                pipe = int(rest[0])
+            elif prefix in ("f", "yk"):
+                pipe = int(rest[1])
+            elif prefix == "fD":
+                pipe = int(rest[2])
+            else:
+                assert prefix in ("z", "d") and handle not in by_pipe, var.name
+                continue
+            assert by_pipe[handle] == pipe, var.name
+
+    def test_without_pipes_fixes_their_columns_and_keeps_the_model(self, fig2):
+        built = build_model(ModelKind("so", "u"), fig2)
+        text = export_lp(built.milp)
+        reduced = built.without_pipes({2})
+        assert export_lp(built.milp) == text
+        assert [v.name for v in reduced.variables] == [v.name for v in built.milp.variables]
+        fixed = {h for h, v in enumerate(reduced.variables) if v.upper == 0.0}
+        assert fixed == set(built.pipe_columns[2])
+        # fig2's methanol scenario needs pipe 2, so fixing it leaves no plan
+        assert solve_milp(reduced).status == "infeasible"
 
 
 def _grid_3x3_three_groups():

@@ -14,8 +14,9 @@ from ssfp.graph_core import (
     cost,
     validate_feasible,
 )
+from ssfp.experiments import evaluate_under
 from ssfp.instances import grid_graph, make_rng
-from ssfp.models import ModelKind, build_model
+from ssfp.models import ModelKind, build_model, dominated_pipes
 from ssfp.solver import brute_force, solve_milp
 
 
@@ -78,6 +79,38 @@ def test_all_models_match_oracle_on_restricted_instances(seed):
             if mode != "do":
                 for scen_inst, scen_set in zip(ts.scenarios, scenario_sets):
                     assert validate_feasible(scen_inst, scen_set)
+
+
+#: Seeds 8, 9, 10 and 12 qualify for the pipe-type reduction; the rest do not.
+REDUCTION_SEEDS = range(16)
+
+
+def _dropped(ts: TwoStageInstance) -> frozenset[int]:
+    return dominated_pipes((ts.first_stage, *ts.scenarios), ts.existing)
+
+
+def test_corpus_holds_both_outcomes_of_the_reduction():
+    outcomes = {_dropped(restricted_instance(seed)) for seed in REDUCTION_SEEDS}
+    assert outcomes == {frozenset(), frozenset({2})}
+
+
+@pytest.mark.parametrize("seed", REDUCTION_SEEDS)
+def test_reduced_solves_match_oracle_on_restricted_instances(seed):
+    """The six models with the dominated pipe types fixed to 0, and the
+    reduced recourse solves behind ``evaluate_under``, against the oracle."""
+    ts = restricted_instance(seed)
+    dropped = _dropped(ts)
+    for mode in ("do", "ro", "so"):
+        oracle = brute_force(ts, mode)
+        for flow in ("u", "d"):
+            built = build_model(ModelKind(mode, flow), ts)
+            solution = solve_milp(built.without_pipes(dropped))
+            assert solution.objective == pytest.approx(oracle.objective, abs=1e-9), (
+                f"{mode}-{flow} seed {seed}"
+            )
+        if mode != "do":
+            value = evaluate_under(mode, ts, oracle.first_stage)
+            assert value == pytest.approx(oracle.objective, abs=1e-9), f"{mode} recourse seed {seed}"
 
 
 def test_existing_pairs_never_charged():

@@ -348,6 +348,7 @@ class TestEmptyModel:
         m.add_constraint("slack", [], "<=", 1.0)
         sol = solve_milp(m)
         assert (sol.status, sol.objective, sol.bound, sol.values) == ("optimal", 0.0, 0.0, {})
+        assert (sol.lp_count, sol.simplex_iterations) == (0, 0)
         assert solve_milp(MilpModel()).status == "optimal"
 
     @pytest.mark.parametrize("sense, rhs", [(">=", 1.0), ("=", -1.0), ("<=", -1.0)])
@@ -497,10 +498,13 @@ class TestLpEntry:
             return result
 
         monkeypatch.setattr(solver, "linprog", counting)
-        sol = solve_milp(_branching_model())
-        assert sol.status == "optimal" and sol.node_count > 1
-        assert len(calls) == sol.node_count
-        assert all(isinstance(nit, int) for nit in calls) and sum(calls) > 0
+        for order in ("best", "depth"):
+            calls.clear()
+            sol = solve_milp(_branching_model(), order=order)
+            assert sol.status == "optimal" and sol.node_count > 1
+            assert len(calls) == sol.node_count == sol.lp_count
+            assert all(isinstance(nit, int) for nit in calls) and sum(calls) > 0
+            assert sol.simplex_iterations == sum(calls)
 
     def test_solve_writes_nothing_to_stdout_or_stderr(self, capfd):
         capfd.readouterr()
