@@ -17,7 +17,9 @@ from typing import Literal, Sequence
 from .graph_core import EdgePipeSet, TwoStageInstance, cost
 from .instances import SweepConfig, random_artificial
 from .milp_core import MilpSolution
-from .models import ALL_KINDS, BuiltModel, ModelKind, build_do, build_model, dominated_pipes
+from .models import (
+    ALL_KINDS, BuiltModel, ModelKind, build_do, build_model, dominated_pipes, expected_size,
+)
 from .solver import SolverError, solve_milp
 
 Objective = Literal["do", "ro", "so"]
@@ -31,15 +33,11 @@ CUTOFF_SLACK = 1e-6
 
 
 def _solve(
-    built: BuiltModel,
-    cutoff: float | None = None,
-    order: Literal["best", "depth"] = "best",
-    dropped: frozenset[int] = frozenset(),
+    built: BuiltModel, cutoff: float | None = None, order: Literal["best", "depth"] = "best"
 ) -> tuple[MilpSolution, EdgePipeSet | None]:
-    """Solve to optimality or raise, with the columns of the ``dropped`` pipe
-    types fixed to 0, and give the first-stage pipe set of a directed model;
-    an undirected twin only confirms its objective."""
-    solution = solve_milp(built.without_pipes(dropped), cutoff=cutoff, order=order)
+    """Solve to optimality or raise, and give the first-stage pipe set of a
+    directed model; an undirected twin only confirms its objective."""
+    solution = solve_milp(built.milp, cutoff=cutoff, order=order)
     if solution.status != "optimal":
         raise SolverError(f"{built.kind.label} solve ended with status {solution.status}")
     first = built.extract_sets(solution)[0] if built.kind.flow == "d" else None
@@ -50,14 +48,14 @@ def _recourse_costs(
     two_stage: TwoStageInstance, first_stage_solution: EdgePipeSet
 ) -> tuple[float, ...]:
     """Optimal retrofit cost per scenario, at inflated prices, given the
-    first-stage installation.  Only the values are read, so each solve drops
-    the pipe types that the scenario with those pairs installed can do
-    without."""
+    first-stage installation.  Only the values are read, so each solve runs
+    on the scenario without the pipe types that it can do without once those
+    pairs are installed."""
     installed = first_stage_solution | two_stage.existing
     out: list[float] = []
     for s, scenario in enumerate(two_stage.scenarios):
-        built = build_do(scenario, installed, "d")
-        solution = solve_milp(built.without_pipes(dominated_pipes((scenario,), installed)))
+        reduced = scenario.without_pipes(dominated_pipes((scenario,), installed))
+        solution = solve_milp(build_do(reduced, installed, "d").milp)
         if solution.status != "optimal":
             raise SolverError(f"scenario {s} recourse solve ended with {solution.status}")
         out.append(solution.objective)
@@ -70,15 +68,15 @@ def evaluate_under(
     """Value of a fixed first-stage solution under one of the three
     objectives: first-stage cost alone (DO), plus worst-case optimal recourse
     (RO), or plus probability-weighted optimal recourse (SO)."""
+    if objective not in OBJECTIVE_ORDER:
+        raise ValueError(f"unknown objective {objective!r}")
     first_cost = cost(two_stage.first_stage, two_stage.existing, first_stage_solution)
     if objective == "do":
         return first_cost
     recourse = _recourse_costs(two_stage, first_stage_solution)
     if objective == "ro":
         return first_cost + max(recourse)
-    if objective == "so":
-        return first_cost + sum(r * c for r, c in zip(two_stage.probabilities, recourse))
-    raise ValueError(f"unknown objective {objective!r}")
+    return first_cost + sum(r * c for r, c in zip(two_stage.probabilities, recourse))
 
 
 def vss(two_stage: TwoStageInstance) -> float:
@@ -241,10 +239,11 @@ def _solve_six(
 
     An undirected twin's cutoff is already its optimum, so it must solve
     every node below it in any order; it searches depth first, which starts
-    each LP from its parent's basis.  Its plan is never read, so it also
-    drops the dominated pipe types (``dominated_pipes`` over every stage),
-    which leaves its optimum as it is.  The directed models search best first
-    on the declared model, so the plans they report do not change.
+    each LP from its parent's basis.  Its plan is never read, so it is built
+    on the instance without the dominated pipe types (``dominated_pipes``
+    over every stage), which leaves its optimum as it is.  The directed
+    models search best first on the declared model, so the plans they report
+    do not change.
 
     Returns the solutions and builds by model label, and the first stage of
     each directed optimum by objective."""
@@ -253,15 +252,12 @@ def _solve_six(
     first_sets: dict[Objective, EdgePipeSet] = {}
     cutoff: float | None = None
     stages = (two_stage.first_stage, *two_stage.scenarios)
-    dropped = dominated_pipes(stages, two_stage.existing)
+    reduced = two_stage.without_pipes(dominated_pipes(stages, two_stage.existing))
     for optimization, next_objective in (("do", "so"), ("so", "ro"), ("ro", None)):
         for flow in ("d", "u"):
             kind = ModelKind(optimization, flow)
-            built = build_model(kind, two_stage)
-            if flow == "u":
-                solutions[kind.label], first = _solve(built, cutoff, "depth", dropped)
-            else:
-                solutions[kind.label], first = _solve(built, cutoff)
+            built = build_model(kind, reduced if flow == "u" else two_stage)
+            solutions[kind.label], first = _solve(built, cutoff, "depth" if flow == "u" else "best")
             builds[kind.label] = built
             if flow == "d":
                 first_sets[optimization] = first
@@ -306,13 +302,14 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
                 f"re-evaluated {optimization.upper()} optimum {evaluations[i][i]} disagrees with "
                 f"the model objective {model_obj}"
             )
+    sizes = [expected_size(kind, two_stage) for kind in ALL_KINDS]  # the declared models
     record = SweepRecord(
         setting_id=config.setting_id,
         seed=seed,
         objectives=tuple(solutions[label].objective for label in MODEL_LABELS),
         evaluations=evaluations,
-        variable_counts=tuple(builds[label].num_variables for label in MODEL_LABELS),
-        constraint_counts=tuple(builds[label].num_constraints for label in MODEL_LABELS),
+        variable_counts=tuple(num_vars for num_vars, _ in sizes),
+        constraint_counts=tuple(num_cons for _, num_cons in sizes),
         build_times=tuple(builds[label].build_time for label in MODEL_LABELS),
         solve_times=tuple(solutions[label].solve_time for label in MODEL_LABELS),
         node_counts=tuple(solutions[label].node_count for label in MODEL_LABELS),

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -221,6 +221,12 @@ class Instance:
     def pair_cost(self, pipe: int, edge_id: int) -> float:
         return self.cost_multiplier * self.pipes.cost(pipe, edge_id)
 
+    def without_pipes(self, pipes: frozenset[int]) -> "Instance":
+        """The instance with ``pipes`` removed from its feasible pipe set."""
+        if not pipes:
+            return self
+        return replace(self, feasible_pipes=self.feasible_pipes - pipes)
+
 
 @dataclass(frozen=True)
 class EdgePipeSet:
@@ -296,6 +302,17 @@ class TwoStageInstance:
 
     def with_probabilities(self, probabilities: Sequence[float]) -> "TwoStageInstance":
         return TwoStageInstance(self.first_stage, self.scenarios, tuple(probabilities), self.existing)
+
+    def without_pipes(self, pipes: frozenset[int]) -> "TwoStageInstance":
+        """The instance with ``pipes`` removed from the feasible pipe set of
+        the first stage and of every scenario."""
+        if not pipes:
+            return self
+        return replace(
+            self,
+            first_stage=self.first_stage.without_pipes(pipes),
+            scenarios=tuple(s.without_pipes(pipes) for s in self.scenarios),
+        )
 
 
 @dataclass(frozen=True)

@@ -207,26 +207,6 @@ def relax(model: MilpModel) -> MilpModel:
     return out
 
 
-def fix_to_zero(model: MilpModel, handles: Iterable[int]) -> MilpModel:
-    """A copy of the model with the upper bound of each of ``handles`` at 0;
-    names, kinds and objective coefficients are untouched.  The copy shares
-    the constraint list and the name indexes with ``model``, so it costs one
-    copy of the variable list, and neither model may be built on further.
-    Each variable must have lower bound 0."""
-    variables = list(model.variables)
-    for handle in handles:
-        var = variables[handle]
-        if var.lower != 0.0:
-            raise ModelError(f"variable {var.name!r} has lower bound {var.lower}, not 0")
-        variables[handle] = Variable(var.name, var.kind, var.lower, 0.0, var.objective)
-    out = MilpModel(model.name)
-    out.variables = variables
-    out.constraints = model.constraints
-    out._var_index = model._var_index
-    out._con_index = model._con_index
-    return out
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
-from .milp_core import MilpModel, MilpSolution, fix_to_zero
+from .milp_core import MilpModel, MilpSolution
 
 Optimization = Literal["do", "ro", "so"]
 Flow = Literal["u", "d"]
@@ -58,15 +58,12 @@ class ModelKind:
 class BuiltModel:
     """A built program plus the map from installation variables back to
     (stage, pipe, edge); stage 0 is the first stage, stages 1..S the
-    scenarios.  ``pipe_columns`` holds, per pipe type, the handles of its
-    columns in every stage: ``x``, and the flow columns ``f``, ``fD``,
-    ``yk`` and ``y``."""
+    scenarios."""
 
     kind: ModelKind
     milp: MilpModel
     x_map: dict[str, tuple[int, int, int]]
     num_stages: int
-    pipe_columns: dict[int, tuple[int, ...]]
     build_time: float = 0.0
 
     @property
@@ -86,16 +83,8 @@ class BuiltModel:
         first = EdgePipeSet(frozenset(stages[0]))
         return first, tuple(EdgePipeSet(frozenset(s)) for s in stages[1:])
 
-    def without_pipes(self, pipes: Iterable[int]) -> MilpModel:
-        """The program with every column of ``pipes`` fixed to 0 by its upper
-        bound (see ``dominated_pipes``); the built program is unchanged."""
-        return fix_to_zero(self.milp, [h for p in pipes for h in self.pipe_columns[p]])
-
 
 ArcVariables = dict[tuple[int, int, int], int]  # (pipe, tail, head) -> handle
-#: What a flow block declares: its installation variables, keyed by (pipe,
-#: edge id), and its flow families, each keyed by (pipe, tail, head).
-Block = tuple[dict[tuple[int, int], int], list[ArcVariables]]
 
 
 class _StageIndex:
@@ -166,7 +155,7 @@ def _add_undirected_block(
     inst: Instance,
     existing: frozenset[tuple[int, int]],
     suffix: str,
-) -> Block:
+) -> dict[tuple[int, int], int]:
     """Variables and constraints of the undirected flow formulation: one
     commodity per non-root terminal, flow conservation summed over feasible
     pipes, and anti-parallel coupling of flows to installations."""
@@ -193,7 +182,7 @@ def _add_undirected_block(
                     "<=",
                     0.0,
                 )
-    return x, list(f.values())
+    return x
 
 
 def _add_directed_block(
@@ -201,7 +190,7 @@ def _add_directed_block(
     inst: Instance,
     existing: frozenset[tuple[int, int]],
     suffix: str,
-) -> Block:
+) -> dict[tuple[int, int], int]:
     """Variables and constraints of the directed formulation: arborescences
     that merge overlapping groups under a single root, which rules out the
     opposing fractional flow cycles the undirected relaxation admits."""
@@ -306,7 +295,7 @@ def _add_directed_block(
                 terms = index.into(yk[k], roots[l - 1], (p,))
                 terms.append((z[(k, l)], -1.0))
                 model.add_constraint(f"rootuse_{k}_{l}_{p}{suffix}", terms, "<=", 0.0)
-    return x, [*f.values(), *yk.values(), y]
+    return x
 
 
 _BLOCKS = {"u": _add_undirected_block, "d": _add_directed_block}
@@ -330,18 +319,17 @@ def _build(
     block = _BLOCKS[kind.flow]
     robust = kind.optimization == "ro"
 
-    blocks = [block(model, first, existing.pairs, "")]
+    stage_x = [block(model, first, existing.pairs, "")]
     objective = {
         handle: first.pair_cost(p, eid)
-        for (p, eid), handle in blocks[0][0].items()
+        for (p, eid), handle in stage_x[0].items()
         if (p, eid) not in existing
     }
     if scenarios:
         for handle in objective:  # fixed pairs stay continuous at [1, 1]
             model.make_binary(handle)
     for s, scenario in enumerate(scenarios, start=1):
-        blocks.append(block(model, scenario, frozenset(), f"_s{s}"))
-    stage_x = [x for x, _ in blocks]
+        stage_x.append(block(model, scenario, frozenset(), f"_s{s}"))
 
     d_handle = model.add_variable("d", "continuous", 0.0) if robust else None
     if robust:
@@ -369,15 +357,7 @@ def _build(
         for stage, x in enumerate(stage_x)
         for (p, eid), handle in x.items()
     }
-    columns: dict[int, list[int]] = {p: [] for p in range(1, first.pipes.num_pipe_types + 1)}
-    for x, flows in blocks:
-        for family in (x, *flows):
-            for key, handle in family.items():  # every key starts with the pipe
-                columns[key[0]].append(handle)
-    pipe_columns = {p: tuple(sorted(handles)) for p, handles in columns.items()}
-    return BuiltModel(
-        kind, model, x_map, len(stage_x), pipe_columns, time.perf_counter() - started
-    )
+    return BuiltModel(kind, model, x_map, len(stage_x), time.perf_counter() - started)
 
 
 def build_do(instance: Instance, existing: EdgePipeSet = EdgePipeSet(), flow: Flow = "u") -> BuiltModel:
@@ -405,7 +385,8 @@ ALL_KINDS = tuple(ModelKind(o, f) for o in ("do", "ro", "so") for f in ("u", "d"
 
 def dominated_pipes(stages: Sequence[Instance], existing: EdgePipeSet) -> frozenset[int]:
     """Pipe types that a program over ``stages`` with ``existing`` installed
-    can do without: fixing their columns to 0 leaves its optimum unchanged.
+    can do without: removing them from every stage's feasible pipes (see
+    ``Instance.without_pipes``) leaves its optimum unchanged.
 
     Pipe q is dropped when no existing pair uses it, and one kept pipe p is
     feasible in every stage where q is and costs no more than q on any edge.

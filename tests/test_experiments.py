@@ -24,7 +24,7 @@ from ssfp.experiments import (
 )
 from ssfp.graph_core import EdgePipeSet
 from ssfp.instances import SweepConfig, fig2_instance, random_artificial, random_grid_instance
-from ssfp.models import dominated_pipes
+from ssfp.models import ALL_KINDS, build_model, dominated_pipes
 from ssfp.solver import SolverNumericalError
 
 
@@ -74,6 +74,13 @@ class TestEvaluateUnder:
         deterministic, robust, _ = routes
         assert evaluate_under("do", fig2, deterministic) == pytest.approx(4.0)
         assert evaluate_under("do", fig2, robust) == pytest.approx(11.0)
+
+    def test_unknown_objective_raises_before_any_solve(self, monkeypatch, fig2, routes):
+        calls = []
+        monkeypatch.setattr(experiments, "solve_milp", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="unknown objective 'xx'"):
+            evaluate_under("xx", fig2, routes[0])
+        assert calls == []
 
 
 class TestVss:
@@ -265,7 +272,7 @@ RECORD = SweepConfig(2, 1, 3)
 def test_pipe_reduction_agrees_with_the_declared_models(monkeypatch, config, seed):
     """A sweep record with the dominated pipe types dropped from the U twins
     and the recourse solves, against one on the declared models: the same
-    optima and evaluations, and the same D searches."""
+    optima and evaluations, the same D searches, and the declared sizes."""
     if config is PILOT:
         two_stage = random_grid_instance(
             3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2,
@@ -284,6 +291,10 @@ def test_pipe_reduction_agrees_with_the_declared_models(monkeypatch, config, see
         for r, d in zip(reduced_row, declared_row):
             assert abs(r - d) <= AGREEMENT_TOL
     assert reduced.node_counts[1::2] == declared.node_counts[1::2]  # the D models
+    builds = [build_model(kind, two_stage) for kind in ALL_KINDS]
+    for record in (reduced, declared):
+        assert record.variable_counts == tuple(b.num_variables for b in builds)
+        assert record.constraint_counts == tuple(b.num_constraints for b in builds)
 
 
 def _sha256(path) -> str:

@@ -113,6 +113,46 @@ class TestInstanceValidation:
             TwoStageInstance(fig2.first_stage, (fig2.first_stage,), (1.0,))
 
 
+class TestWithoutPipes:
+    def test_instance_keeps_everything_but_the_pipes(self, fig2):
+        first = fig2.first_stage
+        reduced = first.without_pipes(frozenset({2}))
+        assert reduced.feasible_pipes == {1}
+        assert reduced.graph is first.graph and reduced.pipes is first.pipes
+        assert reduced.terminals == first.terminals
+        assert reduced.admissible_edges == first.admissible_edges
+        assert reduced.cost_multiplier == first.cost_multiplier
+        assert reduced.label == first.label == "diesel"
+
+    def test_two_stage_instance_maps_every_stage(self):
+        from ssfp.instances import random_grid_instance
+
+        ts = dataclasses.replace(
+            random_grid_instance(
+                3, 3, num_pipe_types=3, num_groups=2, terminals_per_group=2,
+                num_scenarios=2, seed=0,
+            ),
+            existing=EdgePipeSet(frozenset({(1, 0)})),
+        )
+        reduced = ts.without_pipes(frozenset({2, 3}))
+        assert reduced.probabilities == ts.probabilities and reduced.existing == ts.existing
+        stages = zip((ts.first_stage, *ts.scenarios), (reduced.first_stage, *reduced.scenarios))
+        for old, new in stages:
+            assert new == old.without_pipes(frozenset({2, 3}))
+            assert new.feasible_pipes == {1} and new.graph is old.graph
+
+    def test_no_pipes_is_the_same_object(self, fig2):
+        assert fig2.first_stage.without_pipes(frozenset()) is fig2.first_stage
+        assert fig2.without_pipes(frozenset()) is fig2
+
+    def test_dropping_the_only_pipe_of_a_stage_raises(self, fig2):
+        methanol = fig2.scenarios[1]
+        with pytest.raises(ValidationError, match="feasible pipe set is empty"):
+            methanol.without_pipes(frozenset({2}))
+        with pytest.raises(ValidationError, match="feasible pipe set is empty"):
+            fig2.without_pipes(frozenset({2}))
+
+
 class TestCost:
     def test_empty_solution_costs_nothing(self, fig2):
         assert cost(fig2.first_stage, EdgePipeSet(), EdgePipeSet()) == 0.0

@@ -8,7 +8,6 @@ from ssfp.milp_core import (
     MilpModel,
     ModelError,
     export_lp,
-    fix_to_zero,
     parse_lp,
     relax,
 )
@@ -119,42 +118,6 @@ class TestRelax:
         lp = solve_milp(relax(built.milp))
         assert lp.status == "optimal"
         assert lp.objective <= 2.0 + 1e-7
-
-
-class TestFixToZero:
-    def test_upper_bounds_of_the_handles_become_zero(self):
-        m = toy_model()
-        fixed = fix_to_zero(m, [1])
-        assert [v.upper for v in fixed.variables] == [1.0, 0.0]
-        assert fixed.variables[1].kind == "continuous" and fixed.variables[1].objective == 3.0
-        assert fixed.name == m.name and fixed.constraints is m.constraints
-        assert fixed.variable_handle("y") == 1
-
-    def test_the_model_is_unchanged(self):
-        m = toy_model()
-        text = export_lp(m)
-        fix_to_zero(m, [0, 1])
-        assert export_lp(m) == text and m == toy_model()
-
-    def test_no_handles_is_an_equal_copy(self):
-        m = toy_model()
-        copy = fix_to_zero(m, [])
-        assert copy == m and copy.variables is not m.variables
-
-    def test_fixed_binary_stays_at_zero_in_the_solve(self):
-        m = MilpModel("pick")
-        cheap = m.add_variable("cheap", "binary", objective=1.0)
-        dear = m.add_variable("dear", "binary", objective=2.0)
-        m.add_constraint("one", [(cheap, 1.0), (dear, 1.0)], ">=", 1.0)
-        assert solve_milp(m).values["cheap"] == 1.0
-        forced = solve_milp(fix_to_zero(m, [cheap]))
-        assert forced.objective == 2.0 and forced.values["cheap"] == 0.0
-
-    def test_a_lower_bound_other_than_zero_is_refused(self):
-        m = MilpModel()
-        m.add_variable("on", "continuous", 1.0, 1.0)
-        with pytest.raises(ModelError, match="'on' has lower bound 1.0"):
-            fix_to_zero(m, [0])
 
 
 class TestLpFormat:

@@ -249,9 +249,9 @@ class TestDominatedPipes:
         stage = replace(fig2.scenarios[0], pipes=catalog)
         dropped = dominated_pipes((stage,), EdgePipeSet())
         assert len(dropped) == 1
-        built = build_do(stage, flow="d")
-        assert solve_milp(built.without_pipes(dropped)).objective == pytest.approx(
-            solve_milp(built.milp).objective, abs=1e-9
+        reduced = build_do(stage.without_pipes(dropped), flow="d")
+        assert solve_milp(reduced.milp).objective == pytest.approx(
+            solve_milp(build_do(stage, flow="d").milp).objective, abs=1e-9
         )
 
     def test_a_cheaper_pipe_that_is_not_feasible_everywhere_keeps_the_dearer(self, fig2):
@@ -270,41 +270,6 @@ class TestDominatedPipes:
         other = replace(fig2.first_stage, pipes=PipeCatalog(2, ((3.0,) * graph.num_edges,) * 2))
         with pytest.raises(ValueError, match="one pipe catalog"):
             dominated_pipes((fig2.first_stage, other), EdgePipeSet())
-
-
-class TestPipeColumns:
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
-    def test_every_pipe_column_and_nothing_else(self, kind):
-        ts = _grid_3x3_three_groups()
-        built = build_model(kind, ts)
-        by_pipe = {
-            handle: p for p, handles in built.pipe_columns.items() for handle in handles
-        }
-        assert sorted(built.pipe_columns) == [1, 2]
-        assert sum(len(h) for h in built.pipe_columns.values()) == len(by_pipe)
-        for handle, var in enumerate(built.milp.variables):
-            prefix, *rest = var.name.split("_")
-            if prefix in ("x", "y"):
-                pipe = int(rest[0])
-            elif prefix in ("f", "yk"):
-                pipe = int(rest[1])
-            elif prefix == "fD":
-                pipe = int(rest[2])
-            else:
-                assert prefix in ("z", "d") and handle not in by_pipe, var.name
-                continue
-            assert by_pipe[handle] == pipe, var.name
-
-    def test_without_pipes_fixes_their_columns_and_keeps_the_model(self, fig2):
-        built = build_model(ModelKind("so", "u"), fig2)
-        text = export_lp(built.milp)
-        reduced = built.without_pipes({2})
-        assert export_lp(built.milp) == text
-        assert [v.name for v in reduced.variables] == [v.name for v in built.milp.variables]
-        fixed = {h for h, v in enumerate(reduced.variables) if v.upper == 0.0}
-        assert fixed == set(built.pipe_columns[2])
-        # fig2's methanol scenario needs pipe 2, so fixing it leaves no plan
-        assert solve_milp(reduced).status == "infeasible"
 
 
 def _grid_3x3_three_groups():
