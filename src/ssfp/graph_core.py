@@ -237,10 +237,6 @@ class EdgePipeSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", frozenset((int(p), int(e)) for p, e in self.pairs))
 
-    @classmethod
-    def from_vertex_pairs(cls, graph: Graph, items: Iterable[tuple[int, Edge]]) -> "EdgePipeSet":
-        return cls(frozenset((p, graph.edge_id(u, v)) for p, (u, v) in items))
-
     def check(self, graph: Graph, num_pipe_types: int) -> None:
         for p, e in self.pairs:
             if not 1 <= p <= num_pipe_types:

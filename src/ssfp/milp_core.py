@@ -8,6 +8,7 @@ afterwards; solved models are shareable across threads.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
@@ -16,7 +17,7 @@ INF = math.inf
 Kind = Literal["binary", "continuous"]
 Sense = Literal["<=", "=", ">="]
 
-_SENSES = ("<=", "=", ">=")
+SENSES = ("<=", "=", ">=")
 
 
 class ModelError(ValueError):
@@ -72,22 +73,66 @@ class MilpModel:
     terms reference variables by handle.  Names must be unique and free of
     whitespace, and a variable name must not read as a number or a sign, so
     every model survives an LP text round trip.
+
+    The model is stored as the arrays an LP solver loads, so a solve reads
+    them without a loop over variables or terms.  Column ``j`` has the name
+    ``col_names[j]``, the binary flag ``col_binary[j]``, the bounds
+    ``col_lower[j]``/``col_upper[j]`` and the objective coefficient
+    ``col_cost[j]``.  Row ``i`` has the name ``row_names[i]``, the sense
+    ``SENSES[row_sense[i]]`` and the right-hand side ``row_rhs[i]``; its
+    terms are the columns ``row_index[k]`` with coefficients ``row_coef[k]``
+    for ``row_start[i] <= k < row_start[i + 1]`` (compressed sparse rows).
+    Only the methods below write these arrays.  ``variables`` and
+    ``constraints`` are read-only views built from them on each access.
     """
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
+        self.col_names: list[str] = []
+        self.col_binary = array("b")
+        self.col_lower = array("d")
+        self.col_upper = array("d")
+        self.col_cost = array("d")
+        self.row_names: list[str] = []
+        self.row_sense = array("b")
+        self.row_rhs = array("d")
+        # "i" is the 32-bit index type HiGHS takes
+        self.row_start = array("i", [0])
+        self.row_index = array("i")
+        self.row_coef = array("d")
         self._var_index: dict[str, int] = {}
-        self._con_index: dict[str, int] = {}
+        self._row_name_set: set[str] = set()
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self.col_names)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.row_names)
+
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        """The columns as records, in declaration order.  Built on each
+        access: read it once per use."""
+        return tuple(
+            Variable(name, "binary" if binary else "continuous", lower, upper, cost)
+            for name, binary, lower, upper, cost in zip(
+                self.col_names, self.col_binary, self.col_lower, self.col_upper, self.col_cost
+            )
+        )
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as records, in declaration order.  Built on each access:
+        read it once per use."""
+        start, index, coef = self.row_start, self.row_index, self.row_coef
+        return tuple(
+            Constraint(name, tuple(zip(index[a:b], coef[a:b])), SENSES[sense], rhs)
+            for name, a, b, sense, rhs in zip(
+                self.row_names, start, start[1:], self.row_sense, self.row_rhs
+            )
+        )
 
     def variable_handle(self, name: str) -> int:
         try:
@@ -111,10 +156,21 @@ class MilpModel:
             lower, upper = 0.0, 1.0
         elif kind != "continuous":
             raise ModelError(f"unknown variable kind {kind!r}")
+        # converted before any buffer grows, so a bad value leaves them aligned
+        lower, upper, objective = float(lower), float(upper), float(objective)
         if lower > upper:
             raise ModelError(f"variable {name!r} has empty bound interval [{lower}, {upper}]")
-        handle = len(self.variables)
-        self.variables.append(Variable(name, kind, float(lower), float(upper), float(objective)))
+        # false for a NaN bound too
+        if not (lower < INF and upper > -INF):
+            raise ModelError(
+                f"variable {name!r} has bounds [{lower}, {upper}], which no real value meets"
+            )
+        handle = len(self.col_names)
+        self.col_names.append(name)
+        self.col_binary.append(kind == "binary")
+        self.col_lower.append(lower)
+        self.col_upper.append(upper)
+        self.col_cost.append(objective)
         self._var_index[name] = handle
         return handle
 
@@ -125,40 +181,54 @@ class MilpModel:
         sense: Sense,
         rhs: float,
     ) -> int:
-        if name in self._con_index:
+        """Append one row.  Repeated handles are merged into one term at the
+        position of their first occurrence, and terms that sum to zero are
+        dropped."""
+        if name in self._row_name_set:
             raise ModelError(f"duplicate constraint name {name!r}")
         if _has_space(name):
             raise ModelError(f"constraint name {name!r} cannot be written as LP text")
-        if sense not in _SENSES:
+        if sense not in SENSES:
             raise ModelError(f"unknown constraint sense {sense!r}")
+        rhs = float(rhs)
+        num_variables = len(self.col_names)
         merged: dict[int, float] = {}
-        order: list[int] = []
         for handle, coef in terms:
-            if not 0 <= handle < len(self.variables):
-                raise ModelError(f"constraint {name!r} references unknown variable handle {handle}")
-            if handle not in merged:
-                merged[handle] = 0.0
-                order.append(handle)
-            merged[handle] += float(coef)
-        clean = tuple((h, merged[h]) for h in order if merged[h] != 0.0)
-        index = len(self.constraints)
-        self.constraints.append(Constraint(name, clean, sense, float(rhs)))
-        self._con_index[name] = index
-        return index
+            if not 0 <= handle < num_variables:
+                raise ModelError(
+                    f"constraint {name!r} references unknown variable handle {handle}"
+                )
+            merged[handle] = merged.get(handle, 0.0) + float(coef)
+        if 0.0 in merged.values():
+            merged = {h: c for h, c in merged.items() if c != 0.0}
+        try:
+            self.row_index.extend(merged)
+        except TypeError:  # a handle that is not an integer: keep the rows aligned
+            del self.row_index[self.row_start[-1]:]
+            raise
+        self.row_coef.extend(merged.values())
+        self.row_start.append(len(self.row_index))
+        self.row_sense.append(SENSES.index(sense))
+        self.row_rhs.append(rhs)
+        self.row_names.append(name)
+        self._row_name_set.add(name)
+        return len(self.row_names) - 1
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
         """Replace all objective coefficients; unmentioned variables get 0."""
         for handle in coefficients:
-            if not 0 <= handle < len(self.variables):
+            if not 0 <= handle < len(self.col_names):
                 raise ModelError(f"objective references unknown variable handle {handle}")
-        for handle, var in enumerate(self.variables):
-            coef = float(coefficients.get(handle, 0.0))
-            if coef != var.objective:
-                self.variables[handle] = Variable(var.name, var.kind, var.lower, var.upper, coef)
+        cost = array("d", [0.0]) * len(self.col_names)
+        for handle, coef in coefficients.items():
+            cost[handle] = float(coef)
+        self.col_cost = cost
 
     def make_binary(self, handle: int) -> None:
-        var = self.variables[handle]
-        self.variables[handle] = Variable(var.name, "binary", 0.0, 1.0, var.objective)
+        if not 0 <= handle < len(self.col_names):
+            raise ModelError(f"make_binary references unknown variable handle {handle}")
+        self.col_binary[handle] = True
+        self.col_lower[handle], self.col_upper[handle] = 0.0, 1.0
 
     def __eq__(self, other: object) -> bool:
         """Field equality of the variables and the constraints, in order; the
@@ -221,23 +291,23 @@ def _term_string(first: bool, coefficient: float, name: str) -> str:
 def export_lp(model: MilpModel) -> str:
     """CPLEX-LP text in declaration order: Minimize, Subject To, Bounds,
     Binary, End.  Every variable gets a Bounds line so a parse round-trips."""
+    names, variables = model.col_names, model.variables
     lines = ["Minimize"]
     parts = [
         _term_string(i == 0, var.objective, var.name)
-        for i, var in enumerate([v for v in model.variables if v.objective != 0.0])
+        for i, var in enumerate([v for v in variables if v.objective != 0.0])
     ]
     lines.append(" obj: " + " ".join(parts) if parts else " obj:")
     lines.append("Subject To")
     for con in model.constraints:
         terms = " ".join(
-            _term_string(i == 0, coef, model.variables[h].name)
-            for i, (h, coef) in enumerate(con.terms)
+            _term_string(i == 0, coef, names[h]) for i, (h, coef) in enumerate(con.terms)
         )
         if not terms:
-            terms = "0 " + model.variables[0].name if model.variables else "0"
+            terms = "0 " + names[0] if names else "0"
         lines.append(f" {con.name}: {terms} {con.sense} {_fmt(con.rhs)}")
     lines.append("Bounds")
-    for var in model.variables:
+    for var in variables:
         if var.lower == -INF and var.upper == INF:
             lines.append(f" {var.name} free")
         elif var.upper == INF:
@@ -247,7 +317,7 @@ def export_lp(model: MilpModel) -> str:
         else:
             lines.append(f" {_fmt(var.lower)} <= {var.name} <= {_fmt(var.upper)}")
     lines.append("Binary")
-    for var in model.variables:
+    for var in variables:
         if var.kind == "binary":
             lines.append(f" {var.name}")
     lines.append("End")
@@ -334,7 +404,7 @@ def parse_lp(text: str) -> MilpModel:
                     raise LpSyntaxError("expected the one objective line 'obj: terms'", line_no)
                 objective = line_no, _parse_terms(tokens[1:], line_no)
             elif section == 1:
-                if len(tokens) < 3 or not tokens[0].endswith(":") or tokens[-2] not in _SENSES:
+                if len(tokens) < 3 or not tokens[0].endswith(":") or tokens[-2] not in SENSES:
                     raise LpSyntaxError("expected a row 'name: terms sense rhs'", line_no)
                 body = tokens[1:-2]
                 terms = [] if body == ["0"] else _parse_terms(body, line_no)

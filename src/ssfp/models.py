@@ -353,7 +353,7 @@ def _build(
             model.add_constraint(f"worst_s{s}", epigraph, ">=", 0.0)
     model.set_objective(objective)
     x_map = {
-        model.variables[handle].name: (stage, p, eid)
+        model.col_names[handle]: (stage, p, eid)
         for stage, x in enumerate(stage_x)
         for (p, eid), handle in x.items()
     }

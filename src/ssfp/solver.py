@@ -36,7 +36,7 @@ except ImportError as err:  # pragma: no cover - depends on the installed scipy
     ) from err
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
-from .milp_core import MilpModel, MilpSolution
+from .milp_core import SENSES, MilpModel, MilpSolution
 
 #: Largest pipe-edge universe the exhaustive oracle will enumerate.
 BRUTE_FORCE_PAIR_LIMIT = 22
@@ -71,29 +71,24 @@ class _ArrayForm:
 
     def __init__(self, model: MilpModel) -> None:
         n, m = model.num_variables, model.num_constraints
-        self.names = [v.name for v in model.variables]
-        self.lb = np.array([v.lower for v in model.variables], dtype=float)
-        self.ub = np.array([v.upper for v in model.variables], dtype=float)
-        self.binary = np.array([v.kind == "binary" for v in model.variables], dtype=bool)
-
-        # a constraint with no terms stays a zero row; HiGHS decides it
-        data, indices, indptr = [], [], [0]
-        for con in model.constraints:
-            for h, c in con.terms:
-                indices.append(h)
-                data.append(c)
-            indptr.append(len(indices))
-        coefficients = np.array(data, dtype=float)
-        cost = np.array([v.objective for v in model.variables], dtype=float)
-        rhs = np.array([con.rhs for con in model.constraints], dtype=float)
+        self.names = model.col_names
+        # np.array copies the model's buffers; a view would lock them against
+        # appends for as long as this form lives
+        self.lb = np.array(model.col_lower, dtype=float)
+        self.ub = np.array(model.col_upper, dtype=float)
+        self.binary = np.array(model.col_binary, dtype=bool)
+        cost = np.array(model.col_cost, dtype=float)
+        coefficients = np.array(model.row_coef, dtype=float)
+        rhs = np.array(model.row_rhs, dtype=float)
         if not all(np.isfinite(values).all() for values in (cost, coefficients, rhs)):
             raise ValueError(
                 f"model {model.name!r}: objective coefficients, constraint coefficients "
                 "and right-hand sides must be finite"
             )
-        cons = model.constraints
-        self.row_lower = np.array([-math.inf if c.sense == "<=" else c.rhs for c in cons], dtype=float)
-        self.row_upper = np.array([math.inf if c.sense == ">=" else c.rhs for c in cons], dtype=float)
+        # a constraint with no terms stays a zero row; HiGHS decides it
+        sense = np.array(model.row_sense, dtype=np.int8)
+        self.row_lower = np.where(sense == SENSES.index("<="), -math.inf, rhs)
+        self.row_upper = np.where(sense == SENSES.index(">="), math.inf, rhs)
 
         lp = HighsLp()
         lp.num_col_, lp.num_row_ = n, m
@@ -102,8 +97,8 @@ class _ArrayForm:
         lp.row_lower_, lp.row_upper_ = self.row_lower, self.row_upper
         lp.a_matrix_.format_ = MatrixFormat.kRowwise
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, m
-        lp.a_matrix_.start_ = np.array(indptr, dtype=np.int32)
-        lp.a_matrix_.index_ = np.array(indices, dtype=np.int32)
+        lp.a_matrix_.start_ = np.array(model.row_start, dtype=np.int32)
+        lp.a_matrix_.index_ = np.array(model.row_index, dtype=np.int32)
         lp.a_matrix_.value_ = coefficients
         # the bounds HiGHS holds now; a node sends only the columns it changes
         self.sent_lb, self.sent_ub = self.lb.copy(), self.ub.copy()
@@ -197,7 +192,7 @@ def solve_milp(
     heap: list[tuple[float, int, float, tuple[tuple[int, int], ...]]] = [
         (-math.inf, 0, -math.inf, ())
     ]
-    if not model.variables:
+    if not model.num_variables:
         # HiGHS calls a model with no columns empty and solves nothing; its
         # one point x = () is optimal at 0 unless some (empty) row excludes 0
         heap.clear()

@@ -22,10 +22,9 @@ from ssfp.experiments import (
     write_ratios_csv,
     write_sweep_csv,
 )
-from ssfp.graph_core import EdgePipeSet
 from ssfp.instances import SweepConfig, fig2_instance, random_artificial, random_grid_instance
 from ssfp.models import ALL_KINDS, build_model, dominated_pipes
-from ssfp.solver import SolverNumericalError
+from ssfp.solver import SolverNumericalError, solve_milp
 
 
 @pytest.fixture(scope="module")
@@ -34,17 +33,17 @@ def fig2():
 
 
 @pytest.fixture(scope="module")
-def routes(fig2):
+def routes(fig2, pair_set):
     graph = fig2.first_stage.graph
-    deterministic = EdgePipeSet.from_vertex_pairs(
+    deterministic = pair_set(
         graph, [(1, (8, 9)), (1, (9, 10)), (1, (10, 16)), (1, (16, 22))]
     )
-    robust = EdgePipeSet.from_vertex_pairs(
+    robust = pair_set(
         graph,
         [(1, (26, 27)), (1, (27, 28)), (1, (22, 28)),
          (2, (8, 14)), (2, (14, 20)), (2, (20, 26)), (2, (26, 32))],
     )
-    hedged = EdgePipeSet.from_vertex_pairs(
+    hedged = pair_set(
         graph,
         [(1, (26, 27)), (1, (27, 28)), (1, (22, 28)),
          (2, (8, 14)), (2, (14, 20)), (2, (20, 26))],
@@ -295,6 +294,24 @@ def test_pipe_reduction_agrees_with_the_declared_models(monkeypatch, config, see
     for record in (reduced, declared):
         assert record.variable_counts == tuple(b.num_variables for b in builds)
         assert record.constraint_counts == tuple(b.num_constraints for b in builds)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_cutoffs_do_not_change_the_directed_searches(seed):
+    """Best first, every node whose parent bound is below the optimum is
+    solved with or without a cutoff, and a cutoff above the optimum prunes
+    only nodes that come off the heap after it.  So SO-D and RO-D, which
+    ``_solve_six`` seeds from another objective's plan, solve the same nodes
+    and report the same first stage without their cutoff."""
+    two_stage = random_grid_instance(
+        3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2, num_scenarios=2, seed=seed
+    )
+    seeded, builds, first_sets = experiments._solve_six(two_stage)
+    for optimization in ("so", "ro"):
+        label = f"{optimization.upper()}-D"
+        unseeded = solve_milp(builds[label].milp)
+        assert unseeded.node_count == seeded[label].node_count, label
+        assert builds[label].extract_sets(unseeded)[0] == first_sets[optimization], label
 
 
 def _sha256(path) -> str:

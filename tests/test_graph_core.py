@@ -25,10 +25,6 @@ def fig2():
     return fig2_instance()
 
 
-def pair_set(graph, items):
-    return EdgePipeSet.from_vertex_pairs(graph, items)
-
-
 class TestGraph:
     def test_rejects_self_loops_and_reversed_edges(self):
         with pytest.raises(ValidationError):
@@ -157,13 +153,13 @@ class TestCost:
     def test_empty_solution_costs_nothing(self, fig2):
         assert cost(fig2.first_stage, EdgePipeSet(), EdgePipeSet()) == 0.0
 
-    def test_deterministic_route_costs_four(self, fig2):
+    def test_deterministic_route_costs_four(self, fig2, pair_set):
         route = pair_set(
             fig2.first_stage.graph, [(1, (8, 9)), (1, (9, 10)), (1, (10, 16)), (1, (16, 22))]
         )
         assert cost(fig2.first_stage, EdgePipeSet(), route) == 4.0
 
-    def test_second_stage_increment_of_third_route(self, fig2):
+    def test_second_stage_increment_of_third_route(self, fig2, pair_set):
         # hedged first stage from the worked example, then one double-walled
         # pipe added under the methanol scenario at doubled prices
         graph = fig2.first_stage.graph
@@ -176,7 +172,7 @@ class TestCost:
         addition = pair_set(graph, [(2, (26, 32))]) | first
         assert cost(methanol, first, addition) == 4.0
 
-    def test_existing_pairs_are_free(self, fig2):
+    def test_existing_pairs_are_free(self, fig2, pair_set):
         graph = fig2.first_stage.graph
         route = pair_set(graph, [(1, (8, 9)), (1, (9, 10))])
         assert cost(fig2.first_stage, route, route) == 0.0
@@ -189,7 +185,7 @@ class TestCost:
 
 
 class TestValidateFeasible:
-    def test_deterministic_route_is_feasible(self, fig2):
+    def test_deterministic_route_is_feasible(self, fig2, pair_set):
         route = pair_set(
             fig2.first_stage.graph, [(1, (8, 9)), (1, (9, 10)), (1, (10, 16)), (1, (16, 22))]
         )
@@ -200,7 +196,7 @@ class TestValidateFeasible:
         assert not result
         assert "not connected" in result.detail
 
-    def test_infeasible_pipe_types_are_ignored(self, fig2):
+    def test_infeasible_pipe_types_are_ignored(self, fig2, pair_set):
         # single-walled pipes along 8-14-20-26-32 cannot carry the methanol
         # connection, which allows double-walled pipes only
         methanol = fig2.scenarios[1]
@@ -282,10 +278,10 @@ def test_cost_is_monotone_and_linear_over_set_difference(data):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_feasibility_is_preserved_under_supersets(data):
+def test_feasibility_is_preserved_under_supersets(pair_set, data):
     two_stage = fig2_instance()
     inst = two_stage.first_stage
-    route = EdgePipeSet.from_vertex_pairs(
+    route = pair_set(
         inst.graph, [(1, (8, 9)), (1, (9, 10)), (1, (10, 16)), (1, (16, 22))]
     )
     extra = data.draw(small_solution_sets(inst.graph))

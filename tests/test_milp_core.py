@@ -47,11 +47,38 @@ class TestBuilder:
             m.add_constraint("c", [(4, 1.0)], "<=", 1.0)
         with pytest.raises(ModelError):
             m.set_objective({7: 1.0})
+        m.add_variable("x")
+        with pytest.raises(ModelError):  # not the last variable
+            m.make_binary(-1)
+
+    def test_a_bad_value_leaves_the_buffers_aligned(self):
+        m = MilpModel()
+        x = m.add_variable("x")
+        m.add_variable("y")
+        with pytest.raises(ValueError):
+            m.add_variable("z", objective="free")
+        with pytest.raises(TypeError):  # a handle that is not an integer
+            m.add_constraint("c", [(x, 1.0), (1.0, 2.0)], "<=", 1.0)
+        with pytest.raises(ValueError):
+            m.add_constraint("c", [(x, 1.0)], "<=", "one")
+        m.add_constraint("d", [(x, 3.0)], "<=", 1.0)
+        assert (list(m.col_names), list(m.col_cost)) == (["x", "y"], [0.0, 0.0])
+        assert (list(m.row_start), list(m.row_index), list(m.row_coef)) == ([0, 1], [x], [3.0])
+        assert list(m.row_rhs) == [1.0]
 
     def test_binary_bounds_forced_to_unit_interval(self):
         m = MilpModel()
         h = m.add_variable("b", "binary", lower=-3.0, upper=9.0)
         assert (m.variables[h].lower, m.variables[h].upper) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf), (-math.inf, -math.inf)],
+    )
+    def test_bounds_no_real_value_meets_rejected(self, lower, upper):
+        # NaN fails every comparison, so "lower > upper" alone let these through
+        with pytest.raises(ModelError, match="variable 'x' has bounds"):
+            MilpModel().add_variable("x", "continuous", lower, upper)
 
     def test_zero_coefficients_dropped_and_duplicates_merged(self):
         m = MilpModel()
@@ -59,6 +86,9 @@ class TestBuilder:
         y = m.add_variable("y")
         c = m.add_constraint("c", [(x, 1.0), (x, -1.0), (y, 2.0)], "<=", 1.0)
         assert m.constraints[c].terms == ((y, 2.0),)
+        # first-seen order of the handles, not sorted
+        d = m.add_constraint("d", [(y, 1.0), (x, 2.0), (y, 0.5)], "<=", 1.0)
+        assert m.constraints[d].terms == ((y, 1.5), (x, 2.0))
 
 
     @pytest.mark.parametrize(
@@ -160,6 +190,12 @@ class TestLpFormat:
         with pytest.raises(LpSyntaxError) as err:
             parse_lp(bad)
         assert "line 6" in str(err.value)
+
+    @pytest.mark.parametrize("bound", ["nan <= x <= 1", "0 <= x <= nan", "x >= inf", "x <= -inf"])
+    def test_bounds_no_real_value_meets_rejected(self, bound):
+        text = f"Minimize\n obj: 1 x\nSubject To\n c1: 1 x >= 0\nBounds\n {bound}\nBinary\nEnd\n"
+        with pytest.raises(LpSyntaxError, match="^line 6, .*variable 'x' has bounds"):
+            parse_lp(text)
 
     def test_missing_end_rejected(self):
         with pytest.raises(LpSyntaxError):

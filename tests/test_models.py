@@ -1,7 +1,10 @@
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
+from ssfp import solver
 from ssfp.graph_core import EdgePipeSet, PipeCatalog, validate_feasible
 from ssfp.instances import (
     SweepConfig,
@@ -10,7 +13,7 @@ from ssfp.instances import (
     random_artificial,
     random_grid_instance,
 )
-from ssfp.milp_core import export_lp, relax
+from ssfp.milp_core import MilpModel, export_lp, parse_lp, relax
 from ssfp.models import (
     ALL_KINDS,
     ModelKind,
@@ -64,8 +67,8 @@ class TestDoU:
         built = build_do(restricted, flow="u")
         assert built.num_variables == 2 * 49 + 1 * 1 * 98 == 196
 
-    def test_existing_pairs_fixed_and_free(self, fig2):
-        route = EdgePipeSet.from_vertex_pairs(
+    def test_existing_pairs_fixed_and_free(self, fig2, pair_set):
+        route = pair_set(
             fig2.first_stage.graph,
             [(1, (8, 9)), (1, (9, 10)), (1, (10, 16)), (1, (16, 22))],
         )
@@ -325,3 +328,80 @@ def _pinned_model(case: str):
 def test_export_bytes_are_pinned(case):
     text = export_lp(_pinned_model(case).milp)
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[case]
+
+
+def _hand_made_model():
+    m = MilpModel("hand-made")
+    x = m.add_variable("x", "binary", objective=1.0)
+    y = m.add_variable("y", "continuous", -2.0, 3.5, -0.5)
+    z = m.add_variable("z", "continuous", -math.inf, math.inf)
+    m.add_constraint("repeated", [(y, 1.0), (x, 2.0), (y, 0.5), (z, -1.0)], ">=", 1.0)
+    m.add_constraint("cancelling", [(x, 1.0), (y, 3.0), (x, -1.0)], "<=", 4.0)
+    m.add_constraint("empty", [], "=", 0.0)
+    m.add_constraint("all-cancel", [(z, 1.0), (z, -1.0)], "<=", 2.0)
+    return m
+
+
+def _recourse_with_installed_pairs():
+    two_stage = random_grid_instance(
+        3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2, num_scenarios=2, seed=0
+    )
+    installed = EdgePipeSet(frozenset({(1, 0), (1, 1), (2, 4)}))
+    return build_do(two_stage.scenarios[0], installed, "d").milp
+
+
+def _reference_load(model):
+    """The arrays HiGHS is loaded with, by a loop over the variable and
+    constraint records: the loader as it was before the model was stored as
+    arrays."""
+    variables, constraints = model.variables, model.constraints
+    data, indices, indptr = [], [], [0]
+    for con in constraints:
+        for h, c in con.terms:
+            indices.append(h)
+            data.append(c)
+        indptr.append(len(indices))
+    return {
+        "col_cost": np.array([v.objective for v in variables], dtype=float),
+        "col_lower": np.array([v.lower for v in variables], dtype=float),
+        "col_upper": np.array([v.upper for v in variables], dtype=float),
+        "binary": np.array([v.kind == "binary" for v in variables], dtype=bool),
+        "row_lower": np.array([-math.inf if c.sense == "<=" else c.rhs for c in constraints]),
+        "row_upper": np.array([math.inf if c.sense == ">=" else c.rhs for c in constraints]),
+        "start": np.array(indptr, dtype=np.int32),
+        "index": np.array(indices, dtype=np.int32),
+        "value": np.array(data, dtype=float),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_SHA256) + ["recourse", "hand-made"])
+def test_highs_load_matches_a_loop_over_the_records(monkeypatch, case):
+    """What ``_ArrayForm`` hands to HiGHS, read back from the ``HighsLp`` it
+    passes, equals the reference loop's arrays element for element."""
+    if case == "recourse":
+        model = _recourse_with_installed_pairs()
+    elif case == "hand-made":
+        model = _hand_made_model()
+    else:
+        model = _pinned_model(case).milp
+    passed = []
+    highs_lp = solver.HighsLp
+
+    def recording_lp():
+        passed.append(highs_lp())
+        return passed[-1]
+
+    monkeypatch.setattr(solver, "HighsLp", recording_lp)
+    form = solver._ArrayForm(model)
+    (lp,) = passed
+    assert (lp.num_col_, lp.num_row_) == (model.num_variables, model.num_constraints)
+    assert lp.a_matrix_.format_ == solver.MatrixFormat.kRowwise
+    loaded = {
+        "col_cost": lp.col_cost_, "col_lower": lp.col_lower_, "col_upper": lp.col_upper_,
+        "binary": form.binary, "row_lower": lp.row_lower_, "row_upper": lp.row_upper_,
+        "start": lp.a_matrix_.start_, "index": lp.a_matrix_.index_, "value": lp.a_matrix_.value_,
+    }
+    for key, expected in _reference_load(model).items():
+        np.testing.assert_array_equal(np.asarray(loaded[key], dtype=expected.dtype), expected,
+                                      err_msg=key)
+    assert parse_lp(export_lp(model)) == model
