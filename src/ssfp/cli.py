@@ -116,8 +116,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "scenarios": [
             [[p, list(graph.endpoints(e))] for p, e in pipe_set] for pipe_set in per_scenario
         ],
-        "variables": built.num_variables,
-        "constraints": built.num_constraints,
+        "variables": built.milp.num_variables,
+        "constraints": built.milp.num_constraints,
     }
     print(f"objective {solution.objective:.6f}")
     print(f"lp bound  {solution.root_bound:.6f}")
@@ -206,8 +206,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_export_lp(args: argparse.Namespace) -> int:
     _, built = _load_model(args)
     Path(args.out).write_text(export_lp(built.milp))
-    print(f"wrote {built.kind.label} model ({built.num_variables} variables, "
-          f"{built.num_constraints} constraints) to {args.out}")
+    print(f"wrote {built.kind.label} model ({built.milp.num_variables} variables, "
+          f"{built.milp.num_constraints} constraints) to {args.out}")
     return EXIT_OK
 
 

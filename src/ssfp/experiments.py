@@ -70,6 +70,8 @@ def evaluate_under(
     (RO), or plus probability-weighted optimal recourse (SO)."""
     if objective not in OBJECTIVE_ORDER:
         raise ValueError(f"unknown objective {objective!r}")
+    if objective != "do" and not two_stage.scenarios:
+        raise ValueError(f"{objective.upper()} evaluation needs at least one scenario")
     first_cost = cost(two_stage.first_stage, two_stage.existing, first_stage_solution)
     if objective == "do":
         return first_cost

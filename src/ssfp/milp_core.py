@@ -7,6 +7,7 @@ afterwards; solved models are shareable across threads.
 """
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from dataclasses import dataclass
@@ -31,23 +32,6 @@ class LpSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: Kind
-    lower: float
-    upper: float
-    objective: float
-
-
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    terms: tuple[tuple[int, float], ...]  # (variable handle, coefficient)
-    sense: Sense
-    rhs: float
-
-
 def _has_space(name: str) -> bool:
     return bool(name) and name.split() != [name]
 
@@ -66,6 +50,13 @@ def _is_number(token: str) -> bool:
     return True
 
 
+#: the arrays that hold a model, columns first, then the rows
+_BUFFERS = (
+    "col_names", "col_binary", "col_lower", "col_upper", "col_cost",
+    "row_names", "row_sense", "row_rhs", "row_start", "row_index", "row_coef",
+)
+
+
 class MilpModel:
     """Minimization model over binary and continuous variables.
 
@@ -82,8 +73,8 @@ class MilpModel:
     ``SENSES[row_sense[i]]`` and the right-hand side ``row_rhs[i]``; its
     terms are the columns ``row_index[k]`` with coefficients ``row_coef[k]``
     for ``row_start[i] <= k < row_start[i + 1]`` (compressed sparse rows).
-    Only the methods below write these arrays.  ``variables`` and
-    ``constraints`` are read-only views built from them on each access.
+    These arrays are the only copy of the model.  Only the methods below
+    write them; ``export_lp``, ``relax`` and ``==`` read them.
     """
 
     def __init__(self, name: str = "model") -> None:
@@ -110,29 +101,6 @@ class MilpModel:
     @property
     def num_constraints(self) -> int:
         return len(self.row_names)
-
-    @property
-    def variables(self) -> tuple[Variable, ...]:
-        """The columns as records, in declaration order.  Built on each
-        access: read it once per use."""
-        return tuple(
-            Variable(name, "binary" if binary else "continuous", lower, upper, cost)
-            for name, binary, lower, upper, cost in zip(
-                self.col_names, self.col_binary, self.col_lower, self.col_upper, self.col_cost
-            )
-        )
-
-    @property
-    def constraints(self) -> tuple[Constraint, ...]:
-        """The rows as records, in declaration order.  Built on each access:
-        read it once per use."""
-        start, index, coef = self.row_start, self.row_index, self.row_coef
-        return tuple(
-            Constraint(name, tuple(zip(index[a:b], coef[a:b])), SENSES[sense], rhs)
-            for name, a, b, sense, rhs in zip(
-                self.row_names, start, start[1:], self.row_sense, self.row_rhs
-            )
-        )
 
     def variable_handle(self, name: str) -> int:
         try:
@@ -231,11 +199,11 @@ class MilpModel:
         self.col_lower[handle], self.col_upper[handle] = 0.0, 1.0
 
     def __eq__(self, other: object) -> bool:
-        """Field equality of the variables and the constraints, in order; the
+        """Equality of every column and row buffer, element for element; the
         name is a label and is not compared."""
         if not isinstance(other, MilpModel):
             return NotImplemented
-        return self.variables == other.variables and self.constraints == other.constraints
+        return all(getattr(self, key) == getattr(other, key) for key in _BUFFERS)
 
     def __repr__(self) -> str:
         return (
@@ -267,13 +235,11 @@ class MilpSolution:
 
 
 def relax(model: MilpModel) -> MilpModel:
-    """The LP relaxation: binaries become continuous on [0, 1]; everything
-    else is untouched.  Idempotent."""
-    out = MilpModel(model.name)
-    for var in model.variables:
-        out.add_variable(var.name, "continuous", var.lower, var.upper, var.objective)
-    for con in model.constraints:
-        out.add_constraint(con.name, con.terms, con.sense, con.rhs)
+    """The LP relaxation: a copy of the model with every binary flag cleared.
+    A binary's bounds are already [0, 1], so it becomes continuous on [0, 1];
+    everything else is untouched.  Idempotent."""
+    out = copy.deepcopy(model)
+    out.col_binary = array("b", bytes(len(out.col_binary)))
     return out
 
 
@@ -291,35 +257,32 @@ def _term_string(first: bool, coefficient: float, name: str) -> str:
 def export_lp(model: MilpModel) -> str:
     """CPLEX-LP text in declaration order: Minimize, Subject To, Bounds,
     Binary, End.  Every variable gets a Bounds line so a parse round-trips."""
-    names, variables = model.col_names, model.variables
+    names = model.col_names
     lines = ["Minimize"]
-    parts = [
-        _term_string(i == 0, var.objective, var.name)
-        for i, var in enumerate([v for v in variables if v.objective != 0.0])
-    ]
+    objective = [(name, cost) for name, cost in zip(names, model.col_cost) if cost != 0.0]
+    parts = [_term_string(i == 0, cost, name) for i, (name, cost) in enumerate(objective)]
     lines.append(" obj: " + " ".join(parts) if parts else " obj:")
     lines.append("Subject To")
-    for con in model.constraints:
-        terms = " ".join(
-            _term_string(i == 0, coef, names[h]) for i, (h, coef) in enumerate(con.terms)
-        )
+    start, index, coef = model.row_start, model.row_index, model.row_coef
+    for name, a, b, sense, rhs in zip(
+        model.row_names, start, start[1:], model.row_sense, model.row_rhs
+    ):
+        terms = " ".join(_term_string(k == a, coef[k], names[index[k]]) for k in range(a, b))
         if not terms:
             terms = "0 " + names[0] if names else "0"
-        lines.append(f" {con.name}: {terms} {con.sense} {_fmt(con.rhs)}")
+        lines.append(f" {name}: {terms} {SENSES[sense]} {_fmt(rhs)}")
     lines.append("Bounds")
-    for var in variables:
-        if var.lower == -INF and var.upper == INF:
-            lines.append(f" {var.name} free")
-        elif var.upper == INF:
-            lines.append(f" {var.name} >= {_fmt(var.lower)}")
-        elif var.lower == -INF:
-            lines.append(f" {var.name} <= {_fmt(var.upper)}")
+    for name, lower, upper in zip(names, model.col_lower, model.col_upper):
+        if lower == -INF and upper == INF:
+            lines.append(f" {name} free")
+        elif upper == INF:
+            lines.append(f" {name} >= {_fmt(lower)}")
+        elif lower == -INF:
+            lines.append(f" {name} <= {_fmt(upper)}")
         else:
-            lines.append(f" {_fmt(var.lower)} <= {var.name} <= {_fmt(var.upper)}")
+            lines.append(f" {_fmt(lower)} <= {name} <= {_fmt(upper)}")
     lines.append("Binary")
-    for var in variables:
-        if var.kind == "binary":
-            lines.append(f" {var.name}")
+    lines.extend(f" {name}" for name, binary in zip(names, model.col_binary) if binary)
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -64,15 +64,7 @@ class BuiltModel:
     milp: MilpModel
     x_map: dict[str, tuple[int, int, int]]
     num_stages: int
-    build_time: float = 0.0
-
-    @property
-    def num_variables(self) -> int:
-        return self.milp.num_variables
-
-    @property
-    def num_constraints(self) -> int:
-        return self.milp.num_constraints
+    build_time: float
 
     def extract_sets(self, solution: MilpSolution) -> tuple[EdgePipeSet, tuple[EdgePipeSet, ...]]:
         """Installed pipe-edge pairs per stage from a solved model."""

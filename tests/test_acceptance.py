@@ -271,7 +271,7 @@ def test_criterion_7_structural_checks(fig2):
     started = time.perf_counter()
     for kind in ALL_KINDS:
         built = build_model(kind, fig2)
-        assert (built.num_variables, built.num_constraints) == expected_size(kind, fig2), (
+        assert (built.milp.num_variables, built.milp.num_constraints) == expected_size(kind, fig2), (
             f"{kind.label} size stats disagree with the closed forms"
         )
 
@@ -286,10 +286,10 @@ def test_criterion_7_structural_checks(fig2):
         for name in built.x_map:
             value = solution.values[name]
             assert abs(value - round(value)) <= 1e-6, f"{kind.label} {name} = {value}"
-        for var in built.milp.variables:
-            if var.kind == "continuous" and var.name.split("_")[0] in ("y", "yk"):
-                value = solution.values[var.name]
-                assert abs(value - round(value)) <= 1e-6, f"{kind.label} {var.name}"
+        for name, binary in zip(built.milp.col_names, built.milp.col_binary):
+            if not binary and name.split("_")[0] in ("y", "yk"):
+                value = solution.values[name]
+                assert abs(value - round(value)) <= 1e-6, f"{kind.label} {name}"
 
         first, scenario_sets = built.extract_sets(solution)
         assert validate_feasible(fig2.first_stage, first)

@@ -22,7 +22,14 @@ from ssfp.experiments import (
     write_ratios_csv,
     write_sweep_csv,
 )
-from ssfp.instances import SweepConfig, fig2_instance, random_artificial, random_grid_instance
+from ssfp.graph_core import TwoStageInstance
+from ssfp.instances import (
+    SweepConfig,
+    fig2_instance,
+    four_cycle_instance,
+    random_artificial,
+    random_grid_instance,
+)
 from ssfp.models import ALL_KINDS, build_model, dominated_pipes
 from ssfp.solver import SolverNumericalError, solve_milp
 
@@ -80,6 +87,20 @@ class TestEvaluateUnder:
         with pytest.raises(ValueError, match="unknown objective 'xx'"):
             evaluate_under("xx", fig2, routes[0])
         assert calls == []
+
+    @pytest.mark.parametrize("objective", ["ro", "so"])
+    def test_no_scenarios_raises_before_any_solve(self, monkeypatch, pair_set, objective):
+        # with no scenarios there is no recourse to take an expectation or a
+        # worst case over; the first-stage cost alone is only the DO value
+        first = four_cycle_instance()
+        two_stage = TwoStageInstance(first, (), ())
+        plan = pair_set(first.graph, [(1, (1, 2)), (1, (2, 3)), (1, (3, 4))])
+        calls = []
+        monkeypatch.setattr(experiments, "solve_milp", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=f"^{objective.upper()} evaluation needs at least"):
+            evaluate_under(objective, two_stage, plan)
+        assert calls == []
+        assert evaluate_under("do", two_stage, plan) == 3.0
 
 
 class TestVss:
@@ -292,8 +313,8 @@ def test_pipe_reduction_agrees_with_the_declared_models(monkeypatch, config, see
     assert reduced.node_counts[1::2] == declared.node_counts[1::2]  # the D models
     builds = [build_model(kind, two_stage) for kind in ALL_KINDS]
     for record in (reduced, declared):
-        assert record.variable_counts == tuple(b.num_variables for b in builds)
-        assert record.constraint_counts == tuple(b.num_constraints for b in builds)
+        assert record.variable_counts == tuple(b.milp.num_variables for b in builds)
+        assert record.constraint_counts == tuple(b.milp.num_constraints for b in builds)
 
 
 @pytest.mark.parametrize("seed", range(4))

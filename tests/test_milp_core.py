@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssfp.milp_core import (
+    SENSES,
     LpSyntaxError,
     MilpModel,
     ModelError,
@@ -69,7 +70,7 @@ class TestBuilder:
     def test_binary_bounds_forced_to_unit_interval(self):
         m = MilpModel()
         h = m.add_variable("b", "binary", lower=-3.0, upper=9.0)
-        assert (m.variables[h].lower, m.variables[h].upper) == (0.0, 1.0)
+        assert (m.col_lower[h], m.col_upper[h]) == (0.0, 1.0)
 
     @pytest.mark.parametrize(
         "lower, upper",
@@ -85,10 +86,12 @@ class TestBuilder:
         x = m.add_variable("x")
         y = m.add_variable("y")
         c = m.add_constraint("c", [(x, 1.0), (x, -1.0), (y, 2.0)], "<=", 1.0)
-        assert m.constraints[c].terms == ((y, 2.0),)
+        assert (list(m.row_start), list(m.row_index), list(m.row_coef)) == ([0, 1], [y], [2.0])
         # first-seen order of the handles, not sorted
         d = m.add_constraint("d", [(y, 1.0), (x, 2.0), (y, 0.5)], "<=", 1.0)
-        assert m.constraints[d].terms == ((y, 1.5), (x, 2.0))
+        assert (m.row_start[d], list(m.row_index[1:]), list(m.row_coef[1:])) == (
+            1, [y, x], [1.5, 2.0]
+        )
 
 
     @pytest.mark.parametrize(
@@ -107,9 +110,9 @@ class TestBuilder:
 class TestRelax:
     def test_binaries_become_unit_continuous(self):
         relaxed = relax(toy_model())
-        kinds = {v.name: v.kind for v in relaxed.variables}
-        assert kinds == {"x": "continuous", "y": "continuous"}
-        assert relaxed.variables[0].upper == 1.0
+        binary = dict(zip(relaxed.col_names, relaxed.col_binary))
+        assert binary == {"x": False, "y": False}
+        assert relaxed.col_upper[0] == 1.0
 
     def test_idempotent_and_fixed_point_on_continuous(self):
         m = toy_model()
@@ -127,17 +130,28 @@ class TestRelax:
         m = toy_model()
         solution = solve_milp(m)
         relaxed = relax(m)
-        values = [solution.values[v.name] for v in relaxed.variables]
-        for con in relaxed.constraints:
-            lhs = sum(coef * values[h] for h, coef in con.terms)
-            if con.sense == "<=":
-                assert lhs <= con.rhs + 1e-9
-            elif con.sense == ">=":
-                assert lhs >= con.rhs - 1e-9
+        values = [solution.values[name] for name in relaxed.col_names]
+        start, index, coef = relaxed.row_start, relaxed.row_index, relaxed.row_coef
+        for i, (sense, rhs) in enumerate(zip(relaxed.row_sense, relaxed.row_rhs)):
+            lhs = sum(coef[k] * values[index[k]] for k in range(start[i], start[i + 1]))
+            if SENSES[sense] == "<=":
+                assert lhs <= rhs + 1e-9
+            elif SENSES[sense] == ">=":
+                assert lhs >= rhs - 1e-9
             else:
-                assert lhs == pytest.approx(con.rhs, abs=1e-9)
-        for var, value in zip(relaxed.variables, values):
-            assert var.lower - 1e-9 <= value <= var.upper + 1e-9
+                assert lhs == pytest.approx(rhs, abs=1e-9)
+        for lower, upper, value in zip(relaxed.col_lower, relaxed.col_upper, values):
+            assert lower - 1e-9 <= value <= upper + 1e-9
+
+    def test_shares_no_buffer_with_its_source(self):
+        m = toy_model()
+        text = export_lp(m)
+        relaxed = relax(m)
+        z = relaxed.add_variable("z", "binary", objective=1.0)
+        relaxed.add_constraint("c3", [(0, 1.0), (z, 1.0)], "<=", 1.0)
+        relaxed.set_objective({z: 5.0})
+        assert export_lp(m) == text
+        assert list(m.col_binary) == [True, False]
 
     def test_four_cycle_fractional_point_is_lp_feasible(self):
         # relaxing the undirected model admits the half-unit flow cycle of
@@ -148,6 +162,36 @@ class TestRelax:
         lp = solve_milp(relax(built.milp))
         assert lp.status == "optimal"
         assert lp.objective <= 2.0 + 1e-7
+
+
+def _one_of_a_pair(name="m", col="x", kind="continuous", lower=0.0, upper=1.0, cost=2.0,
+                   row="r", sense="<=", rhs=1.0, handle=0, coef=3.0, split=1):
+    """Three columns and two rows; each keyword sets one entry of one buffer,
+    and ``split`` says how many of the two terms go to the first row."""
+    m = MilpModel(name)
+    m.add_variable(col, kind, lower, upper, cost)
+    m.add_variable("y")
+    z = m.add_variable("z")
+    terms = [(handle, coef), (z, 1.0)]
+    m.add_constraint(row, terms[:split], sense, rhs)
+    m.add_constraint("s", terms[split:], ">=", 0.0)
+    return m
+
+
+class TestEquality:
+    @pytest.mark.parametrize(
+        "change",
+        [{"col": "w"}, {"kind": "binary"}, {"lower": -1.0}, {"upper": 2.0}, {"cost": 2.5},
+         {"row": "q"}, {"sense": "="}, {"rhs": 2.0}, {"handle": 1}, {"coef": 4.0},
+         {"split": 2}],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_models_differing_in_one_buffer_entry_are_unequal(self, change):
+        assert _one_of_a_pair() == _one_of_a_pair()
+        assert _one_of_a_pair(**change) != _one_of_a_pair()
+
+    def test_the_name_is_not_compared(self):
+        assert _one_of_a_pair(name="a") == _one_of_a_pair(name="b")
 
 
 class TestLpFormat:
@@ -207,7 +251,9 @@ class TestLpFormat:
         late = m.add_variable("late", "continuous", 0.0, 4.0)
         early = m.add_variable("early", "binary", objective=1.0)
         m.add_constraint("c", [(early, 1.0), (late, 2.0)], "<=", 3.0)
-        assert parse_lp(export_lp(m)).variables == m.variables
+        parsed = parse_lp(export_lp(m))
+        columns = ("col_names", "col_binary", "col_lower", "col_upper", "col_cost")
+        assert [getattr(parsed, c) for c in columns] == [getattr(m, c) for c in columns]
 
     def test_empty_row_placeholders_round_trip(self):
         for num_variables in (0, 1):

@@ -13,7 +13,7 @@ from ssfp.instances import (
     random_artificial,
     random_grid_instance,
 )
-from ssfp.milp_core import MilpModel, export_lp, parse_lp, relax
+from ssfp.milp_core import SENSES, MilpModel, export_lp, parse_lp, relax
 from ssfp.models import (
     ALL_KINDS,
     ModelKind,
@@ -55,7 +55,7 @@ class TestDoU:
         )
         built = build_do(inst, flow="u")
         # one x per pipe type plus two flow arcs per feasible pipe
-        assert built.num_variables == 2 + 2 * 2
+        assert built.milp.num_variables == 2 + 2 * 2
         assert solve_milp(built.milp).objective == pytest.approx(3.0)
 
     def test_variable_count_formula_on_restricted_fig2(self, fig2):
@@ -65,7 +65,7 @@ class TestDoU:
 
         restricted = replace(fig2.first_stage, feasible_pipes=frozenset({1}))
         built = build_do(restricted, flow="u")
-        assert built.num_variables == 2 * 49 + 1 * 1 * 98 == 196
+        assert built.milp.num_variables == 2 * 49 + 1 * 1 * 98 == 196
 
     def test_existing_pairs_fixed_and_free(self, fig2, pair_set):
         route = pair_set(
@@ -92,7 +92,7 @@ class TestDoD:
 
     def test_single_group_has_one_root_variable(self, fig2):
         built = build_do(fig2.first_stage, flow="d")
-        z_names = [v.name for v in built.milp.variables if v.name.startswith("z_")]
+        z_names = [name for name in built.milp.col_names if name.startswith("z_")]
         assert z_names == ["z_1_1"]
         sol = solve_milp(built.milp)
         assert sol.values["z_1_1"] == pytest.approx(1.0, abs=1e-6)
@@ -176,7 +176,7 @@ class TestSizeStats:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
     def test_counts_match_closed_forms_on_fig2(self, fig2, kind):
         built = build_model(kind, fig2)
-        assert (built.num_variables, built.num_constraints) == expected_size(kind, fig2)
+        assert (built.milp.num_variables, built.milp.num_constraints) == expected_size(kind, fig2)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
     def test_counts_match_closed_forms_on_random_multigroup(self, kind):
@@ -185,7 +185,7 @@ class TestSizeStats:
             num_scenarios=3, seed=11,
         )
         built = build_model(kind, ts)
-        assert (built.num_variables, built.num_constraints) == expected_size(kind, ts)
+        assert (built.milp.num_variables, built.milp.num_constraints) == expected_size(kind, ts)
 
 
 class TestSolutionExtraction:
@@ -292,7 +292,7 @@ def _fig2_recourse(scenario: int):
 
 _KIND = {k.label: k for k in ALL_KINDS}
 
-#: sha256 of export_lp per model.  Variable, row and term order and every
+#: sha256 of export_lp per model.  Column, row and term order and every
 #: name are part of the exported bytes, so these pin the builders exactly.
 EXPORT_SHA256 = {
     "fig2 DO-U": "007c094d91ab0bc5a49072b0c0c50dab608445ce4673042b844e37d69d73c1b7",
@@ -351,23 +351,24 @@ def _recourse_with_installed_pairs():
 
 
 def _reference_load(model):
-    """The arrays HiGHS is loaded with, by a loop over the variable and
-    constraint records: the loader as it was before the model was stored as
-    arrays."""
-    variables, constraints = model.variables, model.constraints
-    data, indices, indptr = [], [], [0]
-    for con in constraints:
-        for h, c in con.terms:
-            indices.append(h)
-            data.append(c)
+    """The arrays HiGHS is loaded with, by a loop over the columns and one
+    over the rows and their terms, each row's bounds taken from its sense."""
+    data, indices, indptr, row_lower, row_upper = [], [], [0], [], []
+    start = model.row_start
+    for i, (sense, rhs) in enumerate(zip(model.row_sense, model.row_rhs)):
+        for k in range(start[i], start[i + 1]):
+            indices.append(model.row_index[k])
+            data.append(model.row_coef[k])
         indptr.append(len(indices))
+        row_lower.append(-math.inf if SENSES[sense] == "<=" else rhs)
+        row_upper.append(math.inf if SENSES[sense] == ">=" else rhs)
     return {
-        "col_cost": np.array([v.objective for v in variables], dtype=float),
-        "col_lower": np.array([v.lower for v in variables], dtype=float),
-        "col_upper": np.array([v.upper for v in variables], dtype=float),
-        "binary": np.array([v.kind == "binary" for v in variables], dtype=bool),
-        "row_lower": np.array([-math.inf if c.sense == "<=" else c.rhs for c in constraints]),
-        "row_upper": np.array([math.inf if c.sense == ">=" else c.rhs for c in constraints]),
+        "col_cost": np.array(list(model.col_cost), dtype=float),
+        "col_lower": np.array(list(model.col_lower), dtype=float),
+        "col_upper": np.array(list(model.col_upper), dtype=float),
+        "binary": np.array([flag == 1 for flag in model.col_binary], dtype=bool),
+        "row_lower": np.array(row_lower, dtype=float),
+        "row_upper": np.array(row_upper, dtype=float),
         "start": np.array(indptr, dtype=np.int32),
         "index": np.array(indices, dtype=np.int32),
         "value": np.array(data, dtype=float),

@@ -30,7 +30,7 @@ from ssfp.instances import (
     random_grid_instance,
 )
 from ssfp.experiments import AGREEMENT_TOL, CUTOFF_SLACK
-from ssfp.milp_core import MilpModel, relax
+from ssfp.milp_core import SENSES, MilpModel, relax
 from ssfp.models import ALL_KINDS, ModelKind, build_do, build_model
 from ssfp.solver import (
     BruteForceBudgetError,
@@ -180,7 +180,7 @@ class TestSolveMilp:
         x = m.add_variable("b", "binary", objective=1.0)
         m.add_constraint("cover", [(x, 1.0)], ">=", 1.0)
         m.add_constraint("empty", [(x, 1.0), (x, -1.0)], sense, rhs)
-        assert m.constraints[1].terms == ()
+        assert m.row_start[1] == m.row_start[2]  # row 1 has no terms
         sol = solve_milp(m)
         assert sol.status == status
         if status == "optimal":
@@ -390,15 +390,16 @@ def _cold_form(model: MilpModel) -> dict:
     """The model as scipy's linprog takes it: ``>=`` rows negated into A_ub,
     ``=`` rows in A_eq."""
     rows = {"ub": ([], [], [0], []), "eq": ([], [], [0], [])}
-    for con in model.constraints:
-        sign = -1.0 if con.sense == ">=" else 1.0
-        data, indices, indptr, rhs = rows["eq" if con.sense == "=" else "ub"]
-        for h, coef in con.terms:
-            indices.append(h)
-            data.append(sign * coef)
+    start = model.row_start
+    for i, (sense, row_rhs) in enumerate(zip(model.row_sense, model.row_rhs)):
+        sign = -1.0 if SENSES[sense] == ">=" else 1.0
+        data, indices, indptr, rhs = rows["eq" if SENSES[sense] == "=" else "ub"]
+        for k in range(start[i], start[i + 1]):
+            indices.append(model.row_index[k])
+            data.append(sign * model.row_coef[k])
         indptr.append(len(indices))
-        rhs.append(sign * con.rhs)
-    arrays = {"c": np.array([v.objective for v in model.variables])}
+        rhs.append(sign * row_rhs)
+    arrays = {"c": np.array(list(model.col_cost))}
     for key, (data, indices, indptr, rhs) in rows.items():
         shape = (len(rhs), model.num_variables)
         arrays[f"A_{key}"] = csr_matrix((data, indices, indptr), shape=shape) if rhs else None
