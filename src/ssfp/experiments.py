@@ -340,22 +340,21 @@ def run_sweep(configs: Sequence[SweepConfig], threads: int) -> list[SweepRecord]
     return [sweep_record(*task) for task in tasks]
 
 
-def aggregate_matrix(records: Sequence[SweepRecord]) -> CrossObjectiveMatrix:
-    if not records:
+def _entrywise_mean(matrices: Sequence[Sequence[Sequence[float]]]) -> tuple[tuple[float, ...], ...]:
+    """The entry-by-entry mean of 3x3 matrices, one per record."""
+    if not matrices:
         raise ValueError("cannot aggregate an empty record list")
-    n = len(records)
-    values = tuple(
-        tuple(sum(r.matrix[i][j] for r in records) / n for j in range(3)) for i in range(3)
-    )
-    return CrossObjectiveMatrix(values)
+    n = len(matrices)
+    return tuple(tuple(sum(m[i][j] for m in matrices) / n for j in range(3)) for i in range(3))
+
+
+def aggregate_matrix(records: Sequence[SweepRecord]) -> CrossObjectiveMatrix:
+    return CrossObjectiveMatrix(_entrywise_mean([r.matrix for r in records]))
 
 
 def aggregate_matrix_of_means(records: Sequence[SweepRecord]) -> tuple[tuple[float, ...], ...]:
     """Alternative aggregation: ratio of mean evaluations to mean optima."""
-    n = len(records)
-    mean_eval = [
-        [sum(r.evaluations[i][j] for r in records) / n for j in range(3)] for i in range(3)
-    ]
+    mean_eval = _entrywise_mean([r.evaluations for r in records])
     return tuple(
         tuple(mean_eval[i][j] / mean_eval[j][j] for j in range(3)) for i in range(3)
     )

@@ -160,6 +160,8 @@ def random_grid_instance(
     stage, then one per scenario; each stage's groups are filled sequentially
     from its permutation.
     """
+    if num_scenarios < 1:
+        raise ValidationError(f"num_scenarios must be at least 1, not {num_scenarios}")
     rng = make_rng(seed)
     graph = grid_graph(rows, cols)
     need = num_groups * terminals_per_group

@@ -220,11 +220,13 @@ class MilpSolution:
     status is optimal); ``root_bound`` is the LP-relaxation value at the root
     node, ``+inf`` when that LP is infeasible and ``-inf`` when it is
     unbounded.  Every solve has one, also when it found no solution.
+    ``x`` holds the incumbent's column values by handle, ``()`` when no
+    solution was found; column names appear only in LP text.
     """
 
     status: Literal["optimal", "infeasible", "unbounded", "node_limit"]
     objective: float
-    values: dict[str, float]
+    x: tuple[float, ...]
     bound: float
     node_count: int
     solve_time: float

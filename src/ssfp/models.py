@@ -56,24 +56,23 @@ class ModelKind:
 
 @dataclass(frozen=True)
 class BuiltModel:
-    """A built program plus the map from installation variables back to
-    (stage, pipe, edge); stage 0 is the first stage, stages 1..S the
-    scenarios."""
+    """A built program plus each stage's installation handles,
+    ``stage_x[stage][(pipe, edge id)]``; stage 0 is the first stage, stages
+    1..S the scenarios.  A solution's ``x`` is read by these handles: column
+    names appear only in LP text."""
 
     kind: ModelKind
     milp: MilpModel
-    x_map: dict[str, tuple[int, int, int]]
-    num_stages: int
+    stage_x: tuple[dict[tuple[int, int], int], ...]
     build_time: float
 
     def extract_sets(self, solution: MilpSolution) -> tuple[EdgePipeSet, tuple[EdgePipeSet, ...]]:
         """Installed pipe-edge pairs per stage from a solved model."""
-        stages: list[set[tuple[int, int]]] = [set() for _ in range(self.num_stages)]
-        for name, (stage, pipe, edge) in self.x_map.items():
-            if solution.values.get(name, 0.0) >= 0.5:
-                stages[stage].add((pipe, edge))
-        first = EdgePipeSet(frozenset(stages[0]))
-        return first, tuple(EdgePipeSet(frozenset(s)) for s in stages[1:])
+        stages = tuple(
+            EdgePipeSet(frozenset(pe for pe, handle in x.items() if solution.x[handle] >= 0.5))
+            for x in self.stage_x
+        )
+        return stages[0], stages[1:]
 
 
 ArcVariables = dict[tuple[int, int, int], int]  # (pipe, tail, head) -> handle
@@ -344,12 +343,7 @@ def _build(
         if robust:
             model.add_constraint(f"worst_s{s}", epigraph, ">=", 0.0)
     model.set_objective(objective)
-    x_map = {
-        model.col_names[handle]: (stage, p, eid)
-        for stage, x in enumerate(stage_x)
-        for (p, eid), handle in x.items()
-    }
-    return BuiltModel(kind, model, x_map, len(stage_x), time.perf_counter() - started)
+    return BuiltModel(kind, model, tuple(stage_x), time.perf_counter() - started)
 
 
 def build_do(instance: Instance, existing: EdgePipeSet = EdgePipeSet(), flow: Flow = "u") -> BuiltModel:

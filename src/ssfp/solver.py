@@ -71,7 +71,6 @@ class _ArrayForm:
 
     def __init__(self, model: MilpModel) -> None:
         n, m = model.num_variables, model.num_constraints
-        self.names = model.col_names
         # np.array copies the model's buffers; a view would lock them against
         # appends for as long as this form lives
         self.lb = np.array(model.col_lower, dtype=float)
@@ -165,11 +164,10 @@ def solve_milp(
     the model as declared.
 
     ``node_limit`` (``None``: no limit) stops the search with status
-    ``node_limit`` and the least open bound: under ``"best"`` the popped
-    node's parent bound, under ``"depth"`` the least parent bound over the
-    popped node and the open nodes.  ``cutoff`` seeds the incumbent
-    objective, so nodes that cannot beat it are pruned; if no solution beats
-    it, ``SolverError`` is raised.
+    ``node_limit`` and the least open bound: the least parent bound over the
+    popped node and the open nodes (under ``"best"``, the popped node's).
+    ``cutoff`` seeds the incumbent objective, so nodes that cannot beat it are
+    pruned; if no solution beats it, ``SolverError`` is raised.
 
     Every node solves one LP, so ``lp_count`` equals ``node_count``;
     ``simplex_iterations`` is the sum of their ``LpResult.nit``.
@@ -250,10 +248,8 @@ def solve_milp(
     if stop == "unbounded":
         status, objective, bound = stop, -math.inf, -math.inf
     elif stop == "node_limit":
-        # best first pops the least open bound; depth first must look at all
-        if depth:
-            parent_bound = min([parent_bound] + [entry[2] for entry in heap])
-        status, objective, bound = stop, incumbent_obj if found else math.inf, parent_bound
+        bound = min([parent_bound] + [entry[2] for entry in heap])
+        status, objective = stop, incumbent_obj if found else math.inf
     elif found:
         status, objective, bound = "optimal", incumbent_obj, incumbent_obj
     elif cutoff is not None:
@@ -263,10 +259,10 @@ def solve_milp(
         )
     else:
         status, objective, bound = "infeasible", math.inf, math.inf
-    values = {name: float(v) for name, v in zip(form.names, incumbent_x)} if found else {}
+    x = tuple(incumbent_x.tolist()) if found else ()
     elapsed = time.perf_counter() - started
     return MilpSolution(
-        status, objective, values, bound, node_count, elapsed, root_bound,
+        status, objective, x, bound, node_count, elapsed, root_bound,
         lp_count=node_count, simplex_iterations=simplex_iterations,
     )
 

@@ -283,12 +283,13 @@ def test_criterion_7_structural_checks(fig2):
     for kind in ALL_KINDS:
         built = build_model(kind, fig2)
         solution = solve_milp(built.milp)
-        for name in built.x_map:
-            value = solution.values[name]
-            assert abs(value - round(value)) <= 1e-6, f"{kind.label} {name} = {value}"
-        for name, binary in zip(built.milp.col_names, built.milp.col_binary):
+        for x in built.stage_x:
+            for key, handle in x.items():
+                value = solution.x[handle]
+                assert abs(value - round(value)) <= 1e-6, f"{kind.label} x{key} = {value}"
+        for handle, (name, binary) in enumerate(zip(built.milp.col_names, built.milp.col_binary)):
             if not binary and name.split("_")[0] in ("y", "yk"):
-                value = solution.values[name]
+                value = solution.x[handle]
                 assert abs(value - round(value)) <= 1e-6, f"{kind.label} {name}"
 
         first, scenario_sets = built.extract_sets(solution)

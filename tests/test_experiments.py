@@ -212,6 +212,11 @@ class TestSweepRecords:
         for i in range(3):
             assert other[i][i] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("aggregate", [aggregate_matrix, aggregate_matrix_of_means])
+    def test_empty_record_list_is_refused(self, aggregate):
+        with pytest.raises(ValueError, match="cannot aggregate an empty record list"):
+            aggregate([])
+
     def test_csv_outputs(self, small_sweep, fig2, tmp_path):
         write_sweep_csv(small_sweep, tmp_path / "sweep.csv")
         write_matrix_csv(small_sweep, tmp_path / "matrix.csv")

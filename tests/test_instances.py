@@ -116,6 +116,12 @@ class TestRandomArtificial:
         with pytest.raises(ValidationError):
             random_grid_instance(2, 2, num_groups=3, terminals_per_group=2)
 
+    @pytest.mark.parametrize("num_scenarios", [0, -1])
+    def test_fewer_than_one_scenario_rejected(self, num_scenarios):
+        message = f"num_scenarios must be at least 1, not {num_scenarios}$"
+        with pytest.raises(ValidationError, match=message):
+            random_grid_instance(2, 2, terminals_per_group=2, num_scenarios=num_scenarios)
+
 
 class TestInstanceFiles:
     def test_round_trip_fig2(self, tmp_path):

@@ -130,17 +130,16 @@ class TestRelax:
         m = toy_model()
         solution = solve_milp(m)
         relaxed = relax(m)
-        values = [solution.values[name] for name in relaxed.col_names]
         start, index, coef = relaxed.row_start, relaxed.row_index, relaxed.row_coef
         for i, (sense, rhs) in enumerate(zip(relaxed.row_sense, relaxed.row_rhs)):
-            lhs = sum(coef[k] * values[index[k]] for k in range(start[i], start[i + 1]))
+            lhs = sum(coef[k] * solution.x[index[k]] for k in range(start[i], start[i + 1]))
             if SENSES[sense] == "<=":
                 assert lhs <= rhs + 1e-9
             elif SENSES[sense] == ">=":
                 assert lhs >= rhs - 1e-9
             else:
                 assert lhs == pytest.approx(rhs, abs=1e-9)
-        for lower, upper, value in zip(relaxed.col_lower, relaxed.col_upper, values):
+        for lower, upper, value in zip(relaxed.col_lower, relaxed.col_upper, solution.x):
             assert lower - 1e-9 <= value <= upper + 1e-9
 
     def test_shares_no_buffer_with_its_source(self):

@@ -95,7 +95,7 @@ class TestDoD:
         z_names = [name for name in built.milp.col_names if name.startswith("z_")]
         assert z_names == ["z_1_1"]
         sol = solve_milp(built.milp)
-        assert sol.values["z_1_1"] == pytest.approx(1.0, abs=1e-6)
+        assert sol.x[built.milp.col_names.index("z_1_1")] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestTwoStageBuilders:
@@ -116,9 +116,10 @@ class TestTwoStageBuilders:
         mirror = replace(base.first_stage, cost_multiplier=2.0)
         ts = TwoStageInstance(base.first_stage, (mirror,), (1.0,))
         do_obj = solve_milp(build_do(ts.first_stage, ts.existing, "u").milp).objective
-        sol = solve_milp(build_model(ModelKind("ro", "u"), ts).milp)
+        ro = build_model(ModelKind("ro", "u"), ts).milp
+        sol = solve_milp(ro)
         assert sol.objective == pytest.approx(do_obj, abs=1e-9)
-        assert sol.values["d"] == pytest.approx(0.0, abs=1e-6)
+        assert sol.x[ro.col_names.index("d")] == pytest.approx(0.0, abs=1e-6)
 
     def test_fig2_so_values_across_probabilities(self, fig2):
         expected = {0.0: 4.0, 0.45: 10.8, 0.5: 11.0, 1.0: 11.0}
@@ -165,8 +166,9 @@ class TestTwoStageBuilders:
         built = build_model(ModelKind("so", "u"), fig2)
         sol = solve_milp(built.milp)
         by_stage = {}
-        for name, (stage, pipe, edge) in built.x_map.items():
-            by_stage.setdefault((pipe, edge), {})[stage] = sol.values[name]
+        for stage, x in enumerate(built.stage_x):
+            for key, handle in x.items():
+                by_stage.setdefault(key, {})[stage] = sol.x[handle]
         for values in by_stage.values():
             for s in (1, 2):
                 assert values[s] >= values[0] - 1e-6
@@ -342,12 +344,36 @@ def _hand_made_model():
     return m
 
 
-def _recourse_with_installed_pairs():
+def _installed_recourse():
+    """A recourse instance with pairs of both pipe types installed, and its model."""
     two_stage = random_grid_instance(
         3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2, num_scenarios=2, seed=0
     )
     installed = EdgePipeSet(frozenset({(1, 0), (1, 1), (2, 4)}))
-    return build_do(two_stage.scenarios[0], installed, "d").milp
+    return two_stage.scenarios[0], build_do(two_stage.scenarios[0], installed, "d")
+
+
+def _recourse_with_installed_pairs():
+    return _installed_recourse()[1].milp
+
+
+@pytest.mark.parametrize("case", [f"fig2 {kind.label}" for kind in ALL_KINDS] + ["recourse"])
+def test_stage_x_holds_exactly_the_x_columns_under_their_keys(case):
+    """The handles in ``stage_x`` are the columns named ``x_*``, and each
+    handle's (stage, pipe, edge) is the one its name spells."""
+    if case == "recourse":
+        instance, built = _installed_recourse()
+    else:
+        instance, built = fig2_instance().first_stage, _pinned_model(case)
+    assert len(built.stage_x) == (1 if case == "recourse" or "DO" in case else 3)
+    spelled = {}
+    for stage, x in enumerate(built.stage_x):
+        suffix = f"_s{stage}" if stage else ""
+        for (p, edge), handle in x.items():
+            u, v = instance.graph.endpoints(edge)
+            spelled[handle] = f"x_{p}_{u}_{v}{suffix}"
+    names = built.milp.col_names
+    assert spelled == {h: name for h, name in enumerate(names) if name.startswith("x_")}
 
 
 def _reference_load(model):

@@ -123,7 +123,7 @@ class TestSolveMilp:
         model = _branching_model()
         sol = solve_milp(model, node_limit=1)
         assert (sol.status, sol.node_count, sol.objective) == ("node_limit", 1, math.inf)
-        assert sol.values == {}
+        assert sol.x == ()
         assert sol.bound == solve_milp(relax(model)).objective
         assert sol.bound == pytest.approx(28.9430, abs=1e-4)
         assert sol.root_bound == sol.bound  # the root LP ran, though no solution was found
@@ -156,7 +156,21 @@ class TestSolveMilp:
                 b = solve_milp(model, order=order)
                 assert a.objective == b.objective
                 assert a.node_count == b.node_count
-                assert a.values == b.values
+                assert a.x == b.x
+
+    def test_x_has_one_value_per_column_when_a_solution_is_found(self):
+        branching = _branching_model()
+        four_cycle = build_do(four_cycle_instance(), flow="d").milp
+        solves = [
+            (model, solve_milp(model, **options))
+            for model in (branching, relax(branching), four_cycle)
+            for options in ({}, {"order": "depth"}, {"node_limit": 1}, {"node_limit": 2})
+        ]
+        # the branching model stops before its first incumbent at 1 node, after it at 2
+        assert {sol.status for _, sol in solves} == {"optimal", "node_limit"}
+        for model, sol in solves:
+            found = sol.objective < math.inf
+            assert len(sol.x) == (model.num_variables if found else 0)
 
     @pytest.mark.parametrize("order", ["", "Best", "dfs", None])
     def test_unknown_order_is_refused(self, order):
@@ -186,7 +200,7 @@ class TestSolveMilp:
         if status == "optimal":
             assert sol.objective == pytest.approx(1.0, abs=1e-9)
         else:
-            assert (sol.objective, sol.bound, sol.values) == (math.inf, math.inf, {})
+            assert (sol.objective, sol.bound, sol.x) == (math.inf, math.inf, ())
 
 
 class TestDepthFirst:
@@ -347,7 +361,7 @@ class TestEmptyModel:
         m = MilpModel("empty")
         m.add_constraint("slack", [], "<=", 1.0)
         sol = solve_milp(m)
-        assert (sol.status, sol.objective, sol.bound, sol.values) == ("optimal", 0.0, 0.0, {})
+        assert (sol.status, sol.objective, sol.bound, sol.x) == ("optimal", 0.0, 0.0, ())
         assert (sol.lp_count, sol.simplex_iterations) == (0, 0)
         assert solve_milp(MilpModel()).status == "optimal"
 
@@ -356,8 +370,8 @@ class TestEmptyModel:
         m = MilpModel("empty")
         m.add_constraint("fails", [], sense, rhs)
         sol = solve_milp(m)
-        assert (sol.status, sol.objective, sol.bound, sol.values) == (
-            "infeasible", math.inf, math.inf, {})
+        assert (sol.status, sol.objective, sol.bound, sol.x) == (
+            "infeasible", math.inf, math.inf, ())
 
 
 class TestModelData:
