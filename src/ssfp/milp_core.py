@@ -1,6 +1,6 @@
 """Generic mixed-binary linear program container with LP-relaxation support
-and a CPLEX-LP text format for external cross-checks: the writer, and a parser
-of exactly the dialect the writer writes, so a round trip is exact.
+and a CPLEX-LP writer for external cross-checks.  The text is checked with
+HiGHS's own LP reader, not with a reader of this package.
 
 A model is mutable while it is being built and must be treated as immutable
 afterwards; solved models are shareable across threads.
@@ -22,32 +22,27 @@ SENSES = ("<=", "=", ">=")
 
 
 class ModelError(ValueError):
-    """Structural misuse of the model builder (duplicate names, bad handles)."""
+    """Misuse of the model builder: duplicate or unwritable names, bad handles,
+    empty bounds, coefficients that are not finite."""
 
 
-class LpSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, column: int = 0) -> None:
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+#: words an LP reader takes as keywords wherever a name stands, compared
+#: without case; HiGHS's reader refuses a file that uses one as a name
+_LP_KEYWORDS = frozenset({
+    "min", "max", "minimize", "maximize", "minimum", "maximum", "st", "bound",
+    "bounds", "bin", "binary", "binaries", "gen", "general", "generals",
+    "integer", "integers", "semi", "semis", "sos", "end", "free",
+})
 
 
-def _has_space(name: str) -> bool:
-    return bool(name) and name.split() != [name]
-
-
-def _is_number(token: str) -> bool:
-    # float() reads only text that starts with a sign, a point, a decimal
-    # digit or the i/n of inf/nan; checking that first spares the exception
-    # for every ordinary name
-    head = token[:1]
-    if not (head in "+-.iInN" or head.isdecimal()):
+def _lp_name(name: str) -> bool:
+    """Whether LP text can carry ``name`` as a column or row name: an ASCII
+    identifier that is not a keyword and does not start like the numbers
+    ``inf`` and ``nan``."""
+    if not (name.isascii() and name.isidentifier()):
         return False
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+    folded = name.lower()
+    return folded not in _LP_KEYWORDS and not folded.startswith(("inf", "nan"))
 
 
 #: the arrays that hold a model, columns first, then the rows
@@ -61,9 +56,11 @@ class MilpModel:
     """Minimization model over binary and continuous variables.
 
     ``add_variable`` and ``add_constraint`` return integer handles; constraint
-    terms reference variables by handle.  Names must be unique and free of
-    whitespace, and a variable name must not read as a number or a sign, so
-    every model survives an LP text round trip.
+    terms reference variables by handle.  Names must be unique, and a column
+    or row name must be an ASCII identifier that is not an LP keyword and does
+    not start with ``inf`` or ``nan`` (compared without case), so HiGHS's LP
+    reader reads every model back.  Objective coefficients, constraint
+    coefficients and right-hand sides must be finite.
 
     The model is stored as the arrays an LP solver loads, so a solve reads
     them without a loop over variables or terms.  Column ``j`` has the name
@@ -91,7 +88,7 @@ class MilpModel:
         self.row_start = array("i", [0])
         self.row_index = array("i")
         self.row_coef = array("d")
-        self._var_index: dict[str, int] = {}
+        self._col_name_set: set[str] = set()
         self._row_name_set: set[str] = set()
 
     @property
@@ -102,12 +99,6 @@ class MilpModel:
     def num_constraints(self) -> int:
         return len(self.row_names)
 
-    def variable_handle(self, name: str) -> int:
-        try:
-            return self._var_index[name]
-        except KeyError:
-            raise ModelError(f"unknown variable {name!r}") from None
-
     def add_variable(
         self,
         name: str,
@@ -116,9 +107,9 @@ class MilpModel:
         upper: float = INF,
         objective: float = 0.0,
     ) -> int:
-        if name in self._var_index:
+        if name in self._col_name_set:
             raise ModelError(f"duplicate variable name {name!r}")
-        if not name or _has_space(name) or name in ("+", "-") or _is_number(name):
+        if not _lp_name(name):
             raise ModelError(f"variable name {name!r} cannot be written as LP text")
         if kind == "binary":
             lower, upper = 0.0, 1.0
@@ -133,13 +124,15 @@ class MilpModel:
             raise ModelError(
                 f"variable {name!r} has bounds [{lower}, {upper}], which no real value meets"
             )
+        if not math.isfinite(objective):
+            raise ModelError(f"variable {name!r} has objective coefficient {objective}")
         handle = len(self.col_names)
         self.col_names.append(name)
         self.col_binary.append(kind == "binary")
         self.col_lower.append(lower)
         self.col_upper.append(upper)
         self.col_cost.append(objective)
-        self._var_index[name] = handle
+        self._col_name_set.add(name)
         return handle
 
     def add_constraint(
@@ -154,11 +147,13 @@ class MilpModel:
         dropped."""
         if name in self._row_name_set:
             raise ModelError(f"duplicate constraint name {name!r}")
-        if _has_space(name):
+        if not _lp_name(name):
             raise ModelError(f"constraint name {name!r} cannot be written as LP text")
         if sense not in SENSES:
             raise ModelError(f"unknown constraint sense {sense!r}")
         rhs = float(rhs)
+        if not math.isfinite(rhs):
+            raise ModelError(f"constraint {name!r} has right-hand side {rhs}")
         num_variables = len(self.col_names)
         merged: dict[int, float] = {}
         for handle, coef in terms:
@@ -169,6 +164,8 @@ class MilpModel:
             merged[handle] = merged.get(handle, 0.0) + float(coef)
         if 0.0 in merged.values():
             merged = {h: c for h, c in merged.items() if c != 0.0}
+        if not all(map(math.isfinite, merged.values())):
+            raise ModelError(f"constraint {name!r} has a coefficient that is not finite")
         try:
             self.row_index.extend(merged)
         except TypeError:  # a handle that is not an integer: keep the rows aligned
@@ -184,12 +181,16 @@ class MilpModel:
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
         """Replace all objective coefficients; unmentioned variables get 0."""
-        for handle in coefficients:
-            if not 0 <= handle < len(self.col_names):
-                raise ModelError(f"objective references unknown variable handle {handle}")
         cost = array("d", [0.0]) * len(self.col_names)
         for handle, coef in coefficients.items():
-            cost[handle] = float(coef)
+            if not 0 <= handle < len(self.col_names):
+                raise ModelError(f"objective references unknown variable handle {handle}")
+            coef = float(coef)
+            if not math.isfinite(coef):
+                raise ModelError(
+                    f"variable {self.col_names[handle]!r} has objective coefficient {coef}"
+                )
+            cost[handle] = coef
         self.col_cost = cost
 
     def make_binary(self, handle: int) -> None:
@@ -258,7 +259,9 @@ def _term_string(first: bool, coefficient: float, name: str) -> str:
 
 def export_lp(model: MilpModel) -> str:
     """CPLEX-LP text in declaration order: Minimize, Subject To, Bounds,
-    Binary, End.  Every variable gets a Bounds line so a parse round-trips."""
+    Binary, End.  Every variable gets a Bounds line, written so the format's
+    defaults add nothing: a column bounded only above is written
+    ``-inf <= x <= u``, since ``x <= u`` alone keeps the default lower bound 0."""
     names = model.col_names
     lines = ["Minimize"]
     objective = [(name, cost) for name, cost in zip(names, model.col_cost) if cost != 0.0]
@@ -279,129 +282,9 @@ def export_lp(model: MilpModel) -> str:
             lines.append(f" {name} free")
         elif upper == INF:
             lines.append(f" {name} >= {_fmt(lower)}")
-        elif lower == -INF:
-            lines.append(f" {name} <= {_fmt(upper)}")
         else:
             lines.append(f" {_fmt(lower)} <= {name} <= {_fmt(upper)}")
     lines.append("Binary")
     lines.extend(f" {name}" for name, binary in zip(names, model.col_binary) if binary)
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-_SECTIONS = ("Minimize", "Subject To", "Bounds", "Binary", "End")
-
-
-def _parse_number(token: str, line_no: int, col: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise LpSyntaxError(f"expected a number, got {token!r}", line_no, col) from None
-
-
-def _parse_terms(tokens: list[str], line_no: int) -> list[tuple[str, float]]:
-    """Parse `c1 x1 + c2 x2 - c3 x3 ...`; coefficients may be omitted (=1)."""
-    terms: list[tuple[str, float]] = []
-    sign = 1.0
-    coef: float | None = None
-    for col, tok in enumerate(tokens):
-        if tok == "+":
-            if coef is not None:
-                raise LpSyntaxError("dangling coefficient before '+'", line_no, col)
-            sign = 1.0
-        elif tok == "-":
-            if coef is None:
-                sign = -sign
-            else:
-                raise LpSyntaxError("dangling coefficient before '-'", line_no, col)
-        else:
-            try:
-                value = float(tok)
-            except ValueError:
-                name = tok
-                terms.append((name, sign * (1.0 if coef is None else coef)))
-                sign, coef = 1.0, None
-                continue
-            if coef is not None:
-                raise LpSyntaxError("two consecutive numbers", line_no, col)
-            coef = value
-    if coef is not None:
-        raise LpSyntaxError("trailing coefficient without a variable", line_no, len(tokens))
-    return terms
-
-
-def _parse_bound(tokens: list[str], line_no: int) -> tuple[str, float, float]:
-    """`x free`, `x >= l`, `x <= u` or `l <= x <= u`, as (name, lower, upper)."""
-    if len(tokens) == 2 and tokens[1] == "free":
-        return tokens[0], -INF, INF
-    if len(tokens) == 3 and tokens[1] in ("<=", ">="):
-        value = _parse_number(tokens[2], line_no, 2)
-        return (tokens[0], value, INF) if tokens[1] == ">=" else (tokens[0], -INF, value)
-    if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
-        return tokens[2], _parse_number(tokens[0], line_no, 0), _parse_number(tokens[4], line_no, 4)
-    raise LpSyntaxError(f"unrecognized bounds line {' '.join(tokens)!r}", line_no)
-
-
-def parse_lp(text: str) -> MilpModel:
-    """The model :func:`export_lp` wrote: ``parse_lp(export_lp(m)) == m``.
-
-    Reads exactly the writer's dialect in one pass: the five section headers
-    in order, then one objective line, row, bound or list of binary names per
-    line.  Each Bounds line declares its variable, so variables come back in
-    declaration order; the objective and the rows, which precede the Bounds
-    section, are resolved against those names at the end.
-    """
-    model = MilpModel()
-    objective: tuple[int, list[tuple[str, float]]] | None = None
-    rows: list[tuple[int, str, list[tuple[str, float]], str, float]] = []
-    section = -1
-    lines = text.splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        if section + 1 < len(_SECTIONS) and line == _SECTIONS[section + 1]:
-            section += 1
-            if _SECTIONS[section] == "End":
-                break
-            continue
-        tokens = line.split()
-        try:
-            if section == 0:
-                if objective is not None or tokens[:1] != ["obj:"]:
-                    raise LpSyntaxError("expected the one objective line 'obj: terms'", line_no)
-                objective = line_no, _parse_terms(tokens[1:], line_no)
-            elif section == 1:
-                if len(tokens) < 3 or not tokens[0].endswith(":") or tokens[-2] not in SENSES:
-                    raise LpSyntaxError("expected a row 'name: terms sense rhs'", line_no)
-                body = tokens[1:-2]
-                terms = [] if body == ["0"] else _parse_terms(body, line_no)
-                rhs = _parse_number(tokens[-1], line_no, len(tokens) - 1)
-                rows.append((line_no, tokens[0][:-1], terms, tokens[-2], rhs))
-            elif section == 2:
-                name, lower, upper = _parse_bound(tokens, line_no)
-                model.add_variable(name, "continuous", lower, upper)
-            elif section == 3:
-                for name in tokens:
-                    model.make_binary(model.variable_handle(name))
-            else:
-                raise LpSyntaxError("content before the objective section", line_no)
-        except ModelError as err:
-            raise LpSyntaxError(str(err), line_no) from None
-    else:
-        raise LpSyntaxError("missing End marker", len(lines) or 1)
-
-    def handles(terms: list[tuple[str, float]], line_no: int) -> list[tuple[int, float]]:
-        try:
-            return [(model.variable_handle(name), coef) for name, coef in terms]
-        except ModelError as err:
-            raise LpSyntaxError(f"{err}: it has no Bounds line", line_no) from None
-
-    if objective is not None:
-        coefficients: dict[int, float] = {}
-        for handle, coef in handles(objective[1], objective[0]):
-            coefficients[handle] = coefficients.get(handle, 0.0) + coef
-        model.set_objective(coefficients)
-    for line_no, name, terms, sense, rhs in rows:
-        try:
-            model.add_constraint(name, handles(terms, line_no), sense, rhs)  # type: ignore[arg-type]
-        except ModelError as err:
-            raise LpSyntaxError(str(err), line_no) from None
-    return model

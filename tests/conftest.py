@@ -1,7 +1,10 @@
 """Fixtures shared by the test modules."""
 import pytest
+from scipy.optimize._highspy._core import HighsStatus, HighsVarType, _Highs
 
+from ssfp import solver
 from ssfp.graph_core import EdgePipeSet
+from ssfp.milp_core import export_lp
 
 
 def _pair_set(graph, items):
@@ -12,3 +15,42 @@ def _pair_set(graph, items):
 @pytest.fixture(scope="session")
 def pair_set():
     return _pair_set
+
+
+@pytest.fixture
+def highs_reads_back(tmp_path):
+    """``check(model)`` asserts that HiGHS's own LP reader reads
+    ``export_lp(model)`` back exactly, buffer for buffer.  HiGHS numbers the
+    columns by first appearance, so columns are matched by name."""
+
+    def check(model):
+        path = tmp_path / "model.lp"
+        path.write_text(export_lp(model))
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.readModel(str(path)) == HighsStatus.kOk
+        highs.ensureRowwise()
+        lp = highs.getLp()
+        names = list(lp.col_names_)
+        assert sorted(names) == sorted(model.col_names)
+        # integrality_ is empty when no column is integer
+        binary = [kind == HighsVarType.kInteger for kind in lp.integrality_] or [False] * len(names)
+        assert dict(zip(names, zip(binary, lp.col_lower_, lp.col_upper_, lp.col_cost_))) == dict(
+            zip(model.col_names, zip(model.col_binary, model.col_lower, model.col_upper, model.col_cost))
+        )
+        assert list(lp.row_names_) == model.row_names
+        form = solver._ArrayForm(model)
+        assert list(lp.row_lower_) == form.row_lower.tolist()
+        assert list(lp.row_upper_) == form.row_upper.tolist()
+        # each attribute read copies the whole array out of HiGHS
+        matrix = lp.a_matrix_
+        read_start, read_index, read_value = matrix.start_, matrix.index_, matrix.value_
+        start, index, value = model.row_start, model.row_index, model.row_coef
+        for i in range(model.num_constraints):
+            read = range(read_start[i], read_start[i + 1])
+            # the writer gives an empty row the placeholder term "0 x"
+            assert sorted(
+                (names[read_index[k]], read_value[k]) for k in read if read_value[k] != 0.0
+            ) == sorted((model.col_names[index[k]], value[k]) for k in range(start[i], start[i + 1]))
+
+    return check

@@ -378,10 +378,12 @@ class TestModelData:
     @pytest.mark.parametrize("where", ["objective", "coefficient", "rhs"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_data_is_rejected(self, where, value):
+        # the builder refuses such values, so the test writes the buffer
         m = MilpModel("bad")
-        x = m.add_variable("x", "continuous", 0.0, 1.0, value if where == "objective" else 1.0)
-        m.add_constraint("c", [(x, value if where == "coefficient" else 1.0)], "<=",
-                         value if where == "rhs" else 1.0)
+        x = m.add_variable("x", "continuous", 0.0, 1.0, 1.0)
+        m.add_constraint("c", [(x, 1.0)], "<=", 1.0)
+        buffer = {"objective": m.col_cost, "coefficient": m.row_coef, "rhs": m.row_rhs}[where]
+        buffer[0] = value
         with pytest.raises(ValueError, match="'bad': .* must be finite"):
             solve_milp(m)
 
