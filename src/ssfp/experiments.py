@@ -44,41 +44,64 @@ def _solve(
     return solution, first
 
 
-def _recourse_costs(
-    two_stage: TwoStageInstance, first_stage_solution: EdgePipeSet
-) -> tuple[float, ...]:
-    """Optimal retrofit cost per scenario, at inflated prices, given the
-    first-stage installation.  Only the values are read, so each solve runs
-    on the scenario without the pipe types that it can do without once those
-    pairs are installed."""
-    installed = first_stage_solution | two_stage.existing
-    out: list[float] = []
-    for s, scenario in enumerate(two_stage.scenarios):
-        reduced = scenario.without_pipes(dominated_pipes((scenario,), installed))
-        solution = solve_milp(build_do(reduced, installed, "d").milp)
-        if solution.status != "optimal":
-            raise SolverError(f"scenario {s} recourse solve ended with {solution.status}")
-        out.append(solution.objective)
-    return tuple(out)
+class RecourseModels:
+    """The recourse models of one two-stage instance: for each scenario and
+    each set of pipe types it can do without, one DO-D model of the scenario
+    without those pipes, built once with no pair installed.  A recourse solve
+    runs on a copy with the installed pairs laid (``BuiltModel.with_installed``),
+    the same program as a build with them existing.  A table serves one
+    record or one call and is dropped with it."""
+
+    def __init__(self, two_stage: TwoStageInstance) -> None:
+        self.two_stage = two_stage
+        self.built: dict[tuple[int, frozenset[int]], BuiltModel] = {}
+
+    def costs(self, first_stage_solution: EdgePipeSet) -> tuple[float, ...]:
+        """Optimal retrofit cost per scenario, at inflated prices, given the
+        first-stage installation.  Only the values are read, so each solve
+        runs on the scenario without the pipe types that it can do without
+        once those pairs are installed."""
+        two_stage = self.two_stage
+        installed = first_stage_solution | two_stage.existing
+        installed.check(two_stage.first_stage.graph, two_stage.first_stage.pipes.num_pipe_types)
+        out: list[float] = []
+        for s, scenario in enumerate(two_stage.scenarios):
+            dropped = dominated_pipes((scenario,), installed)
+            built = self.built.get((s, dropped))
+            if built is None:
+                built = build_do(scenario.without_pipes(dropped), EdgePipeSet(), "d")
+                self.built[(s, dropped)] = built
+            solution = solve_milp(built.with_installed(installed))
+            if solution.status != "optimal":
+                raise SolverError(f"scenario {s} recourse solve ended with {solution.status}")
+            out.append(solution.objective)
+        return tuple(out)
 
 
 def evaluate_under(
-    objective: Objective, two_stage: TwoStageInstance, first_stage_solution: EdgePipeSet
+    objective: Objective,
+    two_stage: TwoStageInstance,
+    first_stage_solution: EdgePipeSet,
+    recourse: RecourseModels | None = None,
 ) -> float:
     """Value of a fixed first-stage solution under one of the three
     objectives: first-stage cost alone (DO), plus worst-case optimal recourse
-    (RO), or plus probability-weighted optimal recourse (SO)."""
+    (RO), or plus probability-weighted optimal recourse (SO).  The recourse
+    solves use ``recourse``, a table of this very ``two_stage``, or a table
+    of their own."""
     if objective not in OBJECTIVE_ORDER:
         raise ValueError(f"unknown objective {objective!r}")
+    if recourse is not None and recourse.two_stage is not two_stage:
+        raise ValueError("the recourse models belong to another instance")
     if objective != "do" and not two_stage.scenarios:
         raise ValueError(f"{objective.upper()} evaluation needs at least one scenario")
     first_cost = cost(two_stage.first_stage, two_stage.existing, first_stage_solution)
     if objective == "do":
         return first_cost
-    recourse = _recourse_costs(two_stage, first_stage_solution)
+    costs = (recourse or RecourseModels(two_stage)).costs(first_stage_solution)
     if objective == "ro":
-        return first_cost + max(recourse)
-    return first_cost + sum(r * c for r, c in zip(two_stage.probabilities, recourse))
+        return first_cost + max(costs)
+    return first_cost + sum(r * c for r, c in zip(two_stage.probabilities, costs))
 
 
 def vss(two_stage: TwoStageInstance) -> float:
@@ -103,9 +126,10 @@ class CandidateLine:
         return self.intercept + self.slope * rho2
 
 
-def _line_for(two_stage: TwoStageInstance, first_set: EdgePipeSet) -> CandidateLine:
+def _line_for(recourse: RecourseModels, first_set: EdgePipeSet) -> CandidateLine:
+    two_stage = recourse.two_stage
     first_cost = cost(two_stage.first_stage, two_stage.existing, first_set)
-    r1, r2 = _recourse_costs(two_stage, first_set)
+    r1, r2 = recourse.costs(first_set)
     return CandidateLine(first_set, first_cost + r1, r2 - r1)
 
 
@@ -134,6 +158,11 @@ def cost_curves(two_stage: TwoStageInstance, rho_grid: Sequence[float]) -> Curve
     points of consecutive minimizers.  The envelope comes from exact
     parametric refinement: solve at rho2 = 0 and 1, then at each crossing
     where a solve still undercuts the lines found so far."""
+    return _cost_curves(RecourseModels(two_stage), rho_grid)
+
+
+def _cost_curves(recourse: RecourseModels, rho_grid: Sequence[float]) -> CurveTable:
+    two_stage = recourse.two_stage
     if two_stage.num_scenarios != 2:
         raise ValueError("candidate lines require exactly two scenarios")
 
@@ -156,14 +185,14 @@ def cost_curves(two_stage: TwoStageInstance, rho_grid: Sequence[float]) -> Curve
             rho = float(crossing)
             value, first = solve_at(rho)
             if value < min(left.value(rho), right.value(rho)) - 1e-9:
-                middle = _line_for(two_stage, first)
+                middle = _line_for(recourse, first)
                 left_lines, left_crossings = envelope(left, middle, lo, crossing)
                 right_lines, right_crossings = envelope(middle, right, crossing, hi)
                 return left_lines + right_lines[1:], left_crossings + right_crossings
         return [left, right], [crossing]
 
-    left = _line_for(two_stage, solve_at(0.0)[1])
-    right = _line_for(two_stage, solve_at(1.0)[1])
+    left = _line_for(recourse, solve_at(0.0)[1])
+    right = _line_for(recourse, solve_at(1.0)[1])
     lines, crossings = envelope(left, right, Fraction(0), Fraction(1))
     return CurveTable(tuple(float(r) for r in rho_grid), tuple(lines), tuple(crossings))
 
@@ -172,9 +201,10 @@ def vss_curve(
     two_stage: TwoStageInstance, rho_grid: Sequence[float]
 ) -> list[tuple[float, float, float]]:
     """(rho2, VSS, stochastic optimum) along a grid, via the exact envelope."""
-    table = cost_curves(two_stage, rho_grid)
+    recourse = RecourseModels(two_stage)
+    table = _cost_curves(recourse, rho_grid)
     _, deterministic = _solve(build_do(two_stage.first_stage, two_stage.existing, "d"))
-    eevs = _line_for(two_stage, deterministic)
+    eevs = _line_for(recourse, deterministic)
     return [
         (rho, eevs.value(rho) - table.so_value(rho), table.so_value(rho))
         for rho in table.rho_values
@@ -230,7 +260,7 @@ class SweepRecord:
 
 
 def _solve_six(
-    two_stage: TwoStageInstance,
+    two_stage: TwoStageInstance, recourse: RecourseModels | None = None
 ) -> tuple[dict[str, MilpSolution], dict[str, BuiltModel], dict[Objective, EdgePipeSet]]:
     """Solve all six models with incumbent seeding: each directed solve seeds
     its undirected twin's cutoff, the deterministic solution evaluated under
@@ -247,8 +277,10 @@ def _solve_six(
     models search best first on the declared model, so the plans they report
     do not change.
 
-    Returns the solutions and builds by model label, and the first stage of
-    each directed optimum by objective."""
+    The two seeding evaluations use ``recourse``, the record's table, or one
+    of their own.  Returns the solutions and builds by model label, and the
+    first stage of each directed optimum by objective."""
+    recourse = recourse or RecourseModels(two_stage)
     solutions: dict[str, MilpSolution] = {}
     builds: dict[str, BuiltModel] = {}
     first_sets: dict[Objective, EdgePipeSet] = {}
@@ -265,7 +297,7 @@ def _solve_six(
                 first_sets[optimization] = first
                 cutoff = solutions[kind.label].objective + CUTOFF_SLACK
         if next_objective is not None:
-            value = evaluate_under(next_objective, two_stage, first_sets[optimization])
+            value = evaluate_under(next_objective, two_stage, first_sets[optimization], recourse)
             cutoff = value + CUTOFF_SLACK
     return solutions, builds, first_sets
 
@@ -285,7 +317,8 @@ def sweep_record(
 
 
 def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> SweepRecord:
-    solutions, builds, first_sets = _solve_six(two_stage)
+    recourse = RecourseModels(two_stage)  # this record's, dropped with it
+    solutions, builds, first_sets = _solve_six(two_stage, recourse)
     for optimization in OBJECTIVE_ORDER:
         d_obj = solutions[ModelKind(optimization, "d").label].objective
         u_obj = solutions[ModelKind(optimization, "u").label].objective
@@ -294,7 +327,10 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
                 f"{optimization.upper()} flow formulations disagree ({u_obj} vs {d_obj})"
             )
     evaluations = tuple(
-        tuple(evaluate_under(column, two_stage, first_sets[row]) for column in OBJECTIVE_ORDER)
+        tuple(
+            evaluate_under(column, two_stage, first_sets[row], recourse)
+            for column in OBJECTIVE_ORDER
+        )
         for row in OBJECTIVE_ORDER
     )
     for i, optimization in enumerate(OBJECTIVE_ORDER):

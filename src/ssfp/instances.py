@@ -124,6 +124,9 @@ class SweepConfig:
             raise ValidationError(
                 f"terminals_per_group must be one of {TERMINALS_PER_GROUP_CHOICES}"
             )
+        for seed in self.seeds:
+            if not (is_json_integer(seed) and seed >= 0):
+                raise ValidationError(f"seeds must be non-negative integers, not {seed!r}")
 
     @property
     def setting_id(self) -> str:

@@ -7,11 +7,13 @@ afterwards; solved models are shareable across threads.
 """
 from __future__ import annotations
 
+import bisect
 import copy
 import math
+import operator
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Literal, Mapping, Sequence
 
 INF = math.inf
 
@@ -43,6 +45,30 @@ def _lp_name(name: str) -> bool:
         return False
     folded = name.lower()
     return folded not in _LP_KEYWORDS and not folded.startswith(("inf", "nan"))
+
+
+def _new_names(names: list[str], taken: set[str], what: str) -> set[str]:
+    """The set of ``names``, once each is known to be new to ``taken`` and to
+    the batch, and writable as LP text."""
+    fresh = set(names)
+    if len(fresh) < len(names) or not taken.isdisjoint(fresh):
+        seen: set[str] = set()
+        for name in names:
+            if name in taken or name in seen:
+                raise ModelError(f"duplicate {what} name {name!r}")
+            seen.add(name)
+    if not all(map(_lp_name, names)):
+        bad = next(name for name in names if not _lp_name(name))
+        raise ModelError(f"{what} name {bad!r} cannot be written as LP text")
+    return fresh
+
+
+def _first_not_finite(values: array) -> int | None:
+    """The position of the first NaN or infinity in ``values``, or None."""
+    if math.isfinite(sum(values)):  # a NaN or an infinity would make the sum so
+        return None
+    # the sum also overflows on large finite values
+    return next((k for k, value in enumerate(values) if not math.isfinite(value)), None)
 
 
 #: the arrays that hold a model, columns first, then the rows
@@ -107,33 +133,48 @@ class MilpModel:
         upper: float = INF,
         objective: float = 0.0,
     ) -> int:
-        if name in self._col_name_set:
-            raise ModelError(f"duplicate variable name {name!r}")
-        if not _lp_name(name):
-            raise ModelError(f"variable name {name!r} cannot be written as LP text")
+        return self.add_columns([name], kind, lower, upper, objective)[0]
+
+    def add_columns(
+        self,
+        names: Sequence[str],
+        kind: Kind = "continuous",
+        lower: float = 0.0,
+        upper: float = INF,
+        objective: float = 0.0,
+    ) -> range:
+        """Append one family of columns that share a kind, bounds and an
+        objective coefficient, and return their handles.  The family is
+        checked as a whole before any buffer grows, so a refused family leaves
+        the model as it was."""
+        names = list(names)
+        fresh = _new_names(names, self._col_name_set, "variable")
         if kind == "binary":
             lower, upper = 0.0, 1.0
         elif kind != "continuous":
             raise ModelError(f"unknown variable kind {kind!r}")
-        # converted before any buffer grows, so a bad value leaves them aligned
         lower, upper, objective = float(lower), float(upper), float(objective)
+        first = len(self.col_names)
+        if not names:
+            return range(first, first)
+        label = names[0]  # the family shares its bounds and cost
         if lower > upper:
-            raise ModelError(f"variable {name!r} has empty bound interval [{lower}, {upper}]")
+            raise ModelError(f"variable {label!r} has empty bound interval [{lower}, {upper}]")
         # false for a NaN bound too
         if not (lower < INF and upper > -INF):
             raise ModelError(
-                f"variable {name!r} has bounds [{lower}, {upper}], which no real value meets"
+                f"variable {label!r} has bounds [{lower}, {upper}], which no real value meets"
             )
         if not math.isfinite(objective):
-            raise ModelError(f"variable {name!r} has objective coefficient {objective}")
-        handle = len(self.col_names)
-        self.col_names.append(name)
-        self.col_binary.append(kind == "binary")
-        self.col_lower.append(lower)
-        self.col_upper.append(upper)
-        self.col_cost.append(objective)
-        self._col_name_set.add(name)
-        return handle
+            raise ModelError(f"variable {label!r} has objective coefficient {objective}")
+        count = len(names)
+        self.col_names.extend(names)
+        self.col_binary.extend(array("b", [kind == "binary"]) * count)
+        self.col_lower.extend(array("d", [lower]) * count)
+        self.col_upper.extend(array("d", [upper]) * count)
+        self.col_cost.extend(array("d", [objective]) * count)
+        self._col_name_set |= fresh
+        return range(first, first + count)
 
     def add_constraint(
         self,
@@ -145,39 +186,76 @@ class MilpModel:
         """Append one row.  Repeated handles are merged into one term at the
         position of their first occurrence, and terms that sum to zero are
         dropped."""
-        if name in self._row_name_set:
-            raise ModelError(f"duplicate constraint name {name!r}")
-        if not _lp_name(name):
-            raise ModelError(f"constraint name {name!r} cannot be written as LP text")
-        if sense not in SENSES:
-            raise ModelError(f"unknown constraint sense {sense!r}")
-        rhs = float(rhs)
-        if not math.isfinite(rhs):
-            raise ModelError(f"constraint {name!r} has right-hand side {rhs}")
-        num_variables = len(self.col_names)
         merged: dict[int, float] = {}
         for handle, coef in terms:
-            if not 0 <= handle < num_variables:
-                raise ModelError(
-                    f"constraint {name!r} references unknown variable handle {handle}"
-                )
             merged[handle] = merged.get(handle, 0.0) + float(coef)
         if 0.0 in merged.values():
             merged = {h: c for h, c in merged.items() if c != 0.0}
-        if not all(map(math.isfinite, merged.values())):
-            raise ModelError(f"constraint {name!r} has a coefficient that is not finite")
-        try:
-            self.row_index.extend(merged)
-        except TypeError:  # a handle that is not an integer: keep the rows aligned
-            del self.row_index[self.row_start[-1]:]
-            raise
-        self.row_coef.extend(merged.values())
-        self.row_start.append(len(self.row_index))
-        self.row_sense.append(SENSES.index(sense))
-        self.row_rhs.append(rhs)
-        self.row_names.append(name)
-        self._row_name_set.add(name)
-        return len(self.row_names) - 1
+        return self.add_rows([name], (0, len(merged)), merged, merged.values(), sense, (rhs,))[0]
+
+    def add_rows(
+        self,
+        names: Sequence[str],
+        start: Sequence[int],
+        index: Iterable[int],
+        coef: Iterable[float],
+        sense: Sense,
+        rhs: Iterable[float],
+    ) -> range:
+        """Append one family of rows that share a sense, given as compressed
+        sparse rows, and return their handles.  Row ``i`` is named
+        ``names[i]`` and has the right-hand side ``rhs[i]`` and the terms
+        ``index[k]`` with coefficients ``coef[k]`` for ``start[i] <= k <
+        start[i + 1]``; ``start`` runs from 0 to the number of terms.  Within
+        a row the handles are distinct and the coefficients nonzero
+        (``add_constraint`` merges and drops to get there).  The family is
+        checked as a whole before any buffer grows, so a refused family leaves
+        the model as it was."""
+        names = list(names)
+        fresh = _new_names(names, self._row_name_set, "constraint")
+        if sense not in SENSES:
+            raise ModelError(f"unknown constraint sense {sense!r}")
+        # converted before any buffer grows: a value of the wrong type raises here
+        rhs = array("d", map(float, rhs))
+        start, index, coef = array("i", start), array("i", index), array("d", coef)
+        if not (
+            len(start) == len(names) + 1 == len(rhs) + 1
+            and start[0] == 0
+            and start[-1] == len(index) == len(coef)
+            and all(map(operator.le, start, start[1:]))
+        ):
+            raise ModelError(
+                f"{len(names)} row names, {len(rhs)} right-hand sides and {len(start)} row "
+                f"starts do not describe {len(index)} terms with {len(coef)} coefficients"
+            )
+        num_variables = len(self.col_names)
+
+        def row_of(k: int) -> str:
+            return names[bisect.bisect_right(start, k) - 1]
+
+        if index and not (min(index) >= 0 and max(index) < num_variables):
+            k = next(k for k, h in enumerate(index) if not 0 <= h < num_variables)
+            raise ModelError(f"constraint {row_of(k)!r} references unknown variable handle {index[k]}")
+        for row, (a, b) in enumerate(zip(start, start[1:])):
+            if b - a > 1 and len(set(index[a:b])) < b - a:
+                raise ModelError(f"constraint {names[row]!r} repeats a variable handle")
+        k = _first_not_finite(coef)
+        if k is not None:
+            raise ModelError(f"constraint {row_of(k)!r} has a coefficient that is not finite")
+        if 0.0 in coef:
+            raise ModelError(f"constraint {row_of(coef.index(0.0))!r} has a zero coefficient")
+        row = _first_not_finite(rhs)
+        if row is not None:
+            raise ModelError(f"constraint {names[row]!r} has right-hand side {rhs[row]}")
+        first, offset = len(self.row_names), len(self.row_index)
+        self.row_index.extend(index)
+        self.row_coef.extend(coef)
+        self.row_start.extend(array("i", (offset + k for k in start[1:])))
+        self.row_sense.extend(array("b", [SENSES.index(sense)]) * len(names))
+        self.row_rhs.extend(rhs)
+        self.row_names.extend(names)
+        self._row_name_set |= fresh
+        return range(first, len(self.row_names))
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
         """Replace all objective coefficients; unmentioned variables get 0."""
@@ -198,6 +276,34 @@ class MilpModel:
             raise ModelError(f"make_binary references unknown variable handle {handle}")
         self.col_binary[handle] = True
         self.col_lower[handle], self.col_upper[handle] = 0.0, 1.0
+
+    def set_columns(self, handles: Iterable[int], lower: float, objective: float) -> None:
+        """Give each column in ``handles`` the lower bound ``lower`` and the
+        objective coefficient ``objective``; its kind and upper bound stay.
+        All are checked before any is written."""
+        handles = list(handles)
+        lower, objective = float(lower), float(objective)
+        for handle in handles:
+            if not 0 <= handle < len(self.col_names):
+                raise ModelError(f"set_columns references unknown variable handle {handle}")
+            upper = self.col_upper[handle]
+            if not (lower <= upper and lower < INF):  # false for a NaN bound too
+                raise ModelError(
+                    f"variable {self.col_names[handle]!r} cannot take the bounds [{lower}, {upper}]"
+                )
+        if handles and not math.isfinite(objective):
+            raise ModelError(
+                f"variable {self.col_names[handles[0]]!r} has objective coefficient {objective}"
+            )
+        for handle in handles:
+            self.col_lower[handle] = lower
+            self.col_cost[handle] = objective
+
+    def copy(self) -> MilpModel:
+        """A copy that shares no buffer with this model."""
+        out = MilpModel.__new__(MilpModel)
+        out.__dict__.update((key, copy.copy(value)) for key, value in vars(self).items())
+        return out
 
     def __eq__(self, other: object) -> bool:
         """Equality of every column and row buffer, element for element; the
@@ -241,7 +347,7 @@ def relax(model: MilpModel) -> MilpModel:
     """The LP relaxation: a copy of the model with every binary flag cleared.
     A binary's bounds are already [0, 1], so it becomes continuous on [0, 1];
     everything else is untouched.  Idempotent."""
-    out = copy.deepcopy(model)
+    out = model.copy()
     out.col_binary = array("b", bytes(len(out.col_binary)))
     return out
 

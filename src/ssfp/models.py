@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
 from .milp_core import MilpModel, MilpSolution
@@ -74,15 +74,26 @@ class BuiltModel:
         )
         return stages[0], stages[1:]
 
-
-ArcVariables = dict[tuple[int, int, int], int]  # (pipe, tail, head) -> handle
+    def with_installed(self, pairs: EdgePipeSet) -> MilpModel:
+        """A copy of the program with ``pairs`` laid in the first stage
+        (``install``).  For a DO model built with nothing installed this is,
+        buffer for buffer, the DO model built with ``pairs`` existing."""
+        milp = self.milp.copy()
+        install(milp, self.stage_x[0], pairs)
+        return milp
 
 
 class _StageIndex:
-    """What the flow blocks of one stage iterate over: feasible pipes and
-    admissible edges ascending, both arcs of each admissible edge in edge
-    order, the heads of each vertex's outgoing arcs, and the active
-    vertices (those touched by an admissible edge), ascending."""
+    """What the flow blocks of one stage iterate over, and the row templates
+    they share: feasible pipes and admissible edges ascending, both arcs of
+    each admissible edge in edge order, the heads of each vertex's outgoing
+    arcs, and the active vertices (those touched by an admissible edge),
+    ascending.
+
+    An arc family holds one column per feasible pipe and arc, pipe-major: the
+    column of ``pipes[i]`` on ``arcs[j]`` is the family's first handle plus
+    the offset ``i * len(arcs) + j``.  The templates hold such offsets, so one
+    template serves every arc family of the stage."""
 
     def __init__(self, inst: Instance) -> None:
         self.pipes = tuple(sorted(inst.feasible_pipes))
@@ -95,97 +106,132 @@ class _StageIndex:
             self.heads.setdefault(u, []).append(v)
         self.active = tuple(sorted(self.heads))
 
-    def arc_variables(self, model: MilpModel, prefix: str, kind: str, suffix: str) -> ArcVariables:
-        """One [0, 1] variable ``{prefix}_{p}_{u}_{v}{suffix}`` per feasible
-        pipe and arc, pipe-major."""
-        return {
-            (p, u, v): model.add_variable(f"{prefix}_{p}_{u}_{v}{suffix}", kind, 0.0, 1.0)
-            for p in self.pipes
-            for u, v in self.arcs
+        width = len(self.arcs)
+        position = {arc: j for j, arc in enumerate(self.arcs)}
+        pipe_offsets = [i * width for i in range(len(self.pipes))]
+        #: ``{p}_{u}_{v}`` per offset: the name tag of an arc column or row
+        self.arc_tags = [f"{p}_{u}_{v}" for p in self.pipes for u, v in self.arcs]
+        #: per feasible pipe and admissible edge, pipe-major: the offset of the
+        #: edge's arc (u, v), whose reverse comes next, and its (pipe, edge id)
+        self.edge_offsets = [
+            (i + 2 * j, (p, eid))
+            for i, p in zip(pipe_offsets, self.pipes)
+            for j, (eid, _, _) in enumerate(self.edges)
+        ]
+        # per active vertex, pipe-major: the offsets of its incoming arcs, of
+        # its outgoing arcs, and of each outgoing arc followed by its reverse
+        self._into = {
+            v: [i + position[(w, v)] for i in pipe_offsets for w in heads]
+            for v, heads in self.heads.items()
+        }
+        self._out = {
+            v: [i + position[(v, w)] for i in pipe_offsets for w in heads]
+            for v, heads in self.heads.items()
+        }
+        self._net_out = {
+            v: [i + position[arc] for i in pipe_offsets for w in heads for arc in ((v, w), (w, v))]
+            for v, heads in self.heads.items()
         }
 
-    def into(
-        self, var: ArcVariables, v: int, pipes: tuple[int, ...] | None = None
-    ) -> list[tuple[int, float]]:
-        """Each arc into ``v`` at +1, over ``pipes`` (default: all feasible)."""
-        return [(var[(p, w, v)], 1.0) for p in pipes or self.pipes for w in self.heads.get(v, ())]
+    def arc_variables(self, model: MilpModel, prefix: str, kind: str, suffix: str) -> int:
+        """One [0, 1] variable ``{prefix}_{p}_{u}_{v}{suffix}`` per feasible
+        pipe and arc, pipe-major; returns the family's first handle."""
+        names = [f"{prefix}_{tag}{suffix}" for tag in self.arc_tags]
+        return model.add_columns(names, kind, 0.0, 1.0).start
 
-    def out_of(self, var: ArcVariables, v: int, coef: float = 1.0) -> list[tuple[int, float]]:
-        """Each arc out of ``v`` at ``coef``."""
-        return [(var[(p, v, w)], coef) for p in self.pipes for w in self.heads.get(v, ())]
+    # The terms of one row over the arc family whose first handle is ``base``,
+    # as (handles, coefficients); a vertex no admissible edge touches has none.
 
-    def net_out(self, var: ArcVariables, v: int) -> list[tuple[int, float]]:
+    def into(self, base: int, v: int) -> tuple[list[int], list[float]]:
+        """Each arc into ``v`` at +1."""
+        offsets = self._into.get(v, [])
+        return [base + o for o in offsets], [1.0] * len(offsets)
+
+    def out_of(self, base: int, v: int) -> tuple[list[int], list[float]]:
+        """Each arc out of ``v`` at +1."""
+        offsets = self._out.get(v, [])
+        return [base + o for o in offsets], [1.0] * len(offsets)
+
+    def net_out(self, base: int, v: int) -> tuple[list[int], list[float]]:
         """Each arc out of ``v`` at +1 followed by its reverse at -1."""
-        return [
-            term
-            for p in self.pipes
-            for w in self.heads.get(v, ())
-            for term in ((var[(p, v, w)], 1.0), (var[(p, w, v)], -1.0))
-        ]
+        offsets = self._net_out.get(v, [])
+        return [base + o for o in offsets], [1.0, -1.0] * (len(offsets) // 2)
+
+    def in_minus_out(self, base: int, v: int) -> tuple[list[int], list[float]]:
+        """Each arc into ``v`` at +1, then each arc out of ``v`` at -1."""
+        into, out = self._into.get(v, []), self._out.get(v, [])
+        return [base + o for o in into + out], [1.0] * len(into) + [-1.0] * len(out)
+
+    def into_by_pipe(self, base: int, v: int, p: int) -> list[int]:
+        """The handles of the arcs of pipe ``p`` into ``v``."""
+        count = len(self.heads.get(v, ()))
+        i = self.pipes.index(p)
+        return [base + o for o in self._into.get(v, [])[i * count : (i + 1) * count]]
 
 
-def _add_x_variables(
-    model: MilpModel, inst: Instance, existing: frozenset[tuple[int, int]], suffix: str
-) -> dict[tuple[int, int], int]:
-    """Installation-variable handles of one stage, keyed by (pipe, edge id)."""
-    x: dict[tuple[int, int], int] = {}
-    for p in range(1, inst.pipes.num_pipe_types + 1):
-        for eid, (u, v) in enumerate(inst.graph.edges):
-            fixed = (p, eid) in existing
-            x[(p, eid)] = model.add_variable(
-                f"x_{p}_{u}_{v}{suffix}",
-                "continuous",
-                1.0 if fixed else 0.0,
-                1.0,
-            )
-    return x
+Row = tuple[str, list[int], list[float], float]  # name, handles, coefficients, rhs
 
 
-def _add_undirected_block(
-    model: MilpModel,
-    inst: Instance,
-    existing: frozenset[tuple[int, int]],
-    suffix: str,
-) -> dict[tuple[int, int], int]:
+def _add_family(model: MilpModel, sense: str, rows: Iterable[Row]) -> None:
+    """Append one family of rows with one ``add_rows`` call."""
+    names: list[str] = []
+    start = [0]
+    index: list[int] = []
+    coef: list[float] = []
+    rhs: list[float] = []
+    for name, handles, coefficients, value in rows:
+        names.append(name)
+        index += handles
+        coef += coefficients
+        start.append(len(index))
+        rhs.append(value)
+    model.add_rows(names, start, index, coef, sense, rhs)
+
+
+def _add_x_variables(model: MilpModel, inst: Instance, suffix: str) -> dict[tuple[int, int], int]:
+    """Installation-variable handles of one stage, keyed by (pipe, edge id),
+    each on [0, 1] at no cost; ``_build`` prices and installs them."""
+    pipes = range(1, inst.pipes.num_pipe_types + 1)
+    names = [f"x_{p}_{u}_{v}{suffix}" for p in pipes for u, v in inst.graph.edges]
+    keys = [(p, eid) for p in pipes for eid in range(inst.graph.num_edges)]
+    return dict(zip(keys, model.add_columns(names, "continuous", 0.0, 1.0)))
+
+
+def _add_undirected_block(model: MilpModel, inst: Instance, suffix: str) -> dict[tuple[int, int], int]:
     """Variables and constraints of the undirected flow formulation: one
     commodity per non-root terminal, flow conservation summed over feasible
     pipes, and anti-parallel coupling of flows to installations."""
-    x = _add_x_variables(model, inst, existing, suffix)
+    x = _add_x_variables(model, inst, suffix)
     index = _StageIndex(inst)
     terminals = inst.terminals.non_root_terminals()
     roots = inst.terminals.roots
     group_of = inst.terminals.group_of
 
+    # each arc family by its first handle
     f = {t: index.arc_variables(model, f"f_{t}", "binary", suffix) for t in terminals}
 
-    for t in terminals:
-        root = roots[group_of[t]]
-        for v in index.active:
-            rhs = 1.0 if v == root else -1.0 if v == t else 0.0
-            model.add_constraint(f"flow_{t}_{v}{suffix}", index.net_out(f[t], v), "=", rhs)
+    def flow_rows() -> Iterator[Row]:
+        for t in terminals:
+            root = roots[group_of[t]]
+            for v in index.active:
+                rhs = 1.0 if v == root else -1.0 if v == t else 0.0
+                yield (f"flow_{t}_{v}{suffix}", *index.net_out(f[t], v), rhs)
 
-    for t in terminals:
-        for p in index.pipes:
-            for eid, u, v in index.edges:
-                model.add_constraint(
-                    f"cap_{t}_{p}_{u}_{v}{suffix}",
-                    [(f[t][(p, u, v)], 1.0), (f[t][(p, v, u)], 1.0), (x[(p, eid)], -1.0)],
-                    "<=",
-                    0.0,
-                )
+    _add_family(model, "=", flow_rows())
+    _add_family(model, "<=", (
+        (f"cap_{t}_{index.arc_tags[o]}{suffix}", [f[t] + o, f[t] + o + 1, x[pair]],
+         [1.0, 1.0, -1.0], 0.0)
+        for t in terminals
+        for o, pair in index.edge_offsets
+    ))
     return x
 
 
-def _add_directed_block(
-    model: MilpModel,
-    inst: Instance,
-    existing: frozenset[tuple[int, int]],
-    suffix: str,
-) -> dict[tuple[int, int], int]:
+def _add_directed_block(model: MilpModel, inst: Instance, suffix: str) -> dict[tuple[int, int], int]:
     """Variables and constraints of the directed formulation: arborescences
     that merge overlapping groups under a single root, which rules out the
     opposing fractional flow cycles the undirected relaxation admits."""
-    x = _add_x_variables(model, inst, existing, suffix)
+    x = _add_x_variables(model, inst, suffix)
     index = _StageIndex(inst)
     groups = inst.terminals.groups
     roots = inst.terminals.roots
@@ -199,47 +245,44 @@ def _add_directed_block(
 
     commodities = [(k, t) for k in ks for t in tail_union(k) if t != roots[k - 1]]
 
+    # each arc family by its first handle
     f = {(k, t): index.arc_variables(model, f"fD_{k}_{t}", "binary", suffix) for k, t in commodities}
     yk = {k: index.arc_variables(model, f"yk_{k}", "continuous", suffix) for k in ks}
     y = index.arc_variables(model, "y", "continuous", suffix)
-    z = {(k, l): model.add_variable(f"z_{k}_{l}{suffix}", "binary") for k in ks for l in ks if l >= k}
+    z_keys = [(k, l) for k in ks for l in ks if l >= k]
+    z = dict(zip(z_keys, model.add_columns([f"z_{k}_{l}{suffix}" for k, l in z_keys], "binary")))
 
     # flow conservation with z on the right-hand side, folded to the left
-    for k, t in commodities:
-        l = group_of[t] + 1
-        for v in index.active:
-            terms = index.net_out(f[(k, t)], v)
-            if v == roots[k - 1]:
-                terms.append((z[(k, l)], -1.0))
-            elif v == t:
-                terms.append((z[(k, l)], 1.0))
-            model.add_constraint(f"flowD_{k}_{t}_{v}{suffix}", terms, "=", 0.0)
+    def flow_rows() -> Iterator[Row]:
+        for k, t in commodities:
+            root, z_kl = roots[k - 1], z[(k, group_of[t] + 1)]
+            for v in index.active:
+                handles, coefs = index.net_out(f[(k, t)], v)
+                if v in (root, t):
+                    handles.append(z_kl)
+                    coefs.append(-1.0 if v == root else 1.0)
+                yield f"flowD_{k}_{t}_{v}{suffix}", handles, coefs, 0.0
+
+    _add_family(model, "=", flow_rows())
 
     # flows activate the per-arborescence arc indicators
-    for k, t in commodities:
-        for (p, u, v), handle in f[(k, t)].items():
-            model.add_constraint(
-                f"act_{k}_{t}_{p}_{u}_{v}{suffix}",
-                [(handle, 1.0), (yk[k][(p, u, v)], -1.0)],
-                "<=",
-                0.0,
-            )
+    _add_family(model, "<=", (
+        (f"act_{k}_{t}_{tag}{suffix}", [f[(k, t)] + o, yk[k] + o], [1.0, -1.0], 0.0)
+        for k, t in commodities
+        for o, tag in enumerate(index.arc_tags)
+    ))
 
     # every arc belongs to at most one arborescence
-    for (p, u, v), handle in y.items():
-        terms = [(yk[k][(p, u, v)], 1.0) for k in ks]
-        terms.append((handle, -1.0))
-        model.add_constraint(f"arb_{p}_{u}_{v}{suffix}", terms, "<=", 0.0)
+    _add_family(model, "<=", (
+        (f"arb_{tag}{suffix}", [yk[k] + o for k in ks] + [y + o], [1.0] * num_groups + [-1.0], 0.0)
+        for o, tag in enumerate(index.arc_tags)
+    ))
 
     # one direction per installed edge
-    for p in index.pipes:
-        for eid, u, v in index.edges:
-            model.add_constraint(
-                f"dir_{p}_{u}_{v}{suffix}",
-                [(y[(p, u, v)], 1.0), (y[(p, v, u)], 1.0), (x[(p, eid)], -1.0)],
-                "<=",
-                0.0,
-            )
+    _add_family(model, "<=", (
+        (f"dir_{index.arc_tags[o]}{suffix}", [y + o, y + o + 1, x[pair]], [1.0, 1.0, -1.0], 0.0)
+        for o, pair in index.edge_offsets
+    ))
 
     # every group is rooted exactly once, and only at the root of its own
     # arborescence
@@ -256,40 +299,49 @@ def _add_directed_block(
     # strengthening rows: single receiving pipe per vertex, no flow into
     # earlier groups, no flow out of a commodity's own sink, and flow balance
     # at vertices that are not targets
-    for v in index.active:
-        model.add_constraint(f"onepipe_{v}{suffix}", index.into(y, v), "<=", 1.0)
-
-    for k in range(2, num_groups + 1):
-        for t in sorted(t for g in groups[: k - 1] for t in g):
-            model.add_constraint(f"noearly_{k}_{t}{suffix}", index.into(yk[k], t), "=", 0.0)
-
-    for k, t in commodities:
-        model.add_constraint(f"nosinkout_{k}_{t}{suffix}", index.out_of(f[(k, t)], t), "=", 0.0)
+    _add_family(model, "<=", (
+        (f"onepipe_{v}{suffix}", *index.into(y, v), 1.0) for v in index.active
+    ))
+    _add_family(model, "=", (
+        (f"noearly_{k}_{t}{suffix}", *index.into(yk[k], t), 0.0)
+        for k in range(2, num_groups + 1)
+        for t in sorted(t for g in groups[: k - 1] for t in g)
+    ))
+    _add_family(model, "=", (
+        (f"nosinkout_{k}_{t}{suffix}", *index.out_of(f[(k, t)], t), 0.0) for k, t in commodities
+    ))
 
     all_terminals = inst.terminals.all_terminals
-    for v in index.active:
-        if v not in all_terminals:
-            terms = index.into(y, v) + index.out_of(y, v, -1.0)
-            model.add_constraint(f"bal_{v}{suffix}", terms, "<=", 0.0)
-
-    for k in ks:
-        targets = set(tail_union(k)) - {roots[k - 1]}
-        for v in index.active:
-            if v not in targets:
-                terms = index.into(yk[k], v) + index.out_of(yk[k], v, -1.0)
-                model.add_constraint(f"balk_{k}_{v}{suffix}", terms, "<=", 0.0)
+    _add_family(model, "<=", (
+        (f"bal_{v}{suffix}", *index.in_minus_out(y, v), 0.0)
+        for v in index.active
+        if v not in all_terminals
+    ))
+    targets = {k: set(tail_union(k)) - {roots[k - 1]} for k in ks}
+    _add_family(model, "<=", (
+        (f"balk_{k}_{v}{suffix}", *index.in_minus_out(yk[k], v), 0.0)
+        for k in ks
+        for v in index.active
+        if v not in targets[k]
+    ))
 
     # an arborescence may enter a later root only if it owns that group
     for k in range(1, num_groups):
         for l in range(k + 1, num_groups + 1):
             for p in index.pipes:
-                terms = index.into(yk[k], roots[l - 1], (p,))
+                terms = [(handle, 1.0) for handle in index.into_by_pipe(yk[k], roots[l - 1], p)]
                 terms.append((z[(k, l)], -1.0))
                 model.add_constraint(f"rootuse_{k}_{l}_{p}{suffix}", terms, "<=", 0.0)
     return x
 
 
 _BLOCKS = {"u": _add_undirected_block, "d": _add_directed_block}
+
+
+def install(model: MilpModel, x: dict[tuple[int, int], int], pairs: EdgePipeSet) -> None:
+    """Lay ``pairs`` in the stage whose installation handles are ``x``: each
+    pair's column gets lower bound 1 (its upper bound is 1) and no cost."""
+    model.set_columns([x[pair] for pair in pairs], 1.0, 0.0)
 
 
 def _build(
@@ -310,36 +362,38 @@ def _build(
     block = _BLOCKS[kind.flow]
     robust = kind.optimization == "ro"
 
-    stage_x = [block(model, first, existing.pairs, "")]
-    objective = {
-        handle: first.pair_cost(p, eid)
-        for (p, eid), handle in stage_x[0].items()
-        if (p, eid) not in existing
-    }
+    stage_x = [block(model, first, "")]
+    model.set_objective({handle: first.pair_cost(*pair) for pair, handle in stage_x[0].items()})
+    install(model, stage_x[0], existing)
     if scenarios:
-        for handle in objective:  # fixed pairs stay continuous at [1, 1]
-            model.make_binary(handle)
+        for pair, handle in stage_x[0].items():
+            if pair not in existing:  # installed pairs stay continuous at [1, 1]
+                model.make_binary(handle)
     for s, scenario in enumerate(scenarios, start=1):
-        stage_x.append(block(model, scenario, frozenset(), f"_s{s}"))
+        stage_x.append(block(model, scenario, f"_s{s}"))
 
     d_handle = model.add_variable("d", "continuous", 0.0) if robust else None
+    # the first-stage prices as install left them; the retrofit terms add to them
+    objective = {handle: model.col_cost[handle] for handle in stage_x[0].values()}
     if robust:
         objective[d_handle] = 1.0
+    pipes = range(1, first.pipes.num_pipe_types + 1)
+    pair_tags = [f"{p}_{u}_{v}" for p in pipes for u, v in first.graph.edges]  # stage_x order
     for s, (scenario, rho) in enumerate(zip(scenarios, probabilities), start=1):
+        _add_family(model, ">=", (
+            (f"link_{tag}_s{s}", [handle, stage_x[0][pair]], [1.0, -1.0], 0.0)
+            for tag, (pair, handle) in zip(pair_tags, stage_x[s].items())
+        ))
         epigraph: list[tuple[int, float]] = [(d_handle, 1.0)] if robust else []
-        for (p, eid), handle in stage_x[s].items():
-            inflated = scenario.pair_cost(p, eid)
-            first_handle = stage_x[0][(p, eid)]
-            u, v = first.graph.endpoints(eid)
-            model.add_constraint(
-                f"link_{p}_{u}_{v}_s{s}", [(handle, 1.0), (first_handle, -1.0)], ">=", 0.0
-            )
+        for pair, handle in stage_x[s].items():
+            inflated = scenario.pair_cost(*pair)
+            first_handle = stage_x[0][pair]
             if robust:
                 epigraph.append((handle, -inflated))
                 epigraph.append((first_handle, inflated))
             else:
                 objective[handle] = objective.get(handle, 0.0) + rho * inflated
-                objective[first_handle] = objective.get(first_handle, 0.0) - rho * inflated
+                objective[first_handle] -= rho * inflated
         if robust:
             model.add_constraint(f"worst_s{s}", epigraph, ">=", 0.0)
     model.set_objective(objective)
@@ -412,7 +466,7 @@ def _stage_size(inst: Instance, flow: Flow) -> tuple[int, int]:
     feas = len(inst.feasible_pipes)
     adm = len(inst.admissible_edges)
     arcs = 2 * adm
-    active = len(_StageIndex(inst).active)
+    active = len({v for eid in inst.admissible_edges for v in inst.graph.endpoints(eid)})
     groups = inst.terminals.groups
     sizes = [len(g) for g in groups]
     num_groups = len(groups)

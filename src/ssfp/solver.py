@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -163,17 +164,23 @@ def solve_milp(
     optimality-gap setting, so an ``optimal`` status carries the optimum of
     the model as declared.
 
-    ``node_limit`` (``None``: no limit) stops the search with status
-    ``node_limit`` and the least open bound: the least parent bound over the
-    popped node and the open nodes (under ``"best"``, the popped node's).
-    ``cutoff`` seeds the incumbent objective, so nodes that cannot beat it are
-    pruned; if no solution beats it, ``SolverError`` is raised.
+    ``node_limit`` (``None``: no limit; else an integer of at least 1) stops
+    the search with status ``node_limit`` and the least open bound: the least
+    parent bound over the popped node and the open nodes (under ``"best"``,
+    the popped node's).  ``cutoff`` (not NaN) seeds the incumbent objective,
+    so nodes that cannot beat it are pruned; if no solution beats it,
+    ``SolverError`` is raised.
 
     Every node solves one LP, so ``lp_count`` equals ``node_count``;
     ``simplex_iterations`` is the sum of their ``LpResult.nit``.
     """
-    if node_limit is not None and node_limit < 1:
-        raise ValueError("node_limit must be at least 1")
+    if node_limit is not None:
+        if isinstance(node_limit, bool) or not isinstance(node_limit, numbers.Integral):
+            raise ValueError(f"node_limit must be an integer, not {node_limit!r}")
+        if node_limit < 1:
+            raise ValueError("node_limit must be at least 1")
+    if cutoff is not None and math.isnan(cutoff):
+        raise ValueError("cutoff must be a number, not NaN")
     if order not in ("best", "depth"):
         raise ValueError(f"order must be 'best' or 'depth', not {order!r}")
     depth = order == "depth"

@@ -22,7 +22,7 @@ from ssfp.experiments import (
     write_ratios_csv,
     write_sweep_csv,
 )
-from ssfp.graph_core import TwoStageInstance
+from ssfp.graph_core import EdgePipeSet, TwoStageInstance
 from ssfp.instances import (
     SweepConfig,
     fig2_instance,
@@ -30,7 +30,7 @@ from ssfp.instances import (
     random_artificial,
     random_grid_instance,
 )
-from ssfp.models import ALL_KINDS, build_model, dominated_pipes
+from ssfp.models import ALL_KINDS, build_do, build_model, dominated_pipes
 from ssfp.solver import SolverNumericalError, solve_milp
 
 
@@ -159,7 +159,7 @@ class TestCostCurves:
             assert table.so_value(rho) == pytest.approx(direct.objective, abs=1e-9)
 
     def test_requires_two_scenarios(self, fig2):
-        from ssfp.graph_core import TwoStageInstance
+        from ssfp.graph_core import EdgePipeSet, TwoStageInstance
 
         single = TwoStageInstance(fig2.first_stage, fig2.scenarios[:1], (1.0,))
         with pytest.raises(ValueError):
@@ -289,22 +289,28 @@ PILOT = SweepConfig(2, 2, 3, tuple(range(12)))
 RECORD = SweepConfig(2, 1, 3)
 
 
-@pytest.mark.parametrize(
+PILOT_AND_RECORD = pytest.mark.parametrize(
     "config, seed",
     [(PILOT, seed) for seed in PILOT.seeds] + [(RECORD, 2)],
     ids=[f"pilot-{seed}" for seed in PILOT.seeds] + ["record-2"],
 )
+
+
+def _record_instance(config, seed):
+    if config is PILOT:
+        return random_grid_instance(
+            3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2,
+            num_scenarios=2, seed=seed,
+        )
+    return random_artificial(config, seed)
+
+
+@PILOT_AND_RECORD
 def test_pipe_reduction_agrees_with_the_declared_models(monkeypatch, config, seed):
     """A sweep record with the dominated pipe types dropped from the U twins
     and the recourse solves, against one on the declared models: the same
     optima and evaluations, the same D searches, and the declared sizes."""
-    if config is PILOT:
-        two_stage = random_grid_instance(
-            3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2,
-            num_scenarios=2, seed=seed,
-        )
-    else:
-        two_stage = random_artificial(config, seed)
+    two_stage = _record_instance(config, seed)
     stages = (two_stage.first_stage, *two_stage.scenarios)
     assert dominated_pipes(stages, two_stage.existing) == {2}
     reduced = sweep_record(config, seed, two_stage)
@@ -320,6 +326,58 @@ def test_pipe_reduction_agrees_with_the_declared_models(monkeypatch, config, see
     for record in (reduced, declared):
         assert record.variable_counts == tuple(b.milp.num_variables for b in builds)
         assert record.constraint_counts == tuple(b.milp.num_constraints for b in builds)
+
+
+def _fresh_recourse_costs(recourse, first_stage_solution):
+    """The path the recourse tables replaced: a fresh
+    ``build_do(reduced, installed, "d")`` per recourse solve."""
+    two_stage = recourse.two_stage
+    installed = first_stage_solution | two_stage.existing
+    out = []
+    for scenario in two_stage.scenarios:
+        reduced = scenario.without_pipes(dominated_pipes((scenario,), installed))
+        solution = solve_milp(build_do(reduced, installed, "d").milp)
+        assert solution.status == "optimal"
+        out.append(solution.objective)
+    return tuple(out)
+
+
+@PILOT_AND_RECORD
+def test_recourse_tables_agree_with_a_fresh_build_per_solve(monkeypatch, config, seed):
+    """A record whose recourse solves run on its table's models, against one
+    that builds every recourse model afresh: bit for bit the same optima,
+    evaluations and node counts."""
+    two_stage = _record_instance(config, seed)
+    tabled = sweep_record(config, seed, two_stage)
+    monkeypatch.setattr(experiments.RecourseModels, "costs", _fresh_recourse_costs)
+    fresh = sweep_record(config, seed, two_stage)
+    assert tabled.objectives == fresh.objectives
+    assert tabled.evaluations == fresh.evaluations
+    assert tabled.node_counts == fresh.node_counts
+
+
+def test_a_recourse_table_lives_for_one_record(monkeypatch):
+    """Pilot record 0 needs one recourse model per scenario, with pipe 2
+    dropped each time; a second record of the same instance builds them
+    again, as no table outlives its record."""
+    builds = []
+    original = experiments.build_do
+
+    def recording_build_do(instance, existing, flow):
+        builds.append((instance.feasible_pipes, existing, flow))
+        return original(instance, existing, flow)
+
+    monkeypatch.setattr(experiments, "build_do", recording_build_do)
+    two_stage = _record_instance(PILOT, 0)
+    for _ in range(2):
+        sweep_record(PILOT, 0, two_stage)
+    assert builds == [(frozenset({1}), EdgePipeSet(), "d")] * 4
+
+
+def test_a_recourse_table_of_another_instance_is_refused(fig2, routes):
+    other = experiments.RecourseModels(fig2.with_probabilities((0.5, 0.5)))
+    with pytest.raises(ValueError, match="belong to another instance"):
+        evaluate_under("so", fig2, routes[0], other)
 
 
 @pytest.mark.parametrize("seed", range(4))

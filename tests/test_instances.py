@@ -83,6 +83,13 @@ class TestSweepConfig:
         with pytest.raises(ValidationError):
             SweepConfig(2, 1, 6)
 
+    @pytest.mark.parametrize("seeds", [("a",), (1.5,), (-1,), (True,), (0, 2.0)])
+    def test_seeds_that_are_not_non_negative_integers_rejected(self, seeds):
+        # refused when the config is built, not as an unprefixed numpy error
+        # in the middle of a sweep
+        with pytest.raises(ValidationError, match="seeds must be non-negative integers"):
+            SweepConfig(2, 1, 3, seeds)
+
 
 class TestRandomArtificial:
     def test_same_seed_is_identical(self):

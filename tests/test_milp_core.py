@@ -138,6 +138,137 @@ class TestBuilder:
         highs_reads_back(m)
 
 
+def _state(m):
+    """Every buffer of ``m`` and the names it has taken, as plain lists."""
+    from ssfp.milp_core import _BUFFERS
+
+    taken = (sorted(m._col_name_set), sorted(m._row_name_set))
+    return [list(getattr(m, key)) for key in _BUFFERS] + [taken]
+
+
+def _two_columns():
+    m = MilpModel()
+    m.add_columns(["x", "y"], "continuous", 0.0, 1.0)
+    m.add_constraint("c", [(0, 1.0)], "<=", 1.0)
+    return m
+
+
+#: one refused family per entry: (add_rows arguments, expected error, message)
+BAD_ROWS = {
+    "duplicate in the batch": ((["r", "r"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, 0]),
+                               ModelError, "duplicate constraint name 'r'"),
+    "duplicate of the model": ((["r", "c"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, 0]),
+                               ModelError, "duplicate constraint name 'c'"),
+    "LP name rule": ((["r", "st"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, 0]),
+                     ModelError, "'st' cannot be written as LP text"),
+    "unknown handle": ((["r", "s"], [0, 1, 2], [0, 2], [1.0, 1.0], "<=", [0, 0]),
+                       ModelError, "'s' references unknown variable handle 2"),
+    "negative handle": ((["r", "s"], [0, 1, 2], [-1, 0], [1.0, 1.0], "<=", [0, 0]),
+                        ModelError, "'r' references unknown variable handle -1"),
+    "handle not an integer": ((["r"], [0, 1], [0.5], [1.0], "<=", [0]), TypeError, None),
+    "repeated handle": ((["r", "s"], [0, 1, 3], [0, 1, 1], [1.0, 1.0, 2.0], "<=", [0, 0]),
+                        ModelError, "'s' repeats a variable handle"),
+    "NaN coefficient": ((["r", "s"], [0, 1, 2], [0, 1], [1.0, math.nan], "<=", [0, 0]),
+                        ModelError, "'s' has a coefficient that is not finite"),
+    "infinite coefficient": ((["r", "s"], [0, 1, 2], [0, 1], [math.inf, 1.0], "<=", [0, 0]),
+                             ModelError, "'r' has a coefficient that is not finite"),
+    "zero coefficient": ((["r", "s"], [0, 1, 2], [0, 1], [1.0, 0.0], "<=", [0, 0]),
+                         ModelError, "'s' has a zero coefficient"),
+    "infinite rhs": ((["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, -math.inf]),
+                     ModelError, "'s' has right-hand side -inf"),
+    "NaN rhs": ((["r"], [0, 1], [0], [1.0], "<=", [math.nan]),
+                ModelError, "'r' has right-hand side nan"),
+    "rhs not a number": ((["r"], [0, 1], [0], [1.0], "<=", ["one"]), ValueError, None),
+    "unknown sense": ((["r"], [0, 1], [0], [1.0], "<", [0]),
+                      ModelError, "unknown constraint sense '<'"),
+    "starts past the terms": ((["r"], [0, 2], [0], [1.0], "<=", [0]), ModelError, "do not describe"),
+    "starts not from 0": ((["r"], [1, 1], [0], [1.0], "<=", [0]), ModelError, "do not describe"),
+    "starts decrease": ((["r", "s"], [0, 2, 1], [0, 1], [1.0, 1.0], "<=", [0, 0]),
+                        ModelError, "do not describe"),
+    "rhs missing": ((["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0]),
+                    ModelError, "do not describe"),
+    "coefficient missing": ((["r"], [0, 2], [0, 1], [1.0], "<=", [0]),
+                            ModelError, "do not describe"),
+}
+
+#: one refused family per entry: (add_columns arguments, message)
+BAD_COLUMNS = {
+    "duplicate in the batch": ((["a", "a"],), "duplicate variable name 'a'"),
+    "duplicate of the model": ((["a", "x"],), "duplicate variable name 'x'"),
+    "LP name rule": ((["a", "inf_a"],), "'inf_a' cannot be written as LP text"),
+    "unknown kind": ((["a"], "integer"), "unknown variable kind 'integer'"),
+    "empty bounds": ((["a", "b"], "continuous", 2.0, 1.0), "'a' has empty bound interval"),
+    "NaN bound": ((["a"], "continuous", math.nan, 1.0), "'a' has bounds"),
+    "infinite objective": ((["a"], "continuous", 0.0, 1.0, math.inf), "'a' has objective"),
+}
+
+
+class TestFamilies:
+    def test_a_family_equals_its_rows_one_at_a_time(self):
+        rows = [("r", [(0, 1.0), (1, -2.0)], 0.5), ("s", [], 0.0), ("t", [(1, 3.0)], -1.0)]
+        one_by_one, family = _two_columns(), _two_columns()
+        for name, terms, rhs in rows:
+            one_by_one.add_constraint(name, terms, ">=", rhs)
+        handles = family.add_rows(
+            ["r", "s", "t"], [0, 2, 2, 3], [0, 1, 1], [1.0, -2.0, 3.0], ">=", [0.5, 0.0, -1.0]
+        )
+        assert family == one_by_one and handles == range(1, 4)
+        columns = MilpModel()
+        assert columns.add_columns(["a", "b"], "binary", objective=2.0) == range(0, 2)
+        columns.add_columns([])
+        singles = MilpModel()
+        for name in ("a", "b"):
+            singles.add_variable(name, "binary", objective=2.0)
+        assert columns == singles
+
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_a_refused_row_family_leaves_every_buffer(self, case):
+        arguments, error, message = BAD_ROWS[case]
+        m = _two_columns()
+        before = _state(m)
+        with pytest.raises(error, match=message):
+            m.add_rows(*arguments)
+        assert _state(m) == before
+        # names the refused family held stay free
+        m.add_rows(["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, 0])
+
+    @pytest.mark.parametrize("case", sorted(BAD_COLUMNS))
+    def test_a_refused_column_family_leaves_every_buffer(self, case):
+        arguments, message = BAD_COLUMNS[case]
+        m = _two_columns()
+        before = _state(m)
+        with pytest.raises(ModelError, match=message):
+            m.add_columns(*arguments)
+        assert _state(m) == before
+        m.add_columns(["a", "b"])
+
+    @pytest.mark.parametrize(
+        "handles, lower, objective, message",
+        [([0, 2], 1.0, 0.0, "unknown variable handle 2"),
+         ([0, 1], 2.0, 0.0, "'x' cannot take the bounds \\[2.0, 1.0\\]"),
+         ([1], math.nan, 0.0, "'y' cannot take the bounds"),
+         ([0], 0.0, math.nan, "'x' has objective coefficient nan")],
+    )
+    def test_a_refused_set_columns_leaves_every_buffer(self, handles, lower, objective, message):
+        m = _two_columns()
+        before = _state(m)
+        with pytest.raises(ModelError, match=message):
+            m.set_columns(handles, lower, objective)
+        assert _state(m) == before
+        m.set_columns([1], 1.0, 0.0)
+        assert (m.col_lower[1], m.col_cost[1]) == (1.0, 0.0)
+
+    def test_a_copy_shares_no_buffer(self):
+        m = toy_model()
+        text, state = export_lp(m), _state(m)
+        twin = m.copy()
+        assert twin == m and twin.name == m.name
+        twin.add_columns(["z"], "binary")
+        twin.add_rows(["c3"], [0, 2], [0, 2], [1.0, 1.0], "<=", [1.0])
+        twin.set_columns([1], 1.0, 0.0)
+        assert (export_lp(m), _state(m)) == (text, state)
+
+
 class TestRelax:
     def test_binaries_become_unit_continuous(self):
         relaxed = relax(toy_model())

@@ -432,3 +432,48 @@ def test_highs_load_matches_a_loop_over_the_records(monkeypatch, highs_reads_bac
         np.testing.assert_array_equal(np.asarray(loaded[key], dtype=expected.dtype), expected,
                                       err_msg=key)
     highs_reads_back(model)
+
+
+def _installed_cases():
+    """(scenario, installed pairs) of the recourse solves: pilot pairs of
+    pipe 1 only, with pipe 2 dropped, and with a pipe-2 pair, which keeps
+    it; pilot pairs on top of existing pairs; fig2's DO-D plan in both
+    scenarios, the methanol one allowing pipe 2 only."""
+    from dataclasses import replace
+
+    pilot = random_grid_instance(
+        3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2, num_scenarios=2, seed=0
+    )
+    only_pipe_1 = EdgePipeSet(frozenset({(1, 0), (1, 3), (1, 7)}))
+    with_pipe_2 = EdgePipeSet(frozenset({(1, 0), (2, 3)}))
+    existing = replace(pilot, existing=EdgePipeSet(frozenset({(1, 5), (2, 9)})))
+    fig2 = fig2_instance()
+    do_d = build_do(fig2.first_stage, fig2.existing, "d")
+    plan = do_d.extract_sets(solve_milp(do_d.milp))[0] | fig2.existing
+    return {
+        "pilot pipe 1": (pilot.scenarios[0], only_pipe_1),
+        "pilot pipe 2": (pilot.scenarios[1], with_pipe_2),
+        "pilot existing": (existing.scenarios[0], only_pipe_1 | existing.existing),
+        "fig2 diesel": (fig2.scenarios[0], plan),
+        "fig2 methanol": (fig2.scenarios[1], plan),
+    }
+
+
+@pytest.mark.parametrize("flow", ["d", "u"])
+@pytest.mark.parametrize("case", sorted(_installed_cases()))
+def test_a_model_with_pairs_installed_equals_a_build_with_them_existing(case, flow):
+    """The recourse table builds each scenario once with nothing installed
+    and solves copies with the installed pairs laid: each copy must be the
+    program a fresh build with those pairs existing gives, buffer for
+    buffer, and the table's model must stay as it was."""
+    scenario, installed = _installed_cases()[case]
+    dropped = dominated_pipes((scenario,), installed)
+    assert dropped == ({2} if case in ("pilot pipe 1", "fig2 diesel") else set()), dropped
+    reduced = scenario.without_pipes(dropped)
+    bare = build_do(reduced, EdgePipeSet(), flow)
+    text = export_lp(bare.milp)
+    fresh = build_do(reduced, installed, flow).milp
+    copy = bare.with_installed(installed)
+    assert copy == fresh and export_lp(copy) == export_lp(fresh)
+    assert export_lp(bare.milp) == text
+    assert solve_milp(copy).objective == solve_milp(fresh).objective

@@ -133,6 +133,22 @@ class TestSolveMilp:
         with pytest.raises(ValueError, match="node_limit must be at least 1"):
             solve_milp(_branching_model(), node_limit=limit)
 
+    @pytest.mark.parametrize("limit", [2.5, 2.0, True, "3"])
+    def test_node_limit_that_is_not_an_integer_is_refused(self, limit):
+        # 2.5 never equals the node count, so it set no limit at all, and
+        # True acted as a limit of 1
+        with pytest.raises(ValueError, match="node_limit must be an integer"):
+            solve_milp(_branching_model(), node_limit=limit)
+
+    def test_node_limit_may_be_a_numpy_integer(self):
+        sol = solve_milp(_branching_model(), node_limit=np.int64(1))
+        assert (sol.status, sol.node_count) == ("node_limit", 1)
+
+    def test_nan_cutoff_is_refused(self):
+        # every comparison with NaN is false, so it was silently no cutoff
+        with pytest.raises(ValueError, match="cutoff must be a number"):
+            solve_milp(_branching_model(), cutoff=math.nan)
+
     def test_cutoff_above_the_optimum_keeps_it(self):
         model = _branching_model()
         free = solve_milp(model)
