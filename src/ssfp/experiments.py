@@ -219,11 +219,12 @@ class CrossObjectiveMatrix:
     values: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
+        # each check fails on a NaN entry, which fails every comparison
         for i in range(3):
-            if abs(self.values[i][i] - 1.0) > 1e-9:
+            if not abs(self.values[i][i] - 1.0) <= 1e-9:
                 raise ValueError(f"diagonal entry {i} is {self.values[i][i]}, expected 1")
             for j in range(3):
-                if self.values[i][j] < 1.0 - 1e-9:
+                if not self.values[i][j] >= 1.0 - 1e-9:
                     raise ValueError(
                         f"entry ({i},{j}) = {self.values[i][j]} undercuts the column optimum"
                     )

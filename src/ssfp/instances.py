@@ -7,6 +7,7 @@ order is fixed and documented on each generator.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -125,8 +126,10 @@ class SweepConfig:
                 f"terminals_per_group must be one of {TERMINALS_PER_GROUP_CHOICES}"
             )
         for seed in self.seeds:
-            if not (is_json_integer(seed) and seed >= 0):
+            if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
                 raise ValidationError(f"seeds must be non-negative integers, not {seed!r}")
+        # a tuple of int keeps the config hashable whatever sequence was given
+        object.__setattr__(self, "seeds", tuple(map(int, self.seeds)))
 
     @property
     def setting_id(self) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-import operator
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Sequence
@@ -191,43 +190,40 @@ class MilpModel:
             merged[handle] = merged.get(handle, 0.0) + float(coef)
         if 0.0 in merged.values():
             merged = {h: c for h, c in merged.items() if c != 0.0}
-        return self.add_rows([name], (0, len(merged)), merged, merged.values(), sense, (rhs,))[0]
+        return self.add_rows([(name, merged, merged.values(), rhs)], sense)[0]
 
     def add_rows(
         self,
-        names: Sequence[str],
-        start: Sequence[int],
-        index: Iterable[int],
-        coef: Iterable[float],
+        rows: Iterable[tuple[str, Iterable[int], Iterable[float], float]],
         sense: Sense,
-        rhs: Iterable[float],
     ) -> range:
-        """Append one family of rows that share a sense, given as compressed
-        sparse rows, and return their handles.  Row ``i`` is named
-        ``names[i]`` and has the right-hand side ``rhs[i]`` and the terms
-        ``index[k]`` with coefficients ``coef[k]`` for ``start[i] <= k <
-        start[i + 1]``; ``start`` runs from 0 to the number of terms.  Within
-        a row the handles are distinct and the coefficients nonzero
-        (``add_constraint`` merges and drops to get there).  The family is
-        checked as a whole before any buffer grows, so a refused family leaves
-        the model as it was."""
-        names = list(names)
+        """Append one family of rows that share a sense, and return their
+        handles.  Each row is ``(name, handles, coefficients, rhs)``: its
+        terms are the columns ``handles[k]`` with coefficients
+        ``coefficients[k]``.  Within a row the handles are distinct and the
+        coefficients nonzero (``add_constraint`` merges and drops to get
+        there).  The family is checked as a whole before any buffer grows, so
+        a refused family leaves the model as it was."""
+        names, start, index, coef, rhs = [], [0], [], [], []
+        for name, handles, coefficients, value in rows:
+            a = len(index)
+            index += handles
+            coef += coefficients
+            b = len(index)
+            if len(coef) != b:
+                raise ModelError(
+                    f"constraint {name!r} has {b - a} handles and {len(coef) - a} coefficients"
+                )
+            if b - a > 1 and len(set(index[a:])) < b - a:
+                raise ModelError(f"constraint {name!r} repeats a variable handle")
+            names.append(name)
+            start.append(b)
+            rhs.append(value)
         fresh = _new_names(names, self._row_name_set, "constraint")
         if sense not in SENSES:
             raise ModelError(f"unknown constraint sense {sense!r}")
         # converted before any buffer grows: a value of the wrong type raises here
-        rhs = array("d", map(float, rhs))
-        start, index, coef = array("i", start), array("i", index), array("d", coef)
-        if not (
-            len(start) == len(names) + 1 == len(rhs) + 1
-            and start[0] == 0
-            and start[-1] == len(index) == len(coef)
-            and all(map(operator.le, start, start[1:]))
-        ):
-            raise ModelError(
-                f"{len(names)} row names, {len(rhs)} right-hand sides and {len(start)} row "
-                f"starts do not describe {len(index)} terms with {len(coef)} coefficients"
-            )
+        index, coef, rhs = array("i", index), array("d", coef), array("d", map(float, rhs))
         num_variables = len(self.col_names)
 
         def row_of(k: int) -> str:
@@ -236,9 +232,6 @@ class MilpModel:
         if index and not (min(index) >= 0 and max(index) < num_variables):
             k = next(k for k, h in enumerate(index) if not 0 <= h < num_variables)
             raise ModelError(f"constraint {row_of(k)!r} references unknown variable handle {index[k]}")
-        for row, (a, b) in enumerate(zip(start, start[1:])):
-            if b - a > 1 and len(set(index[a:b])) < b - a:
-                raise ModelError(f"constraint {names[row]!r} repeats a variable handle")
         k = _first_not_finite(coef)
         if k is not None:
             raise ModelError(f"constraint {row_of(k)!r} has a coefficient that is not finite")

@@ -25,9 +25,10 @@ Conventions of the builder:
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
 from .milp_core import MilpModel, MilpSolution
@@ -169,25 +170,6 @@ class _StageIndex:
         return [base + o for o in self._into.get(v, [])[i * count : (i + 1) * count]]
 
 
-Row = tuple[str, list[int], list[float], float]  # name, handles, coefficients, rhs
-
-
-def _add_family(model: MilpModel, sense: str, rows: Iterable[Row]) -> None:
-    """Append one family of rows with one ``add_rows`` call."""
-    names: list[str] = []
-    start = [0]
-    index: list[int] = []
-    coef: list[float] = []
-    rhs: list[float] = []
-    for name, handles, coefficients, value in rows:
-        names.append(name)
-        index += handles
-        coef += coefficients
-        start.append(len(index))
-        rhs.append(value)
-    model.add_rows(names, start, index, coef, sense, rhs)
-
-
 def _add_x_variables(model: MilpModel, inst: Instance, suffix: str) -> dict[tuple[int, int], int]:
     """Installation-variable handles of one stage, keyed by (pipe, edge id),
     each on [0, 1] at no cost; ``_build`` prices and installs them."""
@@ -210,20 +192,20 @@ def _add_undirected_block(model: MilpModel, inst: Instance, suffix: str) -> dict
     # each arc family by its first handle
     f = {t: index.arc_variables(model, f"f_{t}", "binary", suffix) for t in terminals}
 
-    def flow_rows() -> Iterator[Row]:
+    def flow_rows() -> Iterator[tuple[str, list[int], list[float], float]]:
         for t in terminals:
             root = roots[group_of[t]]
             for v in index.active:
                 rhs = 1.0 if v == root else -1.0 if v == t else 0.0
                 yield (f"flow_{t}_{v}{suffix}", *index.net_out(f[t], v), rhs)
 
-    _add_family(model, "=", flow_rows())
-    _add_family(model, "<=", (
+    model.add_rows(flow_rows(), "=")
+    model.add_rows((
         (f"cap_{t}_{index.arc_tags[o]}{suffix}", [f[t] + o, f[t] + o + 1, x[pair]],
          [1.0, 1.0, -1.0], 0.0)
         for t in terminals
         for o, pair in index.edge_offsets
-    ))
+    ), "<=")
     return x
 
 
@@ -253,7 +235,7 @@ def _add_directed_block(model: MilpModel, inst: Instance, suffix: str) -> dict[t
     z = dict(zip(z_keys, model.add_columns([f"z_{k}_{l}{suffix}" for k, l in z_keys], "binary")))
 
     # flow conservation with z on the right-hand side, folded to the left
-    def flow_rows() -> Iterator[Row]:
+    def flow_rows() -> Iterator[tuple[str, list[int], list[float], float]]:
         for k, t in commodities:
             root, z_kl = roots[k - 1], z[(k, group_of[t] + 1)]
             for v in index.active:
@@ -263,75 +245,74 @@ def _add_directed_block(model: MilpModel, inst: Instance, suffix: str) -> dict[t
                     coefs.append(-1.0 if v == root else 1.0)
                 yield f"flowD_{k}_{t}_{v}{suffix}", handles, coefs, 0.0
 
-    _add_family(model, "=", flow_rows())
+    model.add_rows(flow_rows(), "=")
 
     # flows activate the per-arborescence arc indicators
-    _add_family(model, "<=", (
+    model.add_rows((
         (f"act_{k}_{t}_{tag}{suffix}", [f[(k, t)] + o, yk[k] + o], [1.0, -1.0], 0.0)
         for k, t in commodities
         for o, tag in enumerate(index.arc_tags)
-    ))
+    ), "<=")
 
     # every arc belongs to at most one arborescence
-    _add_family(model, "<=", (
+    model.add_rows((
         (f"arb_{tag}{suffix}", [yk[k] + o for k in ks] + [y + o], [1.0] * num_groups + [-1.0], 0.0)
         for o, tag in enumerate(index.arc_tags)
-    ))
+    ), "<=")
 
     # one direction per installed edge
-    _add_family(model, "<=", (
+    model.add_rows((
         (f"dir_{index.arc_tags[o]}{suffix}", [y + o, y + o + 1, x[pair]], [1.0, 1.0, -1.0], 0.0)
         for o, pair in index.edge_offsets
-    ))
+    ), "<=")
 
     # every group is rooted exactly once, and only at the root of its own
     # arborescence
-    for k in ks:
-        model.add_constraint(
-            f"root_{k}{suffix}", [(z[(l, k)], 1.0) for l in range(1, k + 1)], "=", 1.0
-        )
-    for k in range(2, num_groups):
-        for l in range(k + 1, num_groups + 1):
-            model.add_constraint(
-                f"rootdom_{k}_{l}{suffix}", [(z[(k, l)], 1.0), (z[(k, k)], -1.0)], "<=", 0.0
-            )
+    model.add_rows((
+        (f"root_{k}{suffix}", [z[(l, k)] for l in range(1, k + 1)], [1.0] * k, 1.0) for k in ks
+    ), "=")
+    model.add_rows((
+        (f"rootdom_{k}_{l}{suffix}", [z[(k, l)], z[(k, k)]], [1.0, -1.0], 0.0)
+        for k, l in itertools.combinations(range(2, num_groups + 1), 2)
+    ), "<=")
 
     # strengthening rows: single receiving pipe per vertex, no flow into
     # earlier groups, no flow out of a commodity's own sink, and flow balance
     # at vertices that are not targets
-    _add_family(model, "<=", (
+    model.add_rows((
         (f"onepipe_{v}{suffix}", *index.into(y, v), 1.0) for v in index.active
-    ))
-    _add_family(model, "=", (
+    ), "<=")
+    model.add_rows((
         (f"noearly_{k}_{t}{suffix}", *index.into(yk[k], t), 0.0)
         for k in range(2, num_groups + 1)
         for t in sorted(t for g in groups[: k - 1] for t in g)
-    ))
-    _add_family(model, "=", (
+    ), "=")
+    model.add_rows((
         (f"nosinkout_{k}_{t}{suffix}", *index.out_of(f[(k, t)], t), 0.0) for k, t in commodities
-    ))
+    ), "=")
 
     all_terminals = inst.terminals.all_terminals
-    _add_family(model, "<=", (
+    model.add_rows((
         (f"bal_{v}{suffix}", *index.in_minus_out(y, v), 0.0)
         for v in index.active
         if v not in all_terminals
-    ))
+    ), "<=")
     targets = {k: set(tail_union(k)) - {roots[k - 1]} for k in ks}
-    _add_family(model, "<=", (
+    model.add_rows((
         (f"balk_{k}_{v}{suffix}", *index.in_minus_out(yk[k], v), 0.0)
         for k in ks
         for v in index.active
         if v not in targets[k]
-    ))
+    ), "<=")
 
     # an arborescence may enter a later root only if it owns that group
-    for k in range(1, num_groups):
-        for l in range(k + 1, num_groups + 1):
-            for p in index.pipes:
-                terms = [(handle, 1.0) for handle in index.into_by_pipe(yk[k], roots[l - 1], p)]
-                terms.append((z[(k, l)], -1.0))
-                model.add_constraint(f"rootuse_{k}_{l}_{p}{suffix}", terms, "<=", 0.0)
+    def rootuse_rows() -> Iterator[tuple[str, list[int], list[float], float]]:
+        for (k, l), p in itertools.product(itertools.combinations(ks, 2), index.pipes):
+            handles = index.into_by_pipe(yk[k], roots[l - 1], p)
+            yield (f"rootuse_{k}_{l}_{p}{suffix}", handles + [z[(k, l)]],
+                   [1.0] * len(handles) + [-1.0], 0.0)
+
+    model.add_rows(rootuse_rows(), "<=")
     return x
 
 
@@ -363,7 +344,6 @@ def _build(
     robust = kind.optimization == "ro"
 
     stage_x = [block(model, first, "")]
-    model.set_objective({handle: first.pair_cost(*pair) for pair, handle in stage_x[0].items()})
     install(model, stage_x[0], existing)
     if scenarios:
         for pair, handle in stage_x[0].items():
@@ -373,29 +353,32 @@ def _build(
         stage_x.append(block(model, scenario, f"_s{s}"))
 
     d_handle = model.add_variable("d", "continuous", 0.0) if robust else None
-    # the first-stage prices as install left them; the retrofit terms add to them
-    objective = {handle: model.col_cost[handle] for handle in stage_x[0].values()}
+    # installed pairs carry no cost; the retrofit terms add to the prices
+    objective = {
+        handle: 0.0 if pair in existing else first.pair_cost(*pair)
+        for pair, handle in stage_x[0].items()
+    }
     if robust:
         objective[d_handle] = 1.0
     pipes = range(1, first.pipes.num_pipe_types + 1)
     pair_tags = [f"{p}_{u}_{v}" for p in pipes for u, v in first.graph.edges]  # stage_x order
     for s, (scenario, rho) in enumerate(zip(scenarios, probabilities), start=1):
-        _add_family(model, ">=", (
+        model.add_rows((
             (f"link_{tag}_s{s}", [handle, stage_x[0][pair]], [1.0, -1.0], 0.0)
             for tag, (pair, handle) in zip(pair_tags, stage_x[s].items())
-        ))
-        epigraph: list[tuple[int, float]] = [(d_handle, 1.0)] if robust else []
+        ), ">=")
+        handles, coefs = [d_handle], [1.0]  # the epigraph row, when robust
         for pair, handle in stage_x[s].items():
             inflated = scenario.pair_cost(*pair)
             first_handle = stage_x[0][pair]
             if robust:
-                epigraph.append((handle, -inflated))
-                epigraph.append((first_handle, inflated))
+                handles += (handle, first_handle)
+                coefs += (-inflated, inflated)
             else:
                 objective[handle] = objective.get(handle, 0.0) + rho * inflated
                 objective[first_handle] -= rho * inflated
         if robust:
-            model.add_constraint(f"worst_s{s}", epigraph, ">=", 0.0)
+            model.add_rows([(f"worst_s{s}", handles, coefs, 0.0)], ">=")
     model.set_objective(objective)
     return BuiltModel(kind, model, tuple(stage_x), time.perf_counter() - started)
 

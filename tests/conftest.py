@@ -4,7 +4,27 @@ from scipy.optimize._highspy._core import HighsStatus, HighsVarType, _Highs
 
 from ssfp import solver
 from ssfp.graph_core import EdgePipeSet
+from ssfp.instances import random_grid_instance
 from ssfp.milp_core import export_lp
+
+
+def criterion_4_corpus(count=200):
+    """The first ``count`` of the 200 seeded 3x3-grid two-stage instances of
+    acceptance criterion 4, each small enough for the exhaustive oracle."""
+    return [
+        random_grid_instance(3, 3, num_pipe_types=1, num_groups=1 + seed % 2,
+                             terminals_per_group=2 + (seed // 2) % 2, num_scenarios=2,
+                             seed=seed)
+        for seed in range(count)
+    ]
+
+
+def pilot_instance(seed):
+    """The criterion-5/6 pilot instance of ``seed``: a 3x3 grid, 2 pipe
+    types, 2 groups of 2 terminals, 2 scenarios."""
+    return random_grid_instance(
+        3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2, num_scenarios=2, seed=seed
+    )
 
 
 def _pair_set(graph, items):

@@ -16,9 +16,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import criterion_4_corpus, pilot_instance
 from ssfp.experiments import (
     aggregate_matrix,
+    core_count,
     cost_curves,
+    run_sweep,
     sweep_record,
     vss,
     vss_curve,
@@ -48,20 +51,7 @@ def fig2():
 @pytest.fixture(scope="module")
 def corpus():
     """200 seeded 3x3-grid two-stage instances within the oracle budget."""
-    instances = []
-    for seed in range(200):
-        instances.append(
-            random_grid_instance(
-                3,
-                3,
-                num_pipe_types=1,
-                num_groups=1 + seed % 2,
-                terminals_per_group=2 + (seed // 2) % 2,
-                num_scenarios=2,
-                seed=seed,
-            )
-        )
-    return instances
+    return criterion_4_corpus()
 
 
 def test_criterion_1_worked_example(fig2):
@@ -177,11 +167,7 @@ _SWEEP_CACHE: dict[int, list] = {}
 
 def _sweep_records(num_seeds: int):
     if num_seeds not in _SWEEP_CACHE:
-        records = []
-        for config in all_settings(list(range(num_seeds))):
-            for seed in config.seeds:
-                records.append(sweep_record(config, seed))
-        _SWEEP_CACHE[num_seeds] = records
+        _SWEEP_CACHE[num_seeds] = run_sweep(all_settings(range(num_seeds)), core_count())
     return _SWEEP_CACHE[num_seeds]
 
 
@@ -244,13 +230,7 @@ def test_criterion_5_6_pilot():
     reference-matrix comparison needs the ``sweep``-marked run."""
     started = time.perf_counter()
     config = SweepConfig(2, 2, 3, tuple(range(12)))
-    records = []
-    for seed in config.seeds:
-        ts = random_grid_instance(
-            3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2,
-            num_scenarios=2, seed=seed,
-        )
-        records.append(sweep_record(config, seed, ts))
+    records = [sweep_record(config, seed, pilot_instance(seed)) for seed in config.seeds]
     _check_hard_invariants(records)
     for ts_seed in (0, 1):
         ts = random_grid_instance(

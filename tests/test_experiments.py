@@ -1,9 +1,11 @@
+import math
 import multiprocessing
 import os
 from fractions import Fraction
 
 import pytest
 
+from conftest import pilot_instance
 from ssfp import experiments
 from ssfp.cli import _make_parser
 from ssfp.experiments import (
@@ -174,6 +176,16 @@ class TestMatrix:
             CrossObjectiveMatrix(((1.2, 1.1, 1.1), (1.1, 1.0, 1.1), (1.1, 1.1, 1.0)))
         CrossObjectiveMatrix(((1.0, 1.3, 1.1), (1.6, 1.0, 1.05), (1.2, 1.1, 1.0)))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [(((1.0, 1.3, 1.1), (1.6, math.nan, 1.05), (1.2, 1.1, 1.0)), "diagonal entry 1 is nan"),
+         (((1.0, 1.3, 1.1), (1.6, 1.0, 1.05), (math.nan, 1.1, 1.0)), r"entry \(2,0\) = nan")],
+        ids=["diagonal", "off-diagonal"],
+    )
+    def test_a_nan_entry_is_refused(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            CrossObjectiveMatrix(values)
+
 
 @pytest.fixture(scope="module")
 def small_sweep():
@@ -297,12 +309,7 @@ PILOT_AND_RECORD = pytest.mark.parametrize(
 
 
 def _record_instance(config, seed):
-    if config is PILOT:
-        return random_grid_instance(
-            3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2,
-            num_scenarios=2, seed=seed,
-        )
-    return random_artificial(config, seed)
+    return pilot_instance(seed) if config is PILOT else random_artificial(config, seed)
 
 
 @PILOT_AND_RECORD
@@ -387,9 +394,7 @@ def test_seeded_cutoffs_do_not_change_the_directed_searches(seed):
     only nodes that come off the heap after it.  So SO-D and RO-D, which
     ``_solve_six`` seeds from another objective's plan, solve the same nodes
     and report the same first stage without their cutoff."""
-    two_stage = random_grid_instance(
-        3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2, num_scenarios=2, seed=seed
-    )
+    two_stage = pilot_instance(seed)
     seeded, builds, first_sets = experiments._solve_six(two_stage)
     for optimization in ("so", "ro"):
         label = f"{optimization.upper()}-D"

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ssfp.graph_core import Graph, InfeasibleInstanceError, ValidationError
@@ -89,6 +90,15 @@ class TestSweepConfig:
         # in the middle of a sweep
         with pytest.raises(ValidationError, match="seeds must be non-negative integers"):
             SweepConfig(2, 1, 3, seeds)
+
+    @pytest.mark.parametrize(
+        "seeds", [(np.int64(1), 2), [0, 1], range(2)], ids=["numpy-integer", "list", "range"]
+    )
+    def test_integral_seeds_are_kept_as_a_tuple_of_int(self, seeds):
+        config = SweepConfig(2, 1, 3, seeds)
+        assert config.seeds == tuple(int(seed) for seed in seeds)
+        assert all(type(seed) is int for seed in config.seeds)
+        assert hash(config) == hash(SweepConfig(2, 1, 3, tuple(config.seeds)))
 
 
 class TestRandomArtificial:

@@ -155,40 +155,32 @@ def _two_columns():
 
 #: one refused family per entry: (add_rows arguments, expected error, message)
 BAD_ROWS = {
-    "duplicate in the batch": ((["r", "r"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, 0]),
+    "duplicate in the batch": (([("r", [0], [1.0], 0), ("r", [1], [1.0], 0)], "<="),
                                ModelError, "duplicate constraint name 'r'"),
-    "duplicate of the model": ((["r", "c"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, 0]),
+    "duplicate of the model": (([("r", [0], [1.0], 0), ("c", [1], [1.0], 0)], "<="),
                                ModelError, "duplicate constraint name 'c'"),
-    "LP name rule": ((["r", "st"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, 0]),
+    "LP name rule": (([("r", [0], [1.0], 0), ("st", [1], [1.0], 0)], "<="),
                      ModelError, "'st' cannot be written as LP text"),
-    "unknown handle": ((["r", "s"], [0, 1, 2], [0, 2], [1.0, 1.0], "<=", [0, 0]),
+    "unknown handle": (([("r", [0], [1.0], 0), ("s", [2], [1.0], 0)], "<="),
                        ModelError, "'s' references unknown variable handle 2"),
-    "negative handle": ((["r", "s"], [0, 1, 2], [-1, 0], [1.0, 1.0], "<=", [0, 0]),
+    "negative handle": (([("r", [-1], [1.0], 0), ("s", [0], [1.0], 0)], "<="),
                         ModelError, "'r' references unknown variable handle -1"),
-    "handle not an integer": ((["r"], [0, 1], [0.5], [1.0], "<=", [0]), TypeError, None),
-    "repeated handle": ((["r", "s"], [0, 1, 3], [0, 1, 1], [1.0, 1.0, 2.0], "<=", [0, 0]),
+    "handle not an integer": (([("r", [0.5], [1.0], 0)], "<="), TypeError, None),
+    "repeated handle": (([("r", [0], [1.0], 0), ("s", [1, 1], [1.0, 2.0], 0)], "<="),
                         ModelError, "'s' repeats a variable handle"),
-    "NaN coefficient": ((["r", "s"], [0, 1, 2], [0, 1], [1.0, math.nan], "<=", [0, 0]),
+    "NaN coefficient": (([("r", [0], [1.0], 0), ("s", [1], [math.nan], 0)], "<="),
                         ModelError, "'s' has a coefficient that is not finite"),
-    "infinite coefficient": ((["r", "s"], [0, 1, 2], [0, 1], [math.inf, 1.0], "<=", [0, 0]),
+    "infinite coefficient": (([("r", [0], [math.inf], 0), ("s", [1], [1.0], 0)], "<="),
                              ModelError, "'r' has a coefficient that is not finite"),
-    "zero coefficient": ((["r", "s"], [0, 1, 2], [0, 1], [1.0, 0.0], "<=", [0, 0]),
+    "zero coefficient": (([("r", [0], [1.0], 0), ("s", [1], [0.0], 0)], "<="),
                          ModelError, "'s' has a zero coefficient"),
-    "infinite rhs": ((["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, -math.inf]),
+    "infinite rhs": (([("r", [0], [1.0], 0), ("s", [1], [1.0], -math.inf)], "<="),
                      ModelError, "'s' has right-hand side -inf"),
-    "NaN rhs": ((["r"], [0, 1], [0], [1.0], "<=", [math.nan]),
-                ModelError, "'r' has right-hand side nan"),
-    "rhs not a number": ((["r"], [0, 1], [0], [1.0], "<=", ["one"]), ValueError, None),
-    "unknown sense": ((["r"], [0, 1], [0], [1.0], "<", [0]),
-                      ModelError, "unknown constraint sense '<'"),
-    "starts past the terms": ((["r"], [0, 2], [0], [1.0], "<=", [0]), ModelError, "do not describe"),
-    "starts not from 0": ((["r"], [1, 1], [0], [1.0], "<=", [0]), ModelError, "do not describe"),
-    "starts decrease": ((["r", "s"], [0, 2, 1], [0, 1], [1.0, 1.0], "<=", [0, 0]),
-                        ModelError, "do not describe"),
-    "rhs missing": ((["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0]),
-                    ModelError, "do not describe"),
-    "coefficient missing": ((["r"], [0, 2], [0, 1], [1.0], "<=", [0]),
-                            ModelError, "do not describe"),
+    "NaN rhs": (([("r", [0], [1.0], math.nan)], "<="), ModelError, "'r' has right-hand side nan"),
+    "rhs not a number": (([("r", [0], [1.0], "one")], "<="), ValueError, None),
+    "unknown sense": (([("r", [0], [1.0], 0)], "<"), ModelError, "unknown constraint sense '<'"),
+    "coefficient missing": (([("r", [0], [1.0], 0), ("s", [0, 1], [1.0], 0)], "<="),
+                            ModelError, "'s' has 2 handles and 1 coefficients"),
 }
 
 #: one refused family per entry: (add_columns arguments, message)
@@ -205,13 +197,11 @@ BAD_COLUMNS = {
 
 class TestFamilies:
     def test_a_family_equals_its_rows_one_at_a_time(self):
-        rows = [("r", [(0, 1.0), (1, -2.0)], 0.5), ("s", [], 0.0), ("t", [(1, 3.0)], -1.0)]
+        rows = [("r", [0, 1], [1.0, -2.0], 0.5), ("s", [], [], 0.0), ("t", [1], [3.0], -1.0)]
         one_by_one, family = _two_columns(), _two_columns()
-        for name, terms, rhs in rows:
-            one_by_one.add_constraint(name, terms, ">=", rhs)
-        handles = family.add_rows(
-            ["r", "s", "t"], [0, 2, 2, 3], [0, 1, 1], [1.0, -2.0, 3.0], ">=", [0.5, 0.0, -1.0]
-        )
+        for name, handles, coefficients, rhs in rows:
+            one_by_one.add_constraint(name, zip(handles, coefficients), ">=", rhs)
+        handles = family.add_rows(rows, ">=")
         assert family == one_by_one and handles == range(1, 4)
         columns = MilpModel()
         assert columns.add_columns(["a", "b"], "binary", objective=2.0) == range(0, 2)
@@ -230,7 +220,7 @@ class TestFamilies:
             m.add_rows(*arguments)
         assert _state(m) == before
         # names the refused family held stay free
-        m.add_rows(["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0, 0])
+        m.add_rows([("r", [0], [1.0], 0), ("s", [1], [1.0], 0)], "<=")
 
     @pytest.mark.parametrize("case", sorted(BAD_COLUMNS))
     def test_a_refused_column_family_leaves_every_buffer(self, case):
@@ -264,7 +254,7 @@ class TestFamilies:
         twin = m.copy()
         assert twin == m and twin.name == m.name
         twin.add_columns(["z"], "binary")
-        twin.add_rows(["c3"], [0, 2], [0, 2], [1.0, 1.0], "<=", [1.0])
+        twin.add_rows([("c3", [0, 2], [1.0, 1.0], 1.0)], "<=")
         twin.set_columns([1], 1.0, 0.0)
         assert (export_lp(m), _state(m)) == (text, state)
 

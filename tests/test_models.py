@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pilot_instance
 from ssfp import solver
 from ssfp.graph_core import EdgePipeSet, PipeCatalog, validate_feasible
 from ssfp.instances import (
@@ -346,9 +347,7 @@ def _hand_made_model():
 
 def _installed_recourse():
     """A recourse instance with pairs of both pipe types installed, and its model."""
-    two_stage = random_grid_instance(
-        3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2, num_scenarios=2, seed=0
-    )
+    two_stage = pilot_instance(0)
     installed = EdgePipeSet(frozenset({(1, 0), (1, 1), (2, 4)}))
     return two_stage.scenarios[0], build_do(two_stage.scenarios[0], installed, "d")
 
@@ -441,9 +440,7 @@ def _installed_cases():
     scenarios, the methanol one allowing pipe 2 only."""
     from dataclasses import replace
 
-    pilot = random_grid_instance(
-        3, 3, num_pipe_types=2, num_groups=2, terminals_per_group=2, num_scenarios=2, seed=0
-    )
+    pilot = pilot_instance(0)
     only_pipe_1 = EdgePipeSet(frozenset({(1, 0), (1, 3), (1, 7)}))
     with_pipe_2 = EdgePipeSet(frozenset({(1, 0), (2, 3)}))
     existing = replace(pilot, existing=EdgePipeSet(frozenset({(1, 5), (2, 9)})))

@@ -40,6 +40,7 @@ from ssfp.solver import (
     brute_force,
     solve_milp,
 )
+from conftest import criterion_4_corpus
 from test_restricted_instances import restricted_instance
 
 
@@ -224,7 +225,7 @@ class TestDepthFirst:
     undirected twins."""
 
     def test_undirected_twins_agree_with_best_first_under_the_directed_cutoff(self):
-        for seed, ts in enumerate(_criterion_4_corpus(20)):
+        for seed, ts in enumerate(criterion_4_corpus(20)):
             for optimization in ("do", "ro", "so"):
                 directed = solve_milp(build_model(ModelKind(optimization, "d"), ts).milp)
                 cutoff = directed.objective + CUTOFF_SLACK
@@ -248,7 +249,7 @@ class TestDepthFirst:
         # depth first pops a deep node while a shallow one with a lower bound
         # is still open; on these instances the popped node's bound alone
         # would exceed the optimum
-        ts = _criterion_4_corpus(seed + 1)[seed]
+        ts = criterion_4_corpus(seed + 1)[seed]
         for kind in ALL_KINDS:
             model = build_model(kind, ts).milp
             optimum = solve_milp(model).objective
@@ -353,7 +354,7 @@ class TestBruteForce:
 def _oracle_cases():
     """The first 20 criterion-4 instances and the 8 restricted instances
     (existing pairs, restricted pipes and edges)."""
-    return _criterion_4_corpus(20) + [restricted_instance(seed) for seed in range(8)]
+    return criterion_4_corpus(20) + [restricted_instance(seed) for seed in range(8)]
 
 
 def test_lp_bound_never_exceeds_milp_optimum():
@@ -478,22 +479,13 @@ def _assert_warm_matches_cold(model: MilpModel, seed: int, shares: tuple[float, 
     return statuses
 
 
-def _criterion_4_corpus(count: int = 200):
-    return [
-        random_grid_instance(3, 3, num_pipe_types=1, num_groups=1 + seed % 2,
-                             terminals_per_group=2 + (seed // 2) % 2, num_scenarios=2,
-                             seed=seed)
-        for seed in range(count)
-    ]
-
-
 class TestWarmLpMatchesColdLinprog:
     def test_criterion_4_corpus_and_fig2(self):
         # all six models of fig2; on the corpus, every instance with three of
         # the six models in turn, so each model meets 100 instances and the
         # cold reference LPs take about 20 s, not 40 s
         statuses = []
-        for seed, ts in enumerate([fig2_instance()] + _criterion_4_corpus()):
+        for seed, ts in enumerate([fig2_instance()] + criterion_4_corpus()):
             for k, kind in enumerate(ALL_KINDS):
                 if seed == 0 or (seed + k) % 2 == 0:
                     model = build_model(kind, ts).milp
