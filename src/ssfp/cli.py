@@ -244,7 +244,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", type=int, required=True, help="seeds 0..N-1 per setting")
     sweep.add_argument("--out-dir", required=True)
     sweep.add_argument("--threads", type=int, default=core_count(),
-                       help="worker processes, at most one per core (default: all cores)")
+                       help="worker processes, at most one per usable CPU (default: all of them)")
     sweep.set_defaults(func=_cmd_sweep)
 
     curves = sub.add_parser("curves", help="expected-cost curves over rho2")

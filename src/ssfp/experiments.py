@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .graph_core import EdgePipeSet, TwoStageInstance, cost
 from .instances import SweepConfig, random_artificial
@@ -260,49 +260,6 @@ class SweepRecord:
         return self.matrix[1][0]
 
 
-def _solve_six(
-    two_stage: TwoStageInstance, recourse: RecourseModels | None = None
-) -> tuple[dict[str, MilpSolution], dict[str, BuiltModel], dict[Objective, EdgePipeSet]]:
-    """Solve all six models with incumbent seeding: each directed solve seeds
-    its undirected twin's cutoff, the deterministic solution evaluated under
-    the expectation seeds the stochastic solves, and the stochastic solution
-    evaluated under the worst case seeds the robust solves.  Cutoffs are
-    upper bounds from feasible solutions, so they only prune nodes that
-    cannot beat a known plan and never change the reported optimum.
-
-    An undirected twin's cutoff is already its optimum, so it must solve
-    every node below it in any order; it searches depth first, which starts
-    each LP from its parent's basis.  Its plan is never read, so it is built
-    on the instance without the dominated pipe types (``dominated_pipes``
-    over every stage), which leaves its optimum as it is.  The directed
-    models search best first on the declared model, so the plans they report
-    do not change.
-
-    The two seeding evaluations use ``recourse``, the record's table, or one
-    of their own.  Returns the solutions and builds by model label, and the
-    first stage of each directed optimum by objective."""
-    recourse = recourse or RecourseModels(two_stage)
-    solutions: dict[str, MilpSolution] = {}
-    builds: dict[str, BuiltModel] = {}
-    first_sets: dict[Objective, EdgePipeSet] = {}
-    cutoff: float | None = None
-    stages = (two_stage.first_stage, *two_stage.scenarios)
-    reduced = two_stage.without_pipes(dominated_pipes(stages, two_stage.existing))
-    for optimization, next_objective in (("do", "so"), ("so", "ro"), ("ro", None)):
-        for flow in ("d", "u"):
-            kind = ModelKind(optimization, flow)
-            built = build_model(kind, reduced if flow == "u" else two_stage)
-            solutions[kind.label], first = _solve(built, cutoff, "depth" if flow == "u" else "best")
-            builds[kind.label] = built
-            if flow == "d":
-                first_sets[optimization] = first
-                cutoff = solutions[kind.label].objective + CUTOFF_SLACK
-        if next_objective is not None:
-            value = evaluate_under(next_objective, two_stage, first_sets[optimization], recourse)
-            cutoff = value + CUTOFF_SLACK
-    return solutions, builds, first_sets
-
-
 def sweep_record(
     config: SweepConfig, seed: int, two_stage: TwoStageInstance | None = None
 ) -> SweepRecord:
@@ -318,47 +275,74 @@ def sweep_record(
 
 
 def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> SweepRecord:
+    """One pass per objective, DO then SO then RO: solve the directed model
+    best first under the seeded cutoff, prove its optimum on the undirected
+    twin, refuse the record at once if the two disagree, and evaluate the
+    directed plan under the next objective to seed the next cutoff.  Cutoffs
+    are upper bounds from feasible plans, so they only prune nodes that
+    cannot beat a known plan and never change the reported optimum.
+
+    The directed models run on the declared model, so the plans they report
+    do not change.  An undirected twin's cutoff is already its optimum, so
+    it must solve every node below it in any order; it searches depth first,
+    which starts each LP from its parent's basis.  Its plan is never read, so
+    it is built on the instance without the dominated pipe types
+    (``dominated_pipes`` over every stage), which leaves its optimum as it
+    is.  Every evaluation shares this record's recourse table."""
     recourse = RecourseModels(two_stage)  # this record's, dropped with it
-    solutions, builds, first_sets = _solve_six(two_stage, recourse)
-    for optimization in OBJECTIVE_ORDER:
-        d_obj = solutions[ModelKind(optimization, "d").label].objective
-        u_obj = solutions[ModelKind(optimization, "u").label].objective
-        if abs(d_obj - u_obj) > AGREEMENT_TOL:
+    stages = (two_stage.first_stage, *two_stage.scenarios)
+    reduced = two_stage.without_pipes(dominated_pipes(stages, two_stage.existing))
+    solved: dict[str, tuple[BuiltModel, MilpSolution]] = {}
+    plans: dict[Objective, EdgePipeSet] = {}
+    cutoff: float | None = None
+    for optimization, next_objective in (("do", "so"), ("so", "ro"), ("ro", None)):
+        directed = build_model(ModelKind(optimization, "d"), two_stage)
+        d_solution, plans[optimization] = _solve(directed, cutoff)
+        undirected = build_model(ModelKind(optimization, "u"), reduced)
+        u_solution, _ = _solve(undirected, d_solution.objective + CUTOFF_SLACK, "depth")
+        if abs(d_solution.objective - u_solution.objective) > AGREEMENT_TOL:
             raise SolverError(
-                f"{optimization.upper()} flow formulations disagree ({u_obj} vs {d_obj})"
+                f"{optimization.upper()} flow formulations disagree "
+                f"({u_solution.objective} vs {d_solution.objective})"
             )
+        solved[directed.kind.label] = directed, d_solution
+        solved[undirected.kind.label] = undirected, u_solution
+        if next_objective is not None:
+            value = evaluate_under(next_objective, two_stage, plans[optimization], recourse)
+            cutoff = value + CUTOFF_SLACK
     evaluations = tuple(
-        tuple(
-            evaluate_under(column, two_stage, first_sets[row], recourse)
-            for column in OBJECTIVE_ORDER
-        )
+        tuple(evaluate_under(column, two_stage, plans[row], recourse) for column in OBJECTIVE_ORDER)
         for row in OBJECTIVE_ORDER
     )
     for i, optimization in enumerate(OBJECTIVE_ORDER):
-        model_obj = solutions[ModelKind(optimization, "d").label].objective
+        model_obj = solved[ModelKind(optimization, "d").label][1].objective
         if abs(evaluations[i][i] - model_obj) > AGREEMENT_TOL:
             raise SolverError(
                 f"re-evaluated {optimization.upper()} optimum {evaluations[i][i]} disagrees with "
                 f"the model objective {model_obj}"
             )
+    runs = [solved[label] for label in MODEL_LABELS]
     sizes = [expected_size(kind, two_stage) for kind in ALL_KINDS]  # the declared models
     record = SweepRecord(
         setting_id=config.setting_id,
         seed=seed,
-        objectives=tuple(solutions[label].objective for label in MODEL_LABELS),
+        objectives=tuple(solution.objective for _, solution in runs),
         evaluations=evaluations,
         variable_counts=tuple(num_vars for num_vars, _ in sizes),
         constraint_counts=tuple(num_cons for _, num_cons in sizes),
-        build_times=tuple(builds[label].build_time for label in MODEL_LABELS),
-        solve_times=tuple(solutions[label].solve_time for label in MODEL_LABELS),
-        node_counts=tuple(solutions[label].node_count for label in MODEL_LABELS),
+        build_times=tuple(built.build_time for built, _ in runs),
+        solve_times=tuple(solution.solve_time for _, solution in runs),
+        node_counts=tuple(solution.node_count for _, solution in runs),
     )
     CrossObjectiveMatrix(record.matrix)  # raises on a violated bound
     return record
 
 
 def core_count() -> int:
-    """The CPU cores of this machine: the most sweep workers that can run at once."""
+    """The CPUs this process may run on (its affinity mask, where the OS
+    keeps one): the most sweep workers that can run at once."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -414,46 +398,52 @@ SWEEP_COLUMNS = (
 )
 
 
-def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(SWEEP_COLUMNS)
-        for r in records:
-            row: list[object] = [r.setting_id, r.seed]
-            row += [repr(v) for v in r.objectives]
-            row += [repr(v) for line in r.matrix for v in line]
-            row += [repr(r.ro_do_ratio)]
-            row += list(r.variable_counts)
-            row += list(r.constraint_counts)
-            row += [f"{v:.6f}" for v in r.build_times]
-            row += [f"{v:.6f}" for v in r.solve_times]
-            row += list(r.node_counts)
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _sweep_row(r: SweepRecord) -> list[object]:
+    return [
+        r.setting_id,
+        r.seed,
+        *(repr(v) for v in r.objectives),
+        *(repr(v) for line in r.matrix for v in line),
+        repr(r.ro_do_ratio),
+        *r.variable_counts,
+        *r.constraint_counts,
+        *(f"{v:.6f}" for v in r.build_times),
+        *(f"{v:.6f}" for v in r.solve_times),
+        *r.node_counts,
+    ]
+
+
+def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
+    _write_csv(path, SWEEP_COLUMNS, (_sweep_row(r) for r in records))
 
 
 def write_matrix_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
-    mean_of_ratios = aggregate_matrix(records).values
-    ratio_of_means = aggregate_matrix_of_means(records)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["aggregation", "model", "do", "ro", "so"])
-        for name, matrix in (("mean_of_ratios", mean_of_ratios), ("ratio_of_means", ratio_of_means)):
-            for i, row_name in enumerate(OBJECTIVE_ORDER):
-                writer.writerow([name, row_name, *(repr(v) for v in matrix[i])])
+    aggregations = (
+        ("mean_of_ratios", aggregate_matrix(records).values),
+        ("ratio_of_means", aggregate_matrix_of_means(records)),
+    )
+    _write_csv(path, ["aggregation", "model", "do", "ro", "so"], (
+        [name, row_name, *(repr(v) for v in matrix[i])]
+        for name, matrix in aggregations
+        for i, row_name in enumerate(OBJECTIVE_ORDER)
+    ))
 
 
 def write_ratios_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["setting", "seed", "ro_do_ratio"])
-        for r in records:
-            writer.writerow([r.setting_id, r.seed, repr(r.ro_do_ratio)])
+    _write_csv(
+        path, ["setting", "seed", "ro_do_ratio"],
+        ([r.setting_id, r.seed, repr(r.ro_do_ratio)] for r in records),
+    )
 
 
 def write_curves_csv(table: CurveTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        names = [f"route_{i + 1}" for i in range(len(table.candidates))]
-        writer.writerow(["rho2", *names, "so_optimum"])
-        for row in table.rows():
-            writer.writerow([repr(v) for v in row])
+    names = [f"route_{i + 1}" for i in range(len(table.candidates))]
+    rows = ([repr(v) for v in row] for row in table.rows())
+    _write_csv(path, ["rho2", *names, "so_optimum"], rows)

@@ -137,9 +137,10 @@ class SweepConfig:
 
 
 def all_settings(seeds: Sequence[int]) -> tuple[SweepConfig, ...]:
-    """The full Cartesian product: 27 settings."""
+    """The full Cartesian product: 27 settings, each with every seed."""
+    seeds = tuple(seeds)
     return tuple(
-        SweepConfig(s, g, t, tuple(seeds))
+        SweepConfig(s, g, t, seeds)
         for s in SCENARIO_CHOICES
         for g in GROUP_CHOICES
         for t in TERMINALS_PER_GROUP_CHOICES

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -33,7 +34,7 @@ from ssfp.instances import (
     random_grid_instance,
 )
 from ssfp.models import ALL_KINDS, build_do, build_model, dominated_pipes
-from ssfp.solver import SolverNumericalError, solve_milp
+from ssfp.solver import SolverError, SolverNumericalError, solve_milp
 
 
 @pytest.fixture(scope="module")
@@ -287,14 +288,40 @@ class TestSweepRecordErrors:
 
         monkeypatch.setattr(experiments, "evaluate_under", evaluate_under)
 
-    # _solve_six evaluates twice to seed the SO and RO cutoffs; the matrix
+    # the record evaluates twice to seed the SO and RO cutoffs; the matrix
     # evaluations follow
-    @pytest.mark.parametrize("failing_call", [1, 3], ids=["in-solve-six", "in-evaluation"])
+    @pytest.mark.parametrize("failing_call", [1, 3], ids=["in-seeding", "in-evaluation"])
     def test_error_keeps_class_and_gains_one_prefix(self, monkeypatch, instance, failing_call):
         self._fail_on_call(monkeypatch, failing_call)
         with pytest.raises(SolverNumericalError) as raised:
             sweep_record(SweepConfig(2, 1, 3, (0,)), 0, instance)
         assert str(raised.value) == "s2g1t3 seed 0: HiGHS gave up"
+
+    def test_a_flow_disagreement_stops_the_record_at_once(self, monkeypatch, instance):
+        """DO-U's optimum off DO-D's by more than the tolerance: the record
+        raises before any SO or RO model is built or any plan evaluated."""
+        original_solve, original_build = experiments.solve_milp, experiments.build_model
+        built = []
+
+        def build_model(kind, two_stage):
+            built.append(kind.label)
+            return original_build(kind, two_stage)
+
+        def solve_milp(model, *args, **kwargs):
+            solution = original_solve(model, *args, **kwargs)
+            if model.name == "DO-U":
+                return dataclasses.replace(solution, objective=solution.objective + 1.0)
+            return solution
+
+        def evaluate_under(*args):
+            raise AssertionError("evaluated a plan after the flow formulations disagreed")
+
+        monkeypatch.setattr(experiments, "build_model", build_model)
+        monkeypatch.setattr(experiments, "solve_milp", solve_milp)
+        monkeypatch.setattr(experiments, "evaluate_under", evaluate_under)
+        with pytest.raises(SolverError, match=r"^s2g1t3 seed 0: DO flow formulations disagree \("):
+            sweep_record(SweepConfig(2, 1, 3, (0,)), 0, instance)
+        assert built == ["DO-D", "DO-U"]
 
 
 PILOT = SweepConfig(2, 2, 3, tuple(range(12)))
@@ -388,19 +415,29 @@ def test_a_recourse_table_of_another_instance_is_refused(fig2, routes):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_seeded_cutoffs_do_not_change_the_directed_searches(seed):
+def test_seeded_cutoffs_do_not_change_the_directed_searches(monkeypatch, seed):
     """Best first, every node whose parent bound is below the optimum is
     solved with or without a cutoff, and a cutoff above the optimum prunes
-    only nodes that come off the heap after it.  So SO-D and RO-D, which
-    ``_solve_six`` seeds from another objective's plan, solve the same nodes
-    and report the same first stage without their cutoff."""
-    two_stage = pilot_instance(seed)
-    seeded, builds, first_sets = experiments._solve_six(two_stage)
-    for optimization in ("so", "ro"):
-        label = f"{optimization.upper()}-D"
-        unseeded = solve_milp(builds[label].milp)
-        assert unseeded.node_count == seeded[label].node_count, label
-        assert builds[label].extract_sets(unseeded)[0] == first_sets[optimization], label
+    only nodes that come off the heap after it.  So SO-D and RO-D, which a
+    sweep record seeds from another objective's plan, solve the same nodes
+    and report the same incumbent without their cutoff."""
+    original = experiments.solve_milp
+    seeded = {}
+
+    def recording_solve_milp(model, *args, **kwargs):
+        solution = original(model, *args, **kwargs)
+        if model.name in ("SO-D", "RO-D"):
+            seeded[model.name] = model, kwargs["cutoff"], solution
+        return solution
+
+    monkeypatch.setattr(experiments, "solve_milp", recording_solve_milp)
+    sweep_record(PILOT, seed, pilot_instance(seed))
+    assert len(seeded) == 2
+    for name, (model, cutoff, solution) in seeded.items():
+        assert cutoff is not None, name
+        unseeded = solve_milp(model)
+        assert unseeded.node_count == solution.node_count, name
+        assert unseeded.x == solution.x, name
 
 
 def _sha256(path) -> str:
@@ -444,8 +481,9 @@ class TestAnalysisBytes:
 
 
 class TestSweepWorkers:
-    """``run_sweep`` starts no more workers than there are tasks or cores.
-    A fake pool stands in for ``multiprocessing.Pool``, so no process starts."""
+    """``run_sweep`` starts no more workers than there are tasks or CPUs
+    this process may run on: two of the host's eight.  A fake pool stands in
+    for ``multiprocessing.Pool``, so no process starts."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -465,12 +503,13 @@ class TestSweepWorkers:
                 return [func(*task) for task in tasks]
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(experiments, "sweep_record", lambda config, seed: (config.setting_id, seed))
         return started
 
     @pytest.mark.parametrize("threads, seeds, workers", [
-        (300, 10, [2]),  # capped at the two cores
+        (300, 10, [2]),  # capped at the two usable CPUs
         (300, 1, []),  # one task runs in this process
         (1, 10, []),
     ])
@@ -478,6 +517,17 @@ class TestSweepWorkers:
         records = run_sweep([SweepConfig(2, 1, 3, tuple(range(seeds)))], threads)
         assert records == [("s2g1t3", seed) for seed in range(seeds)]
         assert pools == workers
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})  # 8 host CPUs
+        records = run_sweep([SweepConfig(2, 1, 3, tuple(range(10)))], 300)
+        assert records == [("s2g1t3", seed) for seed in range(10)]
+        assert pools == []
+
+    def test_host_cpus_count_where_there_is_no_affinity_mask(self, monkeypatch, pools):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        run_sweep([SweepConfig(2, 1, 3, tuple(range(10)))], 300)
+        assert pools == [8]
 
     def test_cli_default_is_the_core_count(self, pools):
         args = _make_parser().parse_args(["sweep", "--seeds", "1", "--out-dir", "out"])

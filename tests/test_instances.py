@@ -76,6 +76,10 @@ class TestSweepConfig:
         assert len(settings) == 27
         assert len({c.setting_id for c in settings}) == 27
 
+    def test_every_setting_gets_every_seed_of_a_generator(self):
+        settings = all_settings(seed for seed in range(2))
+        assert [c.seeds for c in settings] == [(0, 1)] * 27
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             SweepConfig(5, 1, 3)
