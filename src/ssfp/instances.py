@@ -117,14 +117,18 @@ class SweepConfig:
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.num_scenarios not in SCENARIO_CHOICES:
-            raise ValidationError(f"num_scenarios must be one of {SCENARIO_CHOICES}")
-        if self.num_groups not in GROUP_CHOICES:
-            raise ValidationError(f"num_groups must be one of {GROUP_CHOICES}")
-        if self.terminals_per_group not in TERMINALS_PER_GROUP_CHOICES:
-            raise ValidationError(
-                f"terminals_per_group must be one of {TERMINALS_PER_GROUP_CHOICES}"
-            )
+        for name, choices in (
+            ("num_scenarios", SCENARIO_CHOICES),
+            ("num_groups", GROUP_CHOICES),
+            ("terminals_per_group", TERMINALS_PER_GROUP_CHOICES),
+        ):
+            # 2.0 == 2 and True == 1, so membership alone would let them in
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+                value not in choices
+            ):
+                raise ValidationError(f"{name} must be one of {choices}, not {value!r}")
+            object.__setattr__(self, name, int(value))
         for seed in self.seeds:
             if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
                 raise ValidationError(f"seeds must be non-negative integers, not {seed!r}")

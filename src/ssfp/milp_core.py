@@ -331,9 +331,11 @@ class MilpSolution:
     node_count: int
     solve_time: float
     root_bound: float
-    #: LPs solved, and the simplex iterations they took in total
+    #: LPs solved, the simplex iterations they took in total, and the seconds
+    #: spent solving them, a part of ``solve_time``
     lp_count: int
     simplex_iterations: int
+    lp_time: float
 
 
 def relax(model: MilpModel) -> MilpModel:

@@ -12,29 +12,60 @@ from __future__ import annotations
 
 import functools
 import heapq
+import importlib.machinery
+import importlib.metadata
+import importlib.util
 import math
 import numbers
+import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-try:
-    from scipy.optimize._highspy._core import (
-        HighsLp,
-        HighsModelStatus,
-        HighsStatus,
-        MatrixFormat,
-        _Highs,
-    )
-except ImportError as err:  # pragma: no cover - depends on the installed scipy
-    import scipy
+_CORE = "scipy.optimize._highspy._core"
 
-    raise ImportError(
-        f"ssfp needs scipy's HiGHS binding scipy.optimize._highspy._core._Highs, "
-        f"which scipy {scipy.__version__} does not provide; install scipy>=1.15"
-    ) from err
+
+def _highs_core():
+    """scipy's HiGHS extension module, loaded from its file.
+
+    ``import scipy.optimize._highspy._core`` first runs scipy.optimize's
+    package init, which imports scipy.optimize, scipy.linalg, scipy.sparse and
+    more, none of which ssfp uses: on a 2-core host, 0.4 s or more and some
+    40 MiB per process.  Loading the file directly skips all of that.  The
+    module is not put into ``sys.modules``: registered there, a later normal
+    import would leave the parent package without its ``_core`` attribute.
+    CPython initialises the extension once per process, so a later normal
+    import gets the same types.  A module that is already imported is reused.
+    """
+    if _CORE in sys.modules:
+        core = sys.modules[_CORE]
+    else:
+        scipy_spec = importlib.util.find_spec("scipy")  # finds scipy without importing it
+        locations = scipy_spec.submodule_search_locations if scipy_spec else None
+        dirs = [os.path.join(d, "optimize", "_highspy") for d in locations or ()]
+        spec = importlib.machinery.PathFinder.find_spec(_CORE, dirs)
+        core = None
+        if spec is not None:
+            core = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(core)
+    if core is None:  # pragma: no cover - depends on the installed scipy
+        try:
+            found = f"which scipy {importlib.metadata.version('scipy')} does not provide"
+        except importlib.metadata.PackageNotFoundError:
+            found = "but scipy is not installed"
+        raise ImportError(
+            f"ssfp needs scipy's HiGHS binding {_CORE}._Highs, {found}; install scipy>=1.15"
+        )
+    return core
+
+
+_core = _highs_core()
+HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
+    _core.HighsLp, _core.HighsModelStatus, _core.HighsStatus, _core.MatrixFormat, _core._Highs
+)
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
 from .milp_core import SENSES, MilpModel, MilpSolution
@@ -172,7 +203,8 @@ def solve_milp(
     ``SolverError`` is raised.
 
     Every node solves one LP, so ``lp_count`` equals ``node_count``;
-    ``simplex_iterations`` is the sum of their ``LpResult.nit``.
+    ``simplex_iterations`` is the sum of their ``LpResult.nit``, and
+    ``lp_time`` the seconds spent in their ``linprog`` calls.
     """
     if node_limit is not None:
         if isinstance(node_limit, bool) or not isinstance(node_limit, numbers.Integral):
@@ -190,7 +222,7 @@ def solve_milp(
 
     incumbent_obj = math.inf if cutoff is None else float(cutoff)
     incumbent_x: np.ndarray | None = None
-    root_bound, node_count, simplex_iterations = math.nan, 0, 0
+    root_bound, node_count, simplex_iterations, lp_time = math.nan, 0, 0, 0.0
     # heap entries: (key, push tag, parent LP bound, branch decisions); the
     # push tag 2 * parent node + side grows with push order, and the key is
     # the parent bound (best first) or minus the tag (depth first)
@@ -221,7 +253,9 @@ def solve_milp(
                 ub[var] = 0.0
             else:
                 lb[var] = 1.0
+        lp_started = time.perf_counter()
         lp = linprog(form, lb, ub)
+        lp_time += time.perf_counter() - lp_started
         simplex_iterations += lp.nit
         if lp.status == HighsModelStatus.kOptimal:
             objective = lp.fun
@@ -270,7 +304,7 @@ def solve_milp(
     elapsed = time.perf_counter() - started
     return MilpSolution(
         status, objective, x, bound, node_count, elapsed, root_bound,
-        lp_count=node_count, simplex_iterations=simplex_iterations,
+        lp_count=node_count, simplex_iterations=simplex_iterations, lp_time=lp_time,
     )
 
 

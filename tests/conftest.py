@@ -1,8 +1,11 @@
 """Fixtures shared by the test modules."""
 import pytest
-from scipy.optimize._highspy._core import HighsStatus, HighsVarType, _Highs
 
+# ssfp first: it loads scipy's HiGHS extension from its file, and the suite
+# should run on that path, not on a module scipy.optimize already imported.
+# The HiGHS imports after it go through scipy.optimize, as an outside check.
 from ssfp import solver
+from scipy.optimize._highspy._core import HighsStatus, HighsVarType, _Highs
 from ssfp.graph_core import EdgePipeSet
 from ssfp.instances import random_grid_instance
 from ssfp.milp_core import export_lp

@@ -88,6 +88,27 @@ class TestSweepConfig:
         with pytest.raises(ValidationError):
             SweepConfig(2, 1, 6)
 
+    @pytest.mark.parametrize("setting, name", [
+        ((2.0, 1, 3), "num_scenarios"),
+        ((True, 1, 3), "num_scenarios"),
+        ((2, 1.0, 3), "num_groups"),
+        ((2, True, 3), "num_groups"),
+        ((2, 1, 3.0), "terminals_per_group"),
+        ((2, 1, True), "terminals_per_group"),
+        ((2, 1, "3"), "terminals_per_group"),
+    ])
+    def test_settings_that_are_not_integers_rejected(self, setting, name):
+        # 2.0 == 2 and True == 1, but neither names a setting
+        with pytest.raises(ValidationError, match=f"{name} must be one of"):
+            SweepConfig(*setting)
+
+    def test_integral_settings_are_kept_as_int(self):
+        config = SweepConfig(np.int64(2), np.int64(1), np.int64(3))
+        assert (config.num_scenarios, config.num_groups, config.terminals_per_group) == (2, 1, 3)
+        assert all(type(value) is int for value in
+                   (config.num_scenarios, config.num_groups, config.terminals_per_group))
+        assert config.setting_id == "s2g1t3"
+
     @pytest.mark.parametrize("seeds", [("a",), (1.5,), (-1,), (True,), (0, 2.0)])
     def test_seeds_that_are_not_non_negative_integers_rejected(self, seeds):
         # refused when the config is built, not as an unprefixed numpy error

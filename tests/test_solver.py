@@ -379,7 +379,7 @@ class TestEmptyModel:
         m.add_constraint("slack", [], "<=", 1.0)
         sol = solve_milp(m)
         assert (sol.status, sol.objective, sol.bound, sol.x) == ("optimal", 0.0, 0.0, ())
-        assert (sol.lp_count, sol.simplex_iterations) == (0, 0)
+        assert (sol.lp_count, sol.simplex_iterations, sol.lp_time) == (0, 0, 0.0)
         assert solve_milp(MilpModel()).status == "optimal"
 
     @pytest.mark.parametrize("sense, rhs", [(">=", 1.0), ("=", -1.0), ("<=", -1.0)])
@@ -531,6 +531,12 @@ class TestLpEntry:
             assert all(isinstance(nit, int) for nit in calls) and sum(calls) > 0
             assert sol.simplex_iterations == sum(calls)
 
+    @pytest.mark.parametrize("order", ["best", "depth"])
+    def test_lp_time_is_a_positive_part_of_the_solve_time(self, order):
+        sol = solve_milp(_branching_model(), order=order)
+        assert sol.node_count > 1
+        assert 0 < sol.lp_time <= sol.solve_time
+
     def test_solve_writes_nothing_to_stdout_or_stderr(self, capfd):
         capfd.readouterr()
         solve_milp(_branching_model())
@@ -572,3 +578,68 @@ class TestLpEntry:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60, check=True, env=env)
         assert done.stdout.split() == ["True", "True"]
+
+
+# -- loading the HiGHS binding -------------------------------------------------
+
+def _run_python(code, *path):
+    """Run ``code`` in a fresh interpreter with ``path`` and ssfp's source
+    first on ``sys.path``; return its stdout split into words."""
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [*map(str, path), src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestHighsBinding:
+    def test_import_does_not_import_scipy_optimize(self):
+        code = (
+            "import sys, ssfp\n"
+            "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') "
+            "if m in sys.modules])\n"
+        )
+        assert _run_python(code) == ["[]"]
+
+    def test_a_later_scipy_import_shares_the_binding(self):
+        code = (
+            "import ssfp\n"
+            "import scipy.optimize._highspy._core\n"
+            "print(scipy.optimize._highspy._core._Highs is ssfp.solver._Highs)\n"
+            "from scipy.optimize import LinearConstraint, linprog, milp\n"
+            "print(linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], method='highs').fun)\n"
+            "print(milp([1, 2], integrality=[1, 1],\n"
+            "           constraints=LinearConstraint([[1, 1]], 1.5, 10)).fun)\n"
+            "print(ssfp.solve_milp(ssfp.build_do(ssfp.four_cycle_instance(), flow='d').milp).objective)\n"
+        )
+        assert _run_python(code) == ["True", "1.0", "2.0", "3.0"]
+
+    def test_a_binding_scipy_loaded_first_is_reused(self):
+        code = (
+            "import importlib.machinery\n"
+            "import scipy.optimize\n"
+            "find, searched = importlib.machinery.PathFinder.find_spec, []\n"
+            "def spy(name, path=None, target=None):\n"
+            "    searched.append(name)\n"
+            "    return find(name, path, target)\n"
+            "importlib.machinery.PathFinder.find_spec = spy\n"
+            "import ssfp.solver\n"
+            "print(ssfp.solver._core is scipy.optimize._highspy._core)\n"
+            "print('scipy.optimize._highspy._core' in searched)\n"
+        )
+        assert _run_python(code) == ["True", "False"]
+
+    def test_a_missing_extension_names_the_scipy_version(self, tmp_path):
+        # a scipy package whose optimize/_highspy directory holds no extension
+        (tmp_path / "scipy" / "optimize" / "_highspy").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        code = (
+            "import importlib.metadata\n"
+            "try:\n"
+            "    import ssfp\n"
+            "except ImportError as err:\n"
+            "    print(importlib.metadata.version('scipy') in str(err), '_Highs' in str(err))\n"
+        )
+        assert _run_python(code, tmp_path) == ["True", "True"]
