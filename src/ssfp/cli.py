@@ -30,7 +30,7 @@ from .instances import (
     save_instance,
 )
 from .milp_core import export_lp
-from .models import BuiltModel, ModelKind, build_model
+from .models import FLOWS, OPTIMIZATIONS, BuiltModel, ModelKind, build_model
 from .solver import solve_milp
 from .experiments import (
     core_count,
@@ -230,8 +230,8 @@ def _make_parser() -> argparse.ArgumentParser:
     # --instance, --model, --flow and --rho2 of solve and export-lp
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--instance", required=True, help="path or builtin:fig2 / builtin:four-cycle")
-    model.add_argument("--model", choices=("do", "ro", "so"), required=True)
-    model.add_argument("--flow", choices=("u", "d"), default="u")
+    model.add_argument("--model", choices=OPTIMIZATIONS, required=True)
+    model.add_argument("--flow", choices=FLOWS, default="u")
     model.add_argument("--rho2", type=float, default=None)
 
     solve = sub.add_parser("solve", parents=[model], help="build and solve one model")

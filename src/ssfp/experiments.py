@@ -18,12 +18,11 @@ from .graph_core import EdgePipeSet, TwoStageInstance, cost
 from .instances import SweepConfig, random_artificial
 from .milp_core import MilpSolution
 from .models import (
-    ALL_KINDS, BuiltModel, ModelKind, build_do, build_model, dominated_pipes, expected_size,
+    ALL_KINDS, OPTIMIZATIONS, BuiltModel, ModelKind, Optimization, build_do, build_model,
+    dominated_pipes, expected_size,
 )
 from .solver import SolverError, solve_milp
 
-Objective = Literal["do", "ro", "so"]
-OBJECTIVE_ORDER: tuple[Objective, ...] = ("do", "ro", "so")
 MODEL_LABELS = tuple(k.label for k in ALL_KINDS)
 #: How far U and D optima, and a re-evaluated optimum and its model's
 #: objective, may differ before a sweep record is refused.
@@ -79,7 +78,7 @@ class RecourseModels:
 
 
 def evaluate_under(
-    objective: Objective,
+    objective: Optimization,
     two_stage: TwoStageInstance,
     first_stage_solution: EdgePipeSet,
     recourse: RecourseModels | None = None,
@@ -89,7 +88,7 @@ def evaluate_under(
     (RO), or plus probability-weighted optimal recourse (SO).  The recourse
     solves use ``recourse``, a table of this very ``two_stage``, or a table
     of their own."""
-    if objective not in OBJECTIVE_ORDER:
+    if objective not in OPTIMIZATIONS:
         raise ValueError(f"unknown objective {objective!r}")
     if recourse is not None and recourse.two_stage is not two_stage:
         raise ValueError("the recourse models belong to another instance")
@@ -249,8 +248,11 @@ class SweepRecord:
     @property
     def matrix(self) -> tuple[tuple[float, float, float], ...]:
         """The evaluations, each normalized by its column owner's optimum
-        (the diagonal)."""
+        (the diagonal); a zero optimum raises ``ValueError``."""
         e = self.evaluations
+        for j, column in enumerate(OPTIMIZATIONS):
+            if e[j][j] == 0:
+                raise ValueError(f"cannot normalize column {column} by a zero optimum")
         return tuple(tuple(e[i][j] / e[j][j] for j in range(3)) for i in range(3))
 
     @property
@@ -293,7 +295,7 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
     stages = (two_stage.first_stage, *two_stage.scenarios)
     reduced = two_stage.without_pipes(dominated_pipes(stages, two_stage.existing))
     solved: dict[str, tuple[BuiltModel, MilpSolution]] = {}
-    plans: dict[Objective, EdgePipeSet] = {}
+    plans: dict[Optimization, EdgePipeSet] = {}
     cutoff: float | None = None
     for optimization, next_objective in (("do", "so"), ("so", "ro"), ("ro", None)):
         directed = build_model(ModelKind(optimization, "d"), two_stage)
@@ -311,10 +313,10 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
             value = evaluate_under(next_objective, two_stage, plans[optimization], recourse)
             cutoff = value + CUTOFF_SLACK
     evaluations = tuple(
-        tuple(evaluate_under(column, two_stage, plans[row], recourse) for column in OBJECTIVE_ORDER)
-        for row in OBJECTIVE_ORDER
+        tuple(evaluate_under(column, two_stage, plans[row], recourse) for column in OPTIMIZATIONS)
+        for row in OPTIMIZATIONS
     )
-    for i, optimization in enumerate(OBJECTIVE_ORDER):
+    for i, optimization in enumerate(OPTIMIZATIONS):
         model_obj = solved[ModelKind(optimization, "d").label][1].objective
         if abs(evaluations[i][i] - model_obj) > AGREEMENT_TOL:
             raise SolverError(
@@ -388,7 +390,7 @@ def _label_columns(prefix: str) -> list[str]:
 SWEEP_COLUMNS = (
     ["setting", "seed"]
     + _label_columns("obj")
-    + [f"m_{r}_{c}" for r in OBJECTIVE_ORDER for c in OBJECTIVE_ORDER]
+    + [f"m_{r}_{c}" for r in OPTIMIZATIONS for c in OPTIMIZATIONS]
     + ["ro_do_ratio"]
     + _label_columns("vars")
     + _label_columns("cons")
@@ -429,10 +431,10 @@ def write_matrix_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
         ("mean_of_ratios", aggregate_matrix(records).values),
         ("ratio_of_means", aggregate_matrix_of_means(records)),
     )
-    _write_csv(path, ["aggregation", "model", "do", "ro", "so"], (
+    _write_csv(path, ["aggregation", "model", *OPTIMIZATIONS], (
         [name, row_name, *(repr(v) for v in matrix[i])]
         for name, matrix in aggregations
-        for i, row_name in enumerate(OBJECTIVE_ORDER)
+        for i, row_name in enumerate(OPTIMIZATIONS)
     ))
 
 

@@ -6,6 +6,7 @@ the operations at the bottom of the module are pure functions.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import chain
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -19,6 +20,24 @@ PROBABILITY_SUM_TOL = 1e-12
 
 class ValidationError(ValueError):
     """Instance data violates a structural invariant."""
+
+
+def is_integer(value: object) -> bool:
+    """An integer of any integral type, numpy's included, but not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """A real number of any real type, numpy's included, but not a ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _plain(kind: type, value: object, name: str) -> int | float:
+    """``value`` as a plain ``int`` or ``float`` (``kind``), if it passes that rule."""
+    if not (is_integer(value) if kind is int else is_number(value)):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{name} must be {noun}, not {value!r}")
+    return kind(value)
 
 
 class InfeasibleInstanceError(ValidationError):
@@ -61,7 +80,9 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "num_vertices", _plain(int, self.num_vertices, "num_vertices"))
+        edges = tuple(tuple(_plain(int, v, "edge endpoint") for v in edge) for edge in self.edges)
+        object.__setattr__(self, "edges", edges)
         if self.num_vertices < 1:
             raise ValidationError("graph needs at least one vertex")
         seen: set[Edge] = set()
@@ -105,9 +126,10 @@ class PipeCatalog:
     base_costs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "base_costs", tuple(tuple(float(c) for c in row) for row in self.base_costs)
-        )
+        num_pipe_types = _plain(int, self.num_pipe_types, "num_pipe_types")
+        object.__setattr__(self, "num_pipe_types", num_pipe_types)
+        costs = tuple(tuple(_plain(float, c, "pipe cost") for c in row) for row in self.base_costs)
+        object.__setattr__(self, "base_costs", costs)
         if self.num_pipe_types < 1:
             raise ValidationError("catalog needs at least one pipe type")
         if len(self.base_costs) != self.num_pipe_types:
@@ -139,7 +161,7 @@ class TerminalGroups:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(tuple(sorted(set(int(t) for t in g))) for g in self.groups)
+        norm = tuple(tuple(sorted(set(_plain(int, t, "terminal") for t in g))) for g in self.groups)
         object.__setattr__(self, "groups", norm)
         if not norm:
             raise ValidationError("at least one terminal group is required")
@@ -188,8 +210,11 @@ class Instance:
     label: str = field(default="", compare=False)  # presentation only
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "feasible_pipes", frozenset(int(p) for p in self.feasible_pipes))
-        object.__setattr__(self, "admissible_edges", frozenset(int(e) for e in self.admissible_edges))
+        for name in ("feasible_pipes", "admissible_edges"):
+            ids = frozenset(_plain(int, i, name) for i in getattr(self, name))
+            object.__setattr__(self, name, ids)
+        multiplier = _plain(float, self.cost_multiplier, "cost multiplier")
+        object.__setattr__(self, "cost_multiplier", multiplier)
         if len(self.pipes.base_costs[0]) != self.graph.num_edges:
             raise ValidationError("catalog cost rows must cover every graph edge")
         if not self.feasible_pipes:
@@ -235,7 +260,8 @@ class EdgePipeSet:
     pairs: frozenset[PipeEdge] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset((int(p), int(e)) for p, e in self.pairs))
+        pairs = ((_plain(int, p, "pipe id"), _plain(int, e, "edge id")) for p, e in self.pairs)
+        object.__setattr__(self, "pairs", frozenset(pairs))
 
     def check(self, graph: Graph, num_pipe_types: int) -> None:
         for p, e in self.pairs:
@@ -272,7 +298,8 @@ class TwoStageInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        object.__setattr__(self, "probabilities", tuple(float(r) for r in self.probabilities))
+        rhos = tuple(_plain(float, rho, "probability") for rho in self.probabilities)
+        object.__setattr__(self, "probabilities", rhos)
         if len(self.scenarios) != len(self.probabilities):
             raise ValidationError("need one probability per scenario")
         if self.first_stage.cost_multiplier != 1.0:

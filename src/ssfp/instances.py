@@ -7,7 +7,6 @@ order is fixed and documented on each generator.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -16,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .graph_core import (
-    PROBABILITY_SUM_TOL,
     EdgePipeSet,
     Graph,
     Instance,
@@ -24,6 +22,8 @@ from .graph_core import (
     TerminalGroups,
     TwoStageInstance,
     ValidationError,
+    is_integer,
+    is_number,
 )
 
 SCENARIO_CHOICES = (2, 3, 4)
@@ -124,13 +124,11 @@ class SweepConfig:
         ):
             # 2.0 == 2 and True == 1, so membership alone would let them in
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
-                value not in choices
-            ):
+            if not (is_integer(value) and value in choices):
                 raise ValidationError(f"{name} must be one of {choices}, not {value!r}")
             object.__setattr__(self, name, int(value))
         for seed in self.seeds:
-            if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+            if not (is_integer(seed) and seed >= 0):
                 raise ValidationError(f"seeds must be non-negative integers, not {seed!r}")
         # a tuple of int keeps the config hashable whatever sequence was given
         object.__setattr__(self, "seeds", tuple(map(int, self.seeds)))
@@ -190,11 +188,10 @@ def random_grid_instance(
 
     def draw_groups() -> TerminalGroups:
         perm = rng.permutation(np.arange(1, graph.num_vertices + 1))[:need]
-        groups = tuple(
-            tuple(int(t) for t in perm[g * terminals_per_group : (g + 1) * terminals_per_group])
+        return TerminalGroups(tuple(
+            tuple(perm[g * terminals_per_group : (g + 1) * terminals_per_group])
             for g in range(num_groups)
-        )
-        return TerminalGroups(groups)
+        ))
 
     first = Instance(graph, catalog, draw_groups(), all_pipes, all_edges, 1.0)
     scenarios = tuple(
@@ -224,22 +221,12 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
-def is_json_integer(value: object) -> bool:
-    """A JSON integer as ``json`` reads it: an ``int`` but not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_json_number(value: object) -> bool:
-    """A JSON integer or float, never a ``bool`` or a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def json_integers(value: object, path: str, message: str, length: int | None = None) -> list[int]:
     """``value`` if it is a list of JSON integers (of ``length`` items, when
     given); otherwise :class:`SchemaError` with ``path`` and ``message``."""
     _expect(
         isinstance(value, list)
-        and all(is_json_integer(x) for x in value)
+        and all(is_integer(x) for x in value)
         and (length is None or len(value) == length),
         path,
         message,
@@ -307,14 +294,14 @@ def _parse_stage(
         json_integers(adm, f"{path}.admissible_edges", 'must be "all" or a list of edge indices')
         admissible = frozenset(adm)
     multiplier = data.get("multiplier", 1.0)
-    _expect(is_json_number(multiplier), f"{path}.multiplier", "must be a number")
+    _expect(is_number(multiplier), f"{path}.multiplier", "must be a number")
     probability = 0.0
     if first_stage:
         _expect(multiplier == 1.0, f"{path}.multiplier", "must be exactly 1")
     else:
         _expect(multiplier > 1.0, f"{path}.multiplier", "must be > 1")
         probability = data.get("probability")
-        _expect(is_json_number(probability), f"{path}.probability", "must be a number")
+        _expect(is_number(probability), f"{path}.probability", "must be a number")
         _expect(probability >= 0.0, f"{path}.probability", f"must be >= 0, got {probability}")
     label = data.get("label", "")
     _expect(isinstance(label, str), f"{path}.label", "must be a string")
@@ -325,26 +312,24 @@ def _parse_stage(
             TerminalGroups(tuple(tuple(g) for g in groups)),
             frozenset(pipes),
             admissible,
-            float(multiplier),
+            multiplier,
             label,
         )
     except ValidationError as err:
         raise type(err)(f"{path}: {err}") from None
-    return instance, float(probability)
+    return instance, probability
 
 
 def _two_stage(
     first: Instance, scenarios: list[tuple[Instance, float]], existing: EdgePipeSet = EdgePipeSet()
 ) -> TwoStageInstance:
-    """The instance of parsed stages, with the probability sum checked at
-    the path ``scenarios``."""
-    probabilities = tuple(rho for _, rho in scenarios)
-    _expect(
-        not scenarios or abs(sum(probabilities) - 1.0) <= PROBABILITY_SUM_TOL,
-        "scenarios",
-        f"probabilities sum to {sum(probabilities)}, not 1",
-    )
-    return TwoStageInstance(first, tuple(inst for inst, _ in scenarios), probabilities, existing)
+    """The instance of parsed stages; what it can still refuse is the
+    probability sum, reported at the path ``scenarios``."""
+    rhos = tuple(rho for _, rho in scenarios)
+    try:
+        return TwoStageInstance(first, tuple(inst for inst, _ in scenarios), rhos, existing)
+    except ValidationError as err:
+        raise SchemaError(f"scenarios: {err}") from None
 
 
 def _read_object(path: str | Path) -> dict:
@@ -366,7 +351,7 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     graph_data = document.get("graph")
     _expect(isinstance(graph_data, dict), "graph", "must be an object")
     num_vertices = graph_data.get("num_vertices")
-    _expect(is_json_integer(num_vertices), "graph.num_vertices", "must be an integer")
+    _expect(is_integer(num_vertices), "graph.num_vertices", "must be an integer")
     edges = graph_data.get("edges")
     _expect(isinstance(edges, list), "graph.edges", "must be a list of [u, v] pairs")
     for i, e in enumerate(edges):
@@ -380,7 +365,7 @@ def load_instance(path: str | Path) -> TwoStageInstance:
     _expect(isinstance(pipes_data, dict), "pipes", "must be an object")
     num_types = pipes_data.get("num_types")
     _expect(
-        is_json_integer(num_types) and num_types >= 1, "pipes.num_types", "must be a positive integer"
+        is_integer(num_types) and num_types >= 1, "pipes.num_types", "must be a positive integer"
     )
     base_costs = pipes_data.get("base_costs")
     _expect(isinstance(base_costs, dict), "pipes.base_costs", "must be an object")
@@ -397,11 +382,11 @@ def load_instance(path: str | Path) -> TwoStageInstance:
             f"must list {num_types} pipe costs",
         )
         for p, cost in enumerate(row):
-            _expect(is_json_number(cost), f"pipes.base_costs.per_edge[{i}][{p}]", "must be a number")
+            _expect(is_number(cost), f"pipes.base_costs.per_edge[{i}][{p}]", "must be a number")
     try:
         catalog = PipeCatalog(
             num_types,
-            tuple(tuple(float(per_edge[e][p]) for e in range(graph.num_edges)) for p in range(num_types)),
+            tuple(tuple(per_edge[e][p] for e in range(graph.num_edges)) for p in range(num_types)),
         )
     except ValidationError as err:
         raise SchemaError(f"pipes: {err}") from None
@@ -441,19 +426,19 @@ def load_realistic(graph: Graph, gamma1: Sequence[float]) -> TwoStageInstance:
     """
     data = _read_object(realistic_terminals_path())
     required = data.get("num_vertices_required")
-    _expect(is_json_integer(required), "num_vertices_required", "must be an integer")
+    _expect(is_integer(required), "num_vertices_required", "must be an integer")
     if graph.num_vertices < required:
         raise ValidationError(
             f"graph has {graph.num_vertices} vertices but the data references rooms up to {required}"
         )
-    gamma1 = tuple(float(c) for c in gamma1)
+    gamma1 = PipeCatalog(1, (tuple(gamma1),)).base_costs[0]  # checked as pipe 1's costs
     if len(gamma1) != graph.num_edges:
         raise ValidationError("need one single-walled cost per graph edge")
     pipes = data.get("pipes")
     _expect(isinstance(pipes, dict), "pipes", "must be an object")
     ratio, num_types = pipes.get("cost_ratio"), pipes.get("num_types")
-    _expect(is_json_number(ratio), "pipes.cost_ratio", "must be a number")
-    _expect(is_json_integer(num_types), "pipes.num_types", "must be an integer")
+    _expect(is_number(ratio), "pipes.cost_ratio", "must be a number")
+    _expect(is_integer(num_types), "pipes.num_types", "must be an integer")
     catalog = PipeCatalog(
         num_types, tuple(tuple(c * ratio**p for c in gamma1) for p in range(num_types))
     )

@@ -28,13 +28,15 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence, get_args
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
 from .milp_core import MilpModel, MilpSolution
 
 Optimization = Literal["do", "ro", "so"]
 Flow = Literal["u", "d"]
+OPTIMIZATIONS: tuple[Optimization, ...] = get_args(Optimization)  # the order of every table
+FLOWS: tuple[Flow, ...] = get_args(Flow)
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,9 @@ class ModelKind:
     flow: Flow
 
     def __post_init__(self) -> None:
-        if self.optimization not in ("do", "ro", "so"):
+        if self.optimization not in OPTIMIZATIONS:
             raise ValueError(f"unknown optimization type {self.optimization!r}")
-        if self.flow not in ("u", "d"):
+        if self.flow not in FLOWS:
             raise ValueError(f"unknown flow formulation {self.flow!r}")
 
     @property
@@ -403,7 +405,7 @@ def build_model(kind: ModelKind, two_stage: TwoStageInstance) -> BuiltModel:
     )
 
 
-ALL_KINDS = tuple(ModelKind(o, f) for o in ("do", "ro", "so") for f in ("u", "d"))
+ALL_KINDS = tuple(ModelKind(o, f) for o in OPTIMIZATIONS for f in FLOWS)
 
 
 def dominated_pipes(stages: Sequence[Instance], existing: EdgePipeSet) -> frozenset[int]:

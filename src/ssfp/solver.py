@@ -16,7 +16,6 @@ import importlib.machinery
 import importlib.metadata
 import importlib.util
 import math
-import numbers
 import os
 import sys
 import time
@@ -67,8 +66,9 @@ HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
     _core.HighsLp, _core.HighsModelStatus, _core.HighsStatus, _core.MatrixFormat, _core._Highs
 )
 
-from .graph_core import EdgePipeSet, Instance, TwoStageInstance
+from .graph_core import EdgePipeSet, Instance, TwoStageInstance, is_integer
 from .milp_core import SENSES, MilpModel, MilpSolution
+from .models import OPTIMIZATIONS, Optimization
 
 #: Largest pipe-edge universe the exhaustive oracle will enumerate.
 BRUTE_FORCE_PAIR_LIMIT = 22
@@ -206,11 +206,10 @@ def solve_milp(
     ``simplex_iterations`` is the sum of their ``LpResult.nit``, and
     ``lp_time`` the seconds spent in their ``linprog`` calls.
     """
-    if node_limit is not None:
-        if isinstance(node_limit, bool) or not isinstance(node_limit, numbers.Integral):
-            raise ValueError(f"node_limit must be an integer, not {node_limit!r}")
-        if node_limit < 1:
-            raise ValueError("node_limit must be at least 1")
+    if node_limit is not None and not is_integer(node_limit):
+        raise ValueError(f"node_limit must be an integer, not {node_limit!r}")
+    if node_limit is not None and node_limit < 1:
+        raise ValueError("node_limit must be at least 1")
     if cutoff is not None and math.isnan(cutoff):
         raise ValueError("cutoff must be a number, not NaN")
     if order not in ("best", "depth"):
@@ -295,8 +294,8 @@ def solve_milp(
         status, objective, bound = "optimal", incumbent_obj, incumbent_obj
     elif cutoff is not None:
         raise SolverError(
-            "no solution found below the cutoff; the model is infeasible "
-            "or the cutoff undercuts the optimum"
+            f"model {model.name!r}: no solution found below the cutoff {cutoff!r}; the model "
+            "is infeasible or the cutoff undercuts the optimum"
         )
     else:
         status, objective, bound = "infeasible", math.inf, math.inf
@@ -363,7 +362,7 @@ def _connecting(
     return connecting
 
 
-def brute_force(two_stage: TwoStageInstance, mode: Literal["do", "ro", "so"]) -> BruteForceResult:
+def brute_force(two_stage: TwoStageInstance, mode: Optimization) -> BruteForceResult:
     """Exhaustive optimum over every subset of the pipe-edge pairs not yet
     installed.
 
@@ -375,7 +374,7 @@ def brute_force(two_stage: TwoStageInstance, mode: Literal["do", "ro", "so"]) ->
     pipe-edge universe exceeds ``BRUTE_FORCE_PAIR_LIMIT``; this is an oracle
     for tiny instances, never a silent approximation.
     """
-    if mode not in ("do", "ro", "so"):
+    if mode not in OPTIMIZATIONS:
         raise ValueError(f"unknown mode {mode!r}")
     first = two_stage.first_stage
     universe = [

@@ -25,7 +25,9 @@ from ssfp.experiments import (
     write_ratios_csv,
     write_sweep_csv,
 )
-from ssfp.graph_core import EdgePipeSet, TwoStageInstance
+from ssfp.graph_core import (
+    EdgePipeSet, Graph, Instance, PipeCatalog, TerminalGroups, TwoStageInstance,
+)
 from ssfp.instances import (
     SweepConfig,
     fig2_instance,
@@ -33,7 +35,7 @@ from ssfp.instances import (
     random_artificial,
     random_grid_instance,
 )
-from ssfp.models import ALL_KINDS, build_do, build_model, dominated_pipes
+from ssfp.models import ALL_KINDS, ModelKind, build_do, build_model, dominated_pipes
 from ssfp.solver import SolverError, SolverNumericalError, solve_milp
 
 
@@ -322,6 +324,34 @@ class TestSweepRecordErrors:
         with pytest.raises(SolverError, match=r"^s2g1t3 seed 0: DO flow formulations disagree \("):
             sweep_record(SweepConfig(2, 1, 3, (0,)), 0, instance)
         assert built == ["DO-D", "DO-U"]
+
+    def test_a_twin_above_its_cutoff_is_named(self, monkeypatch, instance):
+        """An undirected twin whose optimum lies above the cutoff its directed
+        twin set: the refusal names the setting, the seed, the model and the
+        cutoff."""
+        do_d = solve_milp(build_model(ModelKind("do", "d"), instance).milp).objective
+        monkeypatch.setattr(experiments, "CUTOFF_SLACK", -0.5)
+        with pytest.raises(SolverError) as raised:
+            sweep_record(SweepConfig(2, 1, 3, (0,)), 0, instance)
+        assert str(raised.value).startswith(
+            f"s2g1t3 seed 0: model 'DO-U': no solution found below the cutoff {do_d - 0.5!r}; "
+        )
+
+    def test_a_zero_optimum_is_refused_with_its_column(self):
+        """Existing pairs that already connect every group of every stage
+        make every optimum 0, which no matrix column can be normalized by."""
+        graph = Graph(3, ((1, 2), (2, 3)))
+        catalog = PipeCatalog(1, ((1.0, 2.0),))
+
+        def stage(multiplier):
+            groups = TerminalGroups(((1, 3),))
+            return Instance(graph, catalog, groups, frozenset({1}), frozenset({0, 1}), multiplier)
+
+        existing = EdgePipeSet(frozenset({(1, 0), (1, 1)}))
+        two_stage = TwoStageInstance(stage(1.0), (stage(2.0), stage(2.0)), (0.5, 0.5), existing)
+        with pytest.raises(ValueError) as raised:
+            sweep_record(SweepConfig(2, 1, 3), 0, two_stage)
+        assert str(raised.value) == "s2g1t3 seed 0: cannot normalize column do by a zero optimum"
 
 
 PILOT = SweepConfig(2, 2, 3, tuple(range(12)))

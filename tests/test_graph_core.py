@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,7 @@ from ssfp.graph_core import (
     first_disconnected,
     validate_feasible,
 )
-from ssfp.instances import fig2_instance
+from ssfp.instances import fig2_instance, load_instance, save_instance
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,76 @@ class TestInstanceValidation:
     def test_scenario_multiplier_must_exceed_one(self, fig2):
         with pytest.raises(ValidationError):
             TwoStageInstance(fig2.first_stage, (fig2.first_stage,), (1.0,))
+
+
+def _path_instance(multiplier=1.0):
+    """Vertices 1-2-3 on a path, one pipe type, the group {1, 3}."""
+    graph = Graph(3, ((1, 2), (2, 3)))
+    catalog = PipeCatalog(1, ((1.0, 2.0),))
+    return Instance(
+        graph, catalog, TerminalGroups(((1, 3),)), frozenset({1}), frozenset({0, 1}), multiplier
+    )
+
+
+class TestInputRule:
+    """Ids and counts must be integers and costs, multipliers and
+    probabilities numbers, of any numeric type but ``bool``.  A value that
+    breaks the rule is refused, never rounded or parsed."""
+
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: Graph(4, ((1.7, 2),)), "edge endpoint", 1.7),
+        (lambda: Graph(3, ((True, 2),)), "edge endpoint", True),
+        (lambda: Graph(3.0, ((1, 2),)), "num_vertices", 3.0),
+        (lambda: PipeCatalog(1, (("3",),)), "pipe cost", "3"),
+        (lambda: PipeCatalog(2.0, ((1.0,), (2.0,))), "num_pipe_types", 2.0),
+        (lambda: TerminalGroups(((1, 2.5),)), "terminal", 2.5),
+        (lambda: EdgePipeSet({(1, 2.7)}), "edge id", 2.7),
+        (lambda: EdgePipeSet({(True, 0)}), "pipe id", True),
+        (lambda: dataclasses.replace(_path_instance(), feasible_pipes={1.0}),
+         "feasible_pipes", 1.0),
+        (lambda: dataclasses.replace(_path_instance(), admissible_edges={0, "1"}),
+         "admissible_edges", "1"),
+        (lambda: _path_instance("2"), "cost multiplier", "2"),
+        (lambda: fig2_instance().with_probabilities(("0.5", 0.5)), "probability", "0.5"),
+    ], ids=[
+        "float-endpoint", "bool-endpoint", "float-vertex-count", "string-cost",
+        "float-pipe-count", "float-terminal", "float-edge-id", "bool-pipe-id",
+        "float-feasible-pipe", "string-admissible-edge", "string-multiplier",
+        "string-probability",
+    ])
+    def test_a_value_of_the_wrong_kind_is_refused(self, make, field, value):
+        kind = "a number" if field in ("pipe cost", "cost multiplier", "probability") else (
+            "an integer"
+        )
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert str(err.value) == f"{field} must be {kind}, not {value!r}"
+
+    def test_numpy_values_are_stored_plain_and_round_trip(self, tmp_path):
+        graph = Graph(np.int64(3), ((np.int64(1), np.int32(2)), (2, np.uint8(3))))
+        catalog = PipeCatalog(np.int64(1), ((np.float64(1.5), np.float32(2.0)),))
+
+        def stage(multiplier):
+            return Instance(
+                graph, catalog, TerminalGroups(((np.int64(3), 1),)),
+                frozenset({np.int64(1)}), frozenset(np.arange(2)), multiplier,
+            )
+
+        two_stage = TwoStageInstance(
+            stage(np.float64(1.0)), (stage(np.int64(2)),), (np.float64(1.0),),
+            EdgePipeSet({(np.int64(1), np.int64(0))}),
+        )
+        first = two_stage.first_stage
+        ints = [graph.num_vertices, *(v for edge in graph.edges for v in edge),
+                catalog.num_pipe_types, *first.terminals.groups[0], *first.feasible_pipes,
+                *first.admissible_edges, *(i for pair in two_stage.existing for i in pair)]
+        floats = [*catalog.base_costs[0], first.cost_multiplier,
+                  two_stage.scenarios[0].cost_multiplier, *two_stage.probabilities]
+        assert {type(v) for v in ints} == {int} and {type(v) for v in floats} == {float}
+        assert graph.edges == ((1, 2), (2, 3)) and catalog.base_costs == ((1.5, 2.0),)
+        path = tmp_path / "numpy.json"
+        save_instance(two_stage, path)
+        assert load_instance(path) == two_stage
 
 
 class TestWithoutPipes:

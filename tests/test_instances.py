@@ -300,6 +300,13 @@ class TestRealisticData:
         with pytest.raises(ValidationError):
             load_realistic(graph, [1.0] * graph.num_edges)
 
+    def test_loader_refuses_costs_that_are_not_numbers(self):
+        graph = grid_graph(9, 9)
+        costs = [1.0] * graph.num_edges
+        costs[3] = "1.0"
+        with pytest.raises(ValidationError, match=r"^pipe cost must be a number, not '1\.0'$"):
+            load_realistic(graph, costs)
+
     def test_loader_builds_two_stage_on_a_placeholder_graph(self):
         # synthetic 75-room ship: one corridor through the rooms open to
         # diesel, one through the forbidden rooms, and a single junction

@@ -166,6 +166,15 @@ class TestSolveMilp:
         with pytest.raises(SolverError, match="no solution found below the cutoff"):
             solve_milp(model, cutoff=optimum - 1e-3)
 
+    def test_cutoff_refusal_names_the_model_and_the_cutoff(self):
+        model = _branching_model()
+        cutoff = solve_milp(model).objective - 1e-3
+        with pytest.raises(SolverError) as err:
+            solve_milp(model, cutoff=cutoff)
+        assert str(err.value).startswith(
+            f"model 'RO-D': no solution found below the cutoff {cutoff!r}; "
+        )
+
     def test_determinism(self):
         for order in ("best", "depth"):
             for model in (build_do(four_cycle_instance(), flow="u").milp, _branching_model()):
