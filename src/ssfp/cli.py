@@ -130,14 +130,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_settings(spec: str, seeds: list[int]) -> list[SweepConfig]:
+def _parse_settings(spec: str, seeds: list[int], flag: str) -> list[SweepConfig]:
+    """The settings of ``spec``, given to the option ``flag``, which a
+    refusal names."""
     if spec == "all":
         return list(all_settings(seeds))
     try:
         s, g, t = (int(part) for part in spec.split(","))
         return [SweepConfig(s, g, t, tuple(seeds))]
     except (ValueError, ValidationError) as err:
-        raise CliError(f"bad --settings value {spec!r}: {err}") from None
+        raise CliError(f"bad {flag} value {spec!r}: {err}") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -145,7 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError("--seeds must be at least 1")
     if args.threads < 1:
         raise CliError("--threads must be at least 1")
-    configs = _parse_settings(args.settings, list(range(args.seeds)))
+    configs = _parse_settings(args.settings, list(range(args.seeds)), "--settings")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = run_sweep(configs, args.threads)
@@ -214,7 +216,7 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise CliError("--seed must be non-negative")
-    configs = _parse_settings(args.config, [args.seed])
+    configs = _parse_settings(args.config, [args.seed], "--config")
     if len(configs) != 1:
         raise CliError("gen needs a single setting, e.g. --config 2,1,3")
     save_instance(random_artificial(configs[0], args.seed), args.out)

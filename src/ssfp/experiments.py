@@ -19,9 +19,9 @@ from .instances import SweepConfig, random_artificial
 from .milp_core import MilpSolution
 from .models import (
     ALL_KINDS, OPTIMIZATIONS, BuiltModel, ModelKind, Optimization, build_do, build_model,
-    dominated_pipes, expected_size,
+    dominated_pipes, expected_size, install,
 )
-from .solver import SolverError, solve_milp
+from .solver import LoadedModel, SolverError, solve_milp
 
 MODEL_LABELS = tuple(k.label for k in ALL_KINDS)
 #: How far U and D optima, and a re-evaluated optimum and its model's
@@ -46,14 +46,20 @@ def _solve(
 class RecourseModels:
     """The recourse models of one two-stage instance: for each scenario and
     each set of pipe types it can do without, one DO-D model of the scenario
-    without those pipes, built once with no pair installed.  A recourse solve
-    runs on a copy with the installed pairs laid (``BuiltModel.with_installed``),
-    the same program as a build with them existing.  A table serves one
-    record or one call and is dropped with it."""
+    without those pipes, built with no pair installed and loaded into HiGHS
+    once (``LoadedModel``).  A recourse solve lays the installed pairs in it
+    (``install``), which gives the program of a build with them existing,
+    and re-solves it warm from the basis its last solve left.  A table
+    serves one record or one call and is dropped with it.  Its solves change
+    its loaded models, so a table must not be used from two threads at
+    once."""
 
     def __init__(self, two_stage: TwoStageInstance) -> None:
         self.two_stage = two_stage
-        self.built: dict[tuple[int, frozenset[int]], BuiltModel] = {}
+        # (scenario, dropped pipes) -> the loaded model and its x handles
+        self.loaded: dict[
+            tuple[int, frozenset[int]], tuple[LoadedModel, dict[tuple[int, int], int]]
+        ] = {}
 
     def costs(self, first_stage_solution: EdgePipeSet) -> tuple[float, ...]:
         """Optimal retrofit cost per scenario, at inflated prices, given the
@@ -66,11 +72,14 @@ class RecourseModels:
         out: list[float] = []
         for s, scenario in enumerate(two_stage.scenarios):
             dropped = dominated_pipes((scenario,), installed)
-            built = self.built.get((s, dropped))
-            if built is None:
+            entry = self.loaded.get((s, dropped))
+            if entry is None:
                 built = build_do(scenario.without_pipes(dropped), EdgePipeSet(), "d")
-                self.built[(s, dropped)] = built
-            solution = solve_milp(built.with_installed(installed))
+                entry = self.loaded[(s, dropped)] = LoadedModel(built.milp), built.stage_x[0]
+            loaded, x = entry
+            loaded.reset()
+            install(loaded, x, installed)
+            solution = solve_milp(loaded)
             if solution.status != "optimal":
                 raise SolverError(f"scenario {s} recourse solve ended with {solution.status}")
             out.append(solution.objective)

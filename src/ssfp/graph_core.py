@@ -40,6 +40,19 @@ def _plain(kind: type, value: object, name: str) -> int | float:
     return kind(value)
 
 
+def _plain_pair(value: object, name: str, entries: tuple[str, str]) -> tuple[int, int]:
+    """``value`` as a pair of plain ``int``s, if it has two entries and each
+    passes the integer rule; ``name`` and ``entries`` name it and its
+    entries in a refusal."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = ()
+    if len(items) != 2:
+        raise ValidationError(f"{name} must have two entries, not {value!r}")
+    return _plain(int, items[0], entries[0]), _plain(int, items[1], entries[1])
+
+
 class InfeasibleInstanceError(ValidationError):
     """A terminal group cannot be connected inside the admissible edge set."""
 
@@ -81,7 +94,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_vertices", _plain(int, self.num_vertices, "num_vertices"))
-        edges = tuple(tuple(_plain(int, v, "edge endpoint") for v in edge) for edge in self.edges)
+        endpoints = ("edge endpoint", "edge endpoint")
+        edges = tuple(_plain_pair(edge, "edge", endpoints) for edge in self.edges)
         object.__setattr__(self, "edges", edges)
         if self.num_vertices < 1:
             raise ValidationError("graph needs at least one vertex")
@@ -260,7 +274,7 @@ class EdgePipeSet:
     pairs: frozenset[PipeEdge] = frozenset()
 
     def __post_init__(self) -> None:
-        pairs = ((_plain(int, p, "pipe id"), _plain(int, e, "edge id")) for p, e in self.pairs)
+        pairs = (_plain_pair(pair, "pipe-edge pair", ("pipe id", "edge id")) for pair in self.pairs)
         object.__setattr__(self, "pairs", frozenset(pairs))
 
     def check(self, graph: Graph, num_pipe_types: int) -> None:

@@ -70,6 +70,27 @@ def _first_not_finite(values: array) -> int | None:
     return next((k for k, value in enumerate(values) if not math.isfinite(value)), None)
 
 
+def checked_columns(
+    names: Sequence[str], upper: Sequence[float], handles: Iterable[int], lower: float,
+    objective: float,
+) -> tuple[list[int], float, float]:
+    """The arguments of a ``set_columns`` call on the columns named ``names``
+    with upper bounds ``upper``, checked: each handle names a column whose
+    bounds stay non-empty under ``lower``, and ``objective`` is finite."""
+    handles = list(handles)
+    lower, objective = float(lower), float(objective)
+    for handle in handles:
+        if not 0 <= handle < len(names):
+            raise ModelError(f"set_columns references unknown variable handle {handle}")
+        if not (lower <= upper[handle] and lower < INF):  # false for a NaN bound too
+            raise ModelError(
+                f"variable {names[handle]!r} cannot take the bounds [{lower}, {upper[handle]}]"
+            )
+    if handles and not math.isfinite(objective):
+        raise ModelError(f"variable {names[handles[0]]!r} has objective coefficient {objective}")
+    return handles, lower, objective
+
+
 #: the arrays that hold a model, columns first, then the rows
 _BUFFERS = (
     "col_names", "col_binary", "col_lower", "col_upper", "col_cost",
@@ -274,20 +295,9 @@ class MilpModel:
         """Give each column in ``handles`` the lower bound ``lower`` and the
         objective coefficient ``objective``; its kind and upper bound stay.
         All are checked before any is written."""
-        handles = list(handles)
-        lower, objective = float(lower), float(objective)
-        for handle in handles:
-            if not 0 <= handle < len(self.col_names):
-                raise ModelError(f"set_columns references unknown variable handle {handle}")
-            upper = self.col_upper[handle]
-            if not (lower <= upper and lower < INF):  # false for a NaN bound too
-                raise ModelError(
-                    f"variable {self.col_names[handle]!r} cannot take the bounds [{lower}, {upper}]"
-                )
-        if handles and not math.isfinite(objective):
-            raise ModelError(
-                f"variable {self.col_names[handles[0]]!r} has objective coefficient {objective}"
-            )
+        handles, lower, objective = checked_columns(
+            self.col_names, self.col_upper, handles, lower, objective
+        )
         for handle in handles:
             self.col_lower[handle] = lower
             self.col_cost[handle] = objective

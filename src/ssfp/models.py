@@ -28,10 +28,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence, get_args
+from typing import TYPE_CHECKING, Iterator, Literal, Sequence, get_args
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
 from .milp_core import MilpModel, MilpSolution
+
+if TYPE_CHECKING:
+    from .solver import LoadedModel
 
 Optimization = Literal["do", "ro", "so"]
 Flow = Literal["u", "d"]
@@ -76,14 +79,6 @@ class BuiltModel:
             for x in self.stage_x
         )
         return stages[0], stages[1:]
-
-    def with_installed(self, pairs: EdgePipeSet) -> MilpModel:
-        """A copy of the program with ``pairs`` laid in the first stage
-        (``install``).  For a DO model built with nothing installed this is,
-        buffer for buffer, the DO model built with ``pairs`` existing."""
-        milp = self.milp.copy()
-        install(milp, self.stage_x[0], pairs)
-        return milp
 
 
 class _StageIndex:
@@ -321,9 +316,13 @@ def _add_directed_block(model: MilpModel, inst: Instance, suffix: str) -> dict[t
 _BLOCKS = {"u": _add_undirected_block, "d": _add_directed_block}
 
 
-def install(model: MilpModel, x: dict[tuple[int, int], int], pairs: EdgePipeSet) -> None:
+def install(
+    model: MilpModel | LoadedModel, x: dict[tuple[int, int], int], pairs: EdgePipeSet
+) -> None:
     """Lay ``pairs`` in the stage whose installation handles are ``x``: each
-    pair's column gets lower bound 1 (its upper bound is 1) and no cost."""
+    pair's column gets lower bound 1 (its upper bound is 1) and no cost.  On
+    a model loaded into HiGHS with nothing installed, this gives the program
+    of a build with ``pairs`` existing."""
     model.set_columns([x[pair] for pair in pairs], 1.0, 0.0)
 
 

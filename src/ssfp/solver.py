@@ -6,7 +6,9 @@ it at every node with that node's column bounds, warm from the last basis
 ``scipy.optimize._highspy._core``.  The branch-and-bound search, node
 bookkeeping, and the subset-enumeration oracle live here.  A pure LP is solved
 as ``solve_milp(relax(model))``: with no binaries the search ends at the root.
-One solve owns its data; separate solves may run concurrently.
+A solve of a ``MilpModel`` loads it into a HiGHS instance of its own, so such
+solves may run concurrently.  A ``LoadedModel`` keeps one HiGHS instance
+across solves and is changed by each, so it serves one solve at a time.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -67,7 +69,7 @@ HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
 )
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance, is_integer
-from .milp_core import SENSES, MilpModel, MilpSolution
+from .milp_core import SENSES, MilpModel, MilpSolution, checked_columns
 from .models import OPTIMIZATIONS, Optimization
 
 #: Largest pipe-edge universe the exhaustive oracle will enumerate.
@@ -95,23 +97,32 @@ class BruteForceBudgetError(SolverError):
     """The instance exceeds the exhaustive-search budget."""
 
 
-class _ArrayForm:
-    """The model loaded once into HiGHS: columns with their declared bounds,
-    and one ranged row ``row_lower <= a x <= row_upper`` per constraint.
-    Presolve is off, so every re-solve starts from the basis the last one
-    left."""
+class LoadedModel:
+    """A model loaded once into HiGHS, to be solved any number of times:
+    columns with their bounds and costs, and one ranged row
+    ``row_lower <= a x <= row_upper`` per constraint.
+
+    ``set_columns`` changes columns as ``MilpModel.set_columns`` does, with
+    its checks and error text, and ``reset`` gives every column back the
+    bounds and cost it was loaded with.  Neither touches the model it was
+    loaded from.  Each solve starts with ``send``, which passes HiGHS only
+    the columns whose bounds or cost differ from what HiGHS holds, never the
+    rows.  Presolve is off, so every solve starts from the basis the last
+    one left."""
 
     def __init__(self, model: MilpModel) -> None:
         n, m = model.num_variables, model.num_constraints
+        self.name = model.name
+        self.col_names = list(model.col_names)  # for error text
         # np.array copies the model's buffers; a view would lock them against
         # appends for as long as this form lives
         self.lb = np.array(model.col_lower, dtype=float)
         self.ub = np.array(model.col_upper, dtype=float)
         self.binary = np.array(model.col_binary, dtype=bool)
-        cost = np.array(model.col_cost, dtype=float)
+        self.cost = np.array(model.col_cost, dtype=float)
         coefficients = np.array(model.row_coef, dtype=float)
         rhs = np.array(model.row_rhs, dtype=float)
-        if not all(np.isfinite(values).all() for values in (cost, coefficients, rhs)):
+        if not all(np.isfinite(values).all() for values in (self.cost, coefficients, rhs)):
             raise ValueError(
                 f"model {model.name!r}: objective coefficients, constraint coefficients "
                 "and right-hand sides must be finite"
@@ -123,7 +134,7 @@ class _ArrayForm:
 
         lp = HighsLp()
         lp.num_col_, lp.num_row_ = n, m
-        lp.col_cost_ = cost
+        lp.col_cost_ = self.cost
         lp.col_lower_, lp.col_upper_ = self.lb, self.ub
         lp.row_lower_, lp.row_upper_ = self.row_lower, self.row_upper
         lp.a_matrix_.format_ = MatrixFormat.kRowwise
@@ -131,14 +142,47 @@ class _ArrayForm:
         lp.a_matrix_.start_ = np.array(model.row_start, dtype=np.int32)
         lp.a_matrix_.index_ = np.array(model.row_index, dtype=np.int32)
         lp.a_matrix_.value_ = coefficients
-        # the bounds HiGHS holds now; a node sends only the columns it changes
-        self.sent_lb, self.sent_ub = self.lb.copy(), self.ub.copy()
+        # the columns as loaded, for reset, and as HiGHS holds them now
+        self.loaded_lb, self.loaded_cost = self.lb.copy(), self.cost.copy()
+        self.sent_lb, self.sent_ub, self.sent_cost = self.lb.copy(), self.ub.copy(), self.cost.copy()
         self.highs = _Highs()
         # before passModel, or HiGHS writes its banner and log to stdout
         self.highs.setOptionValue("output_flag", False)
         self.highs.setOptionValue("presolve", "off")
         if self.highs.passModel(lp) == HighsStatus.kError:
             raise SolverNumericalError(f"model {model.name!r}: HiGHS rejected the model")
+
+    def set_columns(self, handles: Iterable[int], lower: float, objective: float) -> None:
+        """Give each column in ``handles`` the lower bound ``lower`` and the
+        objective coefficient ``objective``, as ``MilpModel.set_columns``
+        does; HiGHS gets them at the next solve."""
+        handles, lower, objective = checked_columns(
+            self.col_names, self.ub, handles, lower, objective
+        )
+        picked = np.array(handles, dtype=np.intp)
+        self.lb[picked], self.cost[picked] = lower, objective
+
+    def reset(self) -> None:
+        """Give every column the lower bound and cost it was loaded with."""
+        self.lb[:], self.cost[:] = self.loaded_lb, self.loaded_cost
+
+    def send_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
+        """Pass HiGHS the columns whose bounds differ from ``lb``/``ub``."""
+        changed = np.flatnonzero((lb != self.sent_lb) | (ub != self.sent_ub))
+        if changed.size:
+            new_lb, new_ub = lb[changed], ub[changed]
+            self.highs.changeColsBounds(changed.size, changed.astype(np.int32), new_lb, new_ub)
+            self.sent_lb[changed], self.sent_ub[changed] = new_lb, new_ub
+
+    def send(self) -> None:
+        """Pass HiGHS the columns whose bounds or cost differ from this
+        form's, so that HiGHS holds the model as the form states it."""
+        changed = np.flatnonzero(self.cost != self.sent_cost)
+        if changed.size:
+            new_cost = self.cost[changed]
+            self.highs.changeColsCost(changed.size, changed.astype(np.int32), new_cost)
+            self.sent_cost[changed] = new_cost
+        self.send_bounds(self.lb, self.ub)
 
 
 @dataclass(frozen=True)
@@ -152,7 +196,7 @@ class LpResult:
     nit: int
 
 
-def linprog(form: _ArrayForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+def linprog(form: LoadedModel, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     """Re-solve the loaded LP under column bounds ``lb``/``ub``, warm from the
     last basis.  Only the columns whose bounds differ from the last solve's
     are sent to HiGHS.
@@ -162,11 +206,7 @@ def linprog(form: _ArrayForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     LPs and simplex iterations, so ``solve_milp`` calls it as a module global.
     """
     highs = form.highs
-    changed = np.flatnonzero((lb != form.sent_lb) | (ub != form.sent_ub))
-    if changed.size:
-        new_lb, new_ub = lb[changed], ub[changed]
-        highs.changeColsBounds(changed.size, changed.astype(np.int32), new_lb, new_ub)
-        form.sent_lb[changed], form.sent_ub[changed] = new_lb, new_ub
+    form.send_bounds(lb, ub)
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -175,7 +215,7 @@ def linprog(form: _ArrayForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
 
 
 def solve_milp(
-    model: MilpModel,
+    model: MilpModel | LoadedModel,
     *,
     node_limit: int | None = None,
     cutoff: float | None = None,
@@ -202,6 +242,10 @@ def solve_milp(
     so nodes that cannot beat it are pruned; if no solution beats it,
     ``SolverError`` is raised.
 
+    A ``MilpModel`` is loaded into a HiGHS instance of this solve's own.  A
+    ``LoadedModel`` is solved in place: HiGHS gets the columns changed since
+    its last solve, and the root LP starts from the basis that solve left.
+
     Every node solves one LP, so ``lp_count`` equals ``node_count``;
     ``simplex_iterations`` is the sum of their ``LpResult.nit``, and
     ``lp_time`` the seconds spent in their ``linprog`` calls.
@@ -216,7 +260,8 @@ def solve_milp(
         raise ValueError(f"order must be 'best' or 'depth', not {order!r}")
     depth = order == "depth"
     started = time.perf_counter()
-    form = _ArrayForm(model)
+    form = model if isinstance(model, LoadedModel) else LoadedModel(model)
+    form.send()
     binary_idx = np.flatnonzero(form.binary)
 
     incumbent_obj = math.inf if cutoff is None else float(cutoff)
@@ -228,7 +273,7 @@ def solve_milp(
     heap: list[tuple[float, int, float, tuple[tuple[int, int], ...]]] = [
         (-math.inf, 0, -math.inf, ())
     ]
-    if not model.num_variables:
+    if not form.lb.size:
         # HiGHS calls a model with no columns empty and solves nothing; its
         # one point x = () is optimal at 0 unless some (empty) row excludes 0
         heap.clear()
@@ -262,7 +307,7 @@ def solve_milp(
             objective = _NO_OPTIMUM_BOUND[lp.status]
         else:
             raise SolverNumericalError(
-                f"model {model.name!r}, node {node_count}: HiGHS ended the LP with "
+                f"model {form.name!r}, node {node_count}: HiGHS ended the LP with "
                 f"status {form.highs.modelStatusToString(lp.status)!r}"
             )
         if not decisions:
@@ -294,7 +339,7 @@ def solve_milp(
         status, objective, bound = "optimal", incumbent_obj, incumbent_obj
     elif cutoff is not None:
         raise SolverError(
-            f"model {model.name!r}: no solution found below the cutoff {cutoff!r}; the model "
+            f"model {form.name!r}: no solution found below the cutoff {cutoff!r}; the model "
             "is infeasible or the cutoff undercuts the optimum"
         )
     else:

@@ -62,7 +62,7 @@ def highs_reads_back(tmp_path):
             zip(model.col_names, zip(model.col_binary, model.col_lower, model.col_upper, model.col_cost))
         )
         assert list(lp.row_names_) == model.row_names
-        form = solver._ArrayForm(model)
+        form = solver.LoadedModel(model)
         assert list(lp.row_lower_) == form.row_lower.tolist()
         assert list(lp.row_upper_) == form.row_upper.tolist()
         # each attribute read copies the whole array out of HiGHS

@@ -330,7 +330,18 @@ class TestExportAndGen:
             capsys, "gen", "--config", "9,9,9", "--seed", "1",
             "--out", str(tmp_path / "x.json"),
         )
-        assert code == 2 and "bad --settings" in err
+        assert code == 2 and "bad --config" in err
+
+    @pytest.mark.parametrize("command, flag, rest", [
+        ("gen", "--config", ("--seed", "0", "--out", "{dir}/x.json")),
+        ("sweep", "--settings", ("--seeds", "1", "--out-dir", "{dir}/out")),
+    ])
+    def test_a_bad_setting_names_the_flag_typed(self, capsys, tmp_path, command, flag, rest):
+        rest = [arg.format(dir=tmp_path) for arg in rest]
+        code, out, err = run(capsys, command, flag, "9,1,3", *rest)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"bad {flag} value '9,1,3': num_scenarios must be one of")
+        assert not any(tmp_path.iterdir())
 
     def test_gen_rejects_negative_seed(self, capsys, tmp_path):
         out = tmp_path / "x.json"

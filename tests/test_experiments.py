@@ -4,6 +4,7 @@ import multiprocessing
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import pilot_instance
@@ -35,8 +36,8 @@ from ssfp.instances import (
     random_artificial,
     random_grid_instance,
 )
-from ssfp.models import ALL_KINDS, ModelKind, build_do, build_model, dominated_pipes
-from ssfp.solver import SolverError, SolverNumericalError, solve_milp
+from ssfp.models import ALL_KINDS, ModelKind, build_do, build_model, dominated_pipes, install
+from ssfp.solver import LoadedModel, SolverError, SolverNumericalError, solve_milp
 
 
 @pytest.fixture(scope="module")
@@ -420,22 +421,79 @@ def test_recourse_tables_agree_with_a_fresh_build_per_solve(monkeypatch, config,
     assert tabled.node_counts == fresh.node_counts
 
 
+#: a set that lays pipe 2 in scenario 1 of pilot record 0 and whose solve
+#: branches (3 nodes), so a later install meets branched bounds in HiGHS
+_PILOT_0_BRANCHING = frozenset({(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 5), (2, 11)})
+
+
+@pytest.mark.parametrize(
+    "config, seed, with_pipe_2",
+    [(PILOT, 0, _PILOT_0_BRANCHING), (RECORD, 2, None)],
+    ids=["pilot-0", "record-2"],
+)
+def test_a_loaded_recourse_model_re_solves_like_a_fresh_build(config, seed, with_pipe_2):
+    """One loaded recourse model, re-solved along a shuffled sequence of
+    installed sets (the empty set, repeats, a set that lays pipe 2, and a
+    solve cut short at one node), holds the columns of a fresh build with
+    those pairs existing after each install, and reaches that build's cold
+    optimum bit for bit."""
+    scenario = _record_instance(config, seed).scenarios[0]
+    bare = build_do(scenario, EdgePipeSet(), "d")
+    loaded = LoadedModel(bare.milp)
+    rng = np.random.default_rng(seed)
+
+    def laid(pipe, count):
+        edges = rng.choice(scenario.graph.num_edges, count, replace=False)
+        return frozenset((pipe, int(e)) for e in edges)
+
+    a, b, c = (EdgePipeSet(laid(1, count)) for count in (2, 3, 4))
+    pipe_2 = EdgePipeSet(with_pipe_2 or laid(1, 2) | laid(2, 2))
+    sequence = [(EdgePipeSet(), None), (a, None), (a, None), (b, None), (pipe_2, None),
+                (pipe_2, 1), (c, None), (EdgePipeSet(), None), (b, None)]
+    rng.shuffle(sequence)
+    branched = 0
+    for k, (installed, node_limit) in enumerate(sequence):
+        fresh = build_do(scenario, installed, "d").milp
+        loaded.reset()
+        install(loaded, bare.stage_x[0], installed)
+        loaded.send()
+        lp = loaded.highs.getLp()
+        assert list(lp.col_lower_) == list(fresh.col_lower), k
+        assert list(lp.col_cost_) == list(fresh.col_cost), k
+        warm = solve_milp(loaded, node_limit=node_limit)
+        if node_limit is not None:
+            assert warm.node_count == 1 and warm.status in ("optimal", "node_limit"), k
+            continue
+        cold = solve_milp(fresh)
+        assert (warm.status, warm.objective) == ("optimal", cold.objective), k
+        branched += cold.node_count > 1
+    assert branched == (1 if with_pipe_2 else 0)
+
+
 def test_a_recourse_table_lives_for_one_record(monkeypatch):
     """Pilot record 0 needs one recourse model per scenario, with pipe 2
-    dropped each time; a second record of the same instance builds them
+    dropped each time, built and loaded into HiGHS once for its 16 recourse
+    solves; a second record of the same instance builds and loads them
     again, as no table outlives its record."""
-    builds = []
+    builds, loads = [], []
     original = experiments.build_do
 
     def recording_build_do(instance, existing, flow):
         builds.append((instance.feasible_pipes, existing, flow))
         return original(instance, existing, flow)
 
+    class RecordingLoadedModel(LoadedModel):
+        def __init__(self, model):
+            loads.append(model.name)
+            super().__init__(model)
+
     monkeypatch.setattr(experiments, "build_do", recording_build_do)
+    monkeypatch.setattr(experiments, "LoadedModel", RecordingLoadedModel)
     two_stage = _record_instance(PILOT, 0)
     for _ in range(2):
         sweep_record(PILOT, 0, two_stage)
     assert builds == [(frozenset({1}), EdgePipeSet(), "d")] * 4
+    assert loads == ["DO-D"] * 4
 
 
 def test_a_recourse_table_of_another_instance_is_refused(fig2, routes):

@@ -153,6 +153,18 @@ class TestInputRule:
             make()
         assert str(err.value) == f"{field} must be {kind}, not {value!r}"
 
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: Graph(3, ((1, 2, 3),)), "edge", (1, 2, 3)),
+        (lambda: Graph(3, ((1,),)), "edge", (1,)),
+        (lambda: Graph(3, (7,)), "edge", 7),
+        (lambda: EdgePipeSet(frozenset({(1, 2, 3)})), "pipe-edge pair", (1, 2, 3)),
+        (lambda: EdgePipeSet(frozenset({(1,)})), "pipe-edge pair", (1,)),
+    ], ids=["long-edge", "short-edge", "int-edge", "long-pair", "short-pair"])
+    def test_an_edge_or_pair_without_two_entries_is_refused(self, make, field, value):
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert str(err.value) == f"{field} must have two entries, not {value!r}"
+
     def test_numpy_values_are_stored_plain_and_round_trip(self, tmp_path):
         graph = Graph(np.int64(3), ((np.int64(1), np.int32(2)), (2, np.uint8(3))))
         catalog = PipeCatalog(np.int64(1), ((np.float64(1.5), np.float32(2.0)),))

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ssfp.milp_core import SENSES, MilpModel, ModelError, export_lp, relax
 from ssfp.models import build_do
 from ssfp.instances import fig2_instance
-from ssfp.solver import solve_milp
+from ssfp.solver import LoadedModel, solve_milp
 
 
 def toy_model():
@@ -146,6 +146,16 @@ def _state(m):
     return [list(getattr(m, key)) for key in _BUFFERS] + [taken]
 
 
+#: refused ``set_columns`` calls on ``_two_columns()``: (handles, lower
+#: bound, objective coefficient, message)
+BAD_SET_COLUMNS = [
+    ([0, 2], 1.0, 0.0, "unknown variable handle 2"),
+    ([0, 1], 2.0, 0.0, "'x' cannot take the bounds \\[2.0, 1.0\\]"),
+    ([1], math.nan, 0.0, "'y' cannot take the bounds"),
+    ([0], 0.0, math.nan, "'x' has objective coefficient nan"),
+]
+
+
 def _two_columns():
     m = MilpModel()
     m.add_columns(["x", "y"], "continuous", 0.0, 1.0)
@@ -232,13 +242,7 @@ class TestFamilies:
         assert _state(m) == before
         m.add_columns(["a", "b"])
 
-    @pytest.mark.parametrize(
-        "handles, lower, objective, message",
-        [([0, 2], 1.0, 0.0, "unknown variable handle 2"),
-         ([0, 1], 2.0, 0.0, "'x' cannot take the bounds \\[2.0, 1.0\\]"),
-         ([1], math.nan, 0.0, "'y' cannot take the bounds"),
-         ([0], 0.0, math.nan, "'x' has objective coefficient nan")],
-    )
+    @pytest.mark.parametrize("handles, lower, objective, message", BAD_SET_COLUMNS)
     def test_a_refused_set_columns_leaves_every_buffer(self, handles, lower, objective, message):
         m = _two_columns()
         before = _state(m)
@@ -247,6 +251,22 @@ class TestFamilies:
         assert _state(m) == before
         m.set_columns([1], 1.0, 0.0)
         assert (m.col_lower[1], m.col_cost[1]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("handles, lower, objective, message", BAD_SET_COLUMNS)
+    def test_a_loaded_model_refuses_set_columns_as_a_model_does(
+        self, handles, lower, objective, message
+    ):
+        m = _two_columns()
+        before = _state(m)
+        loaded = LoadedModel(m)
+        with pytest.raises(ModelError, match=message):
+            loaded.set_columns(handles, lower, objective)
+        assert (loaded.lb.tolist(), loaded.cost.tolist()) == ([0.0, 0.0], [0.0, 0.0])
+        loaded.set_columns([1], 1.0, 2.0)
+        assert (loaded.lb.tolist(), loaded.cost.tolist()) == ([0.0, 1.0], [0.0, 2.0])
+        loaded.reset()
+        assert (loaded.lb.tolist(), loaded.cost.tolist()) == ([0.0, 0.0], [0.0, 0.0])
+        assert _state(m) == before
 
     def test_a_copy_shares_no_buffer(self):
         m = toy_model()
@@ -277,7 +297,7 @@ class TestRelax:
     def test_solutions_remain_feasible_for_the_relaxation(self):
         # relax() only widens variable kinds, so any solved point must
         # satisfy the relaxed model's rows verbatim
-        from ssfp.solver import solve_milp
+        from ssfp.solver import LoadedModel, solve_milp
 
         m = toy_model()
         solution = solve_milp(m)

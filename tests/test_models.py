@@ -22,6 +22,7 @@ from ssfp.models import (
     build_model,
     dominated_pipes,
     expected_size,
+    install,
 )
 from ssfp.solver import brute_force, solve_milp
 
@@ -402,7 +403,7 @@ def _reference_load(model):
 
 @pytest.mark.parametrize("case", sorted(EXPORT_SHA256) + ["recourse", "hand-made"])
 def test_highs_load_matches_a_loop_over_the_records(monkeypatch, highs_reads_back, case):
-    """What ``_ArrayForm`` hands to HiGHS, read back from the ``HighsLp`` it
+    """What ``LoadedModel`` hands to HiGHS, read back from the ``HighsLp`` it
     passes, equals the reference loop's arrays element for element."""
     if case == "recourse":
         model = _recourse_with_installed_pairs()
@@ -418,7 +419,7 @@ def test_highs_load_matches_a_loop_over_the_records(monkeypatch, highs_reads_bac
         return passed[-1]
 
     monkeypatch.setattr(solver, "HighsLp", recording_lp)
-    form = solver._ArrayForm(model)
+    form = solver.LoadedModel(model)
     (lp,) = passed
     assert (lp.num_col_, lp.num_row_) == (model.num_variables, model.num_constraints)
     assert lp.a_matrix_.format_ == solver.MatrixFormat.kRowwise
@@ -456,13 +457,26 @@ def _installed_cases():
     }
 
 
+def _held_lp(loaded):
+    """The LP HiGHS holds for ``loaded``, as plain lists."""
+    lp = loaded.highs.getLp()
+    matrix = lp.a_matrix_
+    return {
+        "size": (lp.num_col_, lp.num_row_),
+        "col_lower": list(lp.col_lower_), "col_upper": list(lp.col_upper_),
+        "col_cost": list(lp.col_cost_), "integrality": list(lp.integrality_),
+        "row_lower": list(lp.row_lower_), "row_upper": list(lp.row_upper_),
+        "matrix": (matrix.format_, list(matrix.start_), list(matrix.index_), list(matrix.value_)),
+    }
+
+
 @pytest.mark.parametrize("flow", ["d", "u"])
 @pytest.mark.parametrize("case", sorted(_installed_cases()))
 def test_a_model_with_pairs_installed_equals_a_build_with_them_existing(case, flow):
-    """The recourse table builds each scenario once with nothing installed
-    and solves copies with the installed pairs laid: each copy must be the
-    program a fresh build with those pairs existing gives, buffer for
-    buffer, and the table's model must stay as it was."""
+    """The recourse table loads each scenario into HiGHS once with nothing
+    installed and lays the installed pairs in the loaded model: the LP that
+    HiGHS then holds must be the LP of a fresh build with those pairs
+    existing, and the table's own model must stay as it was."""
     scenario, installed = _installed_cases()[case]
     dropped = dominated_pipes((scenario,), installed)
     assert dropped == ({2} if case in ("pilot pipe 1", "fig2 diesel") else set()), dropped
@@ -470,7 +484,9 @@ def test_a_model_with_pairs_installed_equals_a_build_with_them_existing(case, fl
     bare = build_do(reduced, EdgePipeSet(), flow)
     text = export_lp(bare.milp)
     fresh = build_do(reduced, installed, flow).milp
-    copy = bare.with_installed(installed)
-    assert copy == fresh and export_lp(copy) == export_lp(fresh)
+    loaded = solver.LoadedModel(bare.milp)
+    install(loaded, bare.stage_x[0], installed)
+    loaded.send()
+    assert _held_lp(loaded) == _held_lp(solver.LoadedModel(fresh))
     assert export_lp(bare.milp) == text
-    assert solve_milp(copy).objective == solve_milp(fresh).objective
+    assert solve_milp(loaded).objective == solve_milp(fresh).objective

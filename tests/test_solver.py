@@ -471,7 +471,7 @@ def _bound_sequence(form, rng, shares):
 def _assert_warm_matches_cold(model: MilpModel, seed: int, shares: tuple[float, ...]) -> list:
     """Re-solve one persistent form along the bound sequence; each result
     must match a cold linprog on the same bounds (the root's is reused)."""
-    form = solver._ArrayForm(model)
+    form = solver.LoadedModel(model)
     arrays = _cold_form(model)
     statuses, cold_results = [], {}
     for lb, ub in _bound_sequence(form, np.random.default_rng(seed), shares):
