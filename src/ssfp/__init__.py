@@ -25,7 +25,7 @@ from .instances import (
     random_grid_instance,
     save_instance,
 )
-from .milp_core import MilpModel, MilpSolution, export_lp, relax
+from .milp_core import MilpModel, MilpSolution, export_lp
 from .models import (
     ALL_KINDS,
     BuiltModel,

@@ -1,6 +1,6 @@
-"""Generic mixed-binary linear program container with LP-relaxation support
-and a CPLEX-LP writer for external cross-checks.  The text is checked with
-HiGHS's own LP reader, not with a reader of this package.
+"""Generic mixed-binary linear program container and a CPLEX-LP writer for
+external cross-checks.  The text is checked with HiGHS's own LP reader, not
+with a reader of this package.
 
 A model is mutable while it is being built and must be treated as immutable
 afterwards; solved models are shareable across threads.
@@ -8,7 +8,6 @@ afterwards; solved models are shareable across threads.
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from array import array
 from dataclasses import dataclass
@@ -71,24 +70,20 @@ def _first_not_finite(values: array) -> int | None:
 
 
 def checked_columns(
-    names: Sequence[str], upper: Sequence[float], handles: Iterable[int], lower: float,
-    objective: float,
-) -> tuple[list[int], float, float]:
-    """The arguments of a ``set_columns`` call on the columns named ``names``
-    with upper bounds ``upper``, checked: each handle names a column whose
-    bounds stay non-empty under ``lower``, and ``objective`` is finite."""
+    names: Sequence[str], upper: Sequence[float], handles: Iterable[int]
+) -> list[int]:
+    """The handles of an ``install`` call on the columns named ``names`` with
+    upper bounds ``upper``, checked: each names a column whose upper bound
+    admits 1."""
     handles = list(handles)
-    lower, objective = float(lower), float(objective)
     for handle in handles:
         if not 0 <= handle < len(names):
-            raise ModelError(f"set_columns references unknown variable handle {handle}")
-        if not (lower <= upper[handle] and lower < INF):  # false for a NaN bound too
+            raise ModelError(f"install references unknown variable handle {handle}")
+        if upper[handle] < 1.0:
             raise ModelError(
-                f"variable {names[handle]!r} cannot take the bounds [{lower}, {upper[handle]}]"
+                f"variable {names[handle]!r} cannot take the bounds [1.0, {upper[handle]}]"
             )
-    if handles and not math.isfinite(objective):
-        raise ModelError(f"variable {names[handles[0]]!r} has objective coefficient {objective}")
-    return handles, lower, objective
+    return handles
 
 
 #: the arrays that hold a model, columns first, then the rows
@@ -101,8 +96,8 @@ _BUFFERS = (
 class MilpModel:
     """Minimization model over binary and continuous variables.
 
-    ``add_variable`` and ``add_constraint`` return integer handles; constraint
-    terms reference variables by handle.  Names must be unique, and a column
+    ``add_columns`` and ``add_rows`` return integer handles; row terms
+    reference columns by handle.  Names must be unique, and a column
     or row name must be an ASCII identifier that is not an LP keyword and does
     not start with ``inf`` or ``nan`` (compared without case), so HiGHS's LP
     reader reads every model back.  Objective coefficients, constraint
@@ -117,7 +112,7 @@ class MilpModel:
     terms are the columns ``row_index[k]`` with coefficients ``row_coef[k]``
     for ``row_start[i] <= k < row_start[i + 1]`` (compressed sparse rows).
     These arrays are the only copy of the model.  Only the methods below
-    write them; ``export_lp``, ``relax`` and ``==`` read them.
+    write them; ``export_lp`` and ``==`` read them.
     """
 
     def __init__(self, name: str = "model") -> None:
@@ -144,16 +139,6 @@ class MilpModel:
     @property
     def num_constraints(self) -> int:
         return len(self.row_names)
-
-    def add_variable(
-        self,
-        name: str,
-        kind: Kind = "continuous",
-        lower: float = 0.0,
-        upper: float = INF,
-        objective: float = 0.0,
-    ) -> int:
-        return self.add_columns([name], kind, lower, upper, objective)[0]
 
     def add_columns(
         self,
@@ -196,23 +181,6 @@ class MilpModel:
         self._col_name_set |= fresh
         return range(first, first + count)
 
-    def add_constraint(
-        self,
-        name: str,
-        terms: Iterable[tuple[int, float]],
-        sense: Sense,
-        rhs: float,
-    ) -> int:
-        """Append one row.  Repeated handles are merged into one term at the
-        position of their first occurrence, and terms that sum to zero are
-        dropped."""
-        merged: dict[int, float] = {}
-        for handle, coef in terms:
-            merged[handle] = merged.get(handle, 0.0) + float(coef)
-        if 0.0 in merged.values():
-            merged = {h: c for h, c in merged.items() if c != 0.0}
-        return self.add_rows([(name, merged, merged.values(), rhs)], sense)[0]
-
     def add_rows(
         self,
         rows: Iterable[tuple[str, Iterable[int], Iterable[float], float]],
@@ -222,9 +190,8 @@ class MilpModel:
         handles.  Each row is ``(name, handles, coefficients, rhs)``: its
         terms are the columns ``handles[k]`` with coefficients
         ``coefficients[k]``.  Within a row the handles are distinct and the
-        coefficients nonzero (``add_constraint`` merges and drops to get
-        there).  The family is checked as a whole before any buffer grows, so
-        a refused family leaves the model as it was."""
+        coefficients nonzero.  The family is checked as a whole before any
+        buffer grows, so a refused family leaves the model as it was."""
         names, start, index, coef, rhs = [], [0], [], [], []
         for name, handles, coefficients, value in rows:
             a = len(index)
@@ -285,28 +252,12 @@ class MilpModel:
             cost[handle] = coef
         self.col_cost = cost
 
-    def make_binary(self, handle: int) -> None:
-        if not 0 <= handle < len(self.col_names):
-            raise ModelError(f"make_binary references unknown variable handle {handle}")
-        self.col_binary[handle] = True
-        self.col_lower[handle], self.col_upper[handle] = 0.0, 1.0
-
-    def set_columns(self, handles: Iterable[int], lower: float, objective: float) -> None:
-        """Give each column in ``handles`` the lower bound ``lower`` and the
-        objective coefficient ``objective``; its kind and upper bound stay.
-        All are checked before any is written."""
-        handles, lower, objective = checked_columns(
-            self.col_names, self.col_upper, handles, lower, objective
-        )
-        for handle in handles:
-            self.col_lower[handle] = lower
-            self.col_cost[handle] = objective
-
-    def copy(self) -> MilpModel:
-        """A copy that shares no buffer with this model."""
-        out = MilpModel.__new__(MilpModel)
-        out.__dict__.update((key, copy.copy(value)) for key, value in vars(self).items())
-        return out
+    def install(self, handles: Iterable[int]) -> None:
+        """Give each column in ``handles`` the lower bound 1 and no cost; its
+        kind and upper bound stay.  All are checked before any is written."""
+        for handle in checked_columns(self.col_names, self.col_upper, handles):
+            self.col_lower[handle] = 1.0
+            self.col_cost[handle] = 0.0
 
     def __eq__(self, other: object) -> bool:
         """Equality of every column and row buffer, element for element; the
@@ -346,15 +297,6 @@ class MilpSolution:
     lp_count: int
     simplex_iterations: int
     lp_time: float
-
-
-def relax(model: MilpModel) -> MilpModel:
-    """The LP relaxation: a copy of the model with every binary flag cleared.
-    A binary's bounds are already [0, 1], so it becomes continuous on [0, 1];
-    everything else is untouched.  Idempotent."""
-    out = model.copy()
-    out.col_binary = array("b", bytes(len(out.col_binary)))
-    return out
 
 
 def _fmt(value: float) -> str:

@@ -11,8 +11,9 @@ Conventions of the builder:
   two-stage models the first-stage copy must stay binary: retrofit terms
   reward raising it, and the balance point between scenarios can otherwise
   sit at a strictly cheaper fractional value.  Scenario copies only ever feel
-  downward pressure, so they stay continuous.  Pre-existing pairs are fixed
-  to 1 and carry no cost.
+  downward pressure, so they stay continuous.  Pre-existing pairs keep their
+  column's kind, get the bounds [1, 1] and carry no cost (``install``); a
+  binary fixed at 1 is never fractional, so the search never branches on it.
 * Scenario copies get an ``_s{s}`` name suffix (``s`` starting at 1) and use
   the scenario's feasible pipes, admissible arcs, terminal groups, and
   inflated costs.
@@ -167,20 +168,25 @@ class _StageIndex:
         return [base + o for o in self._into.get(v, [])[i * count : (i + 1) * count]]
 
 
-def _add_x_variables(model: MilpModel, inst: Instance, suffix: str) -> dict[tuple[int, int], int]:
+def _add_x_variables(
+    model: MilpModel, inst: Instance, suffix: str, kind: str
+) -> dict[tuple[int, int], int]:
     """Installation-variable handles of one stage, keyed by (pipe, edge id),
-    each on [0, 1] at no cost; ``_build`` prices and installs them."""
+    each of ``kind`` on [0, 1] at no cost; ``_build`` prices and installs
+    them."""
     pipes = range(1, inst.pipes.num_pipe_types + 1)
     names = [f"x_{p}_{u}_{v}{suffix}" for p in pipes for u, v in inst.graph.edges]
     keys = [(p, eid) for p in pipes for eid in range(inst.graph.num_edges)]
-    return dict(zip(keys, model.add_columns(names, "continuous", 0.0, 1.0)))
+    return dict(zip(keys, model.add_columns(names, kind, 0.0, 1.0)))
 
 
-def _add_undirected_block(model: MilpModel, inst: Instance, suffix: str) -> dict[tuple[int, int], int]:
+def _add_undirected_block(
+    model: MilpModel, inst: Instance, suffix: str, x_kind: str
+) -> dict[tuple[int, int], int]:
     """Variables and constraints of the undirected flow formulation: one
     commodity per non-root terminal, flow conservation summed over feasible
     pipes, and anti-parallel coupling of flows to installations."""
-    x = _add_x_variables(model, inst, suffix)
+    x = _add_x_variables(model, inst, suffix, x_kind)
     index = _StageIndex(inst)
     terminals = inst.terminals.non_root_terminals()
     roots = inst.terminals.roots
@@ -206,11 +212,13 @@ def _add_undirected_block(model: MilpModel, inst: Instance, suffix: str) -> dict
     return x
 
 
-def _add_directed_block(model: MilpModel, inst: Instance, suffix: str) -> dict[tuple[int, int], int]:
+def _add_directed_block(
+    model: MilpModel, inst: Instance, suffix: str, x_kind: str
+) -> dict[tuple[int, int], int]:
     """Variables and constraints of the directed formulation: arborescences
     that merge overlapping groups under a single root, which rules out the
     opposing fractional flow cycles the undirected relaxation admits."""
-    x = _add_x_variables(model, inst, suffix)
+    x = _add_x_variables(model, inst, suffix, x_kind)
     index = _StageIndex(inst)
     groups = inst.terminals.groups
     roots = inst.terminals.roots
@@ -323,7 +331,7 @@ def install(
     pair's column gets lower bound 1 (its upper bound is 1) and no cost.  On
     a model loaded into HiGHS with nothing installed, this gives the program
     of a build with ``pairs`` existing."""
-    model.set_columns([x[pair] for pair in pairs], 1.0, 0.0)
+    model.install([x[pair] for pair in pairs])
 
 
 def _build(
@@ -344,16 +352,12 @@ def _build(
     block = _BLOCKS[kind.flow]
     robust = kind.optimization == "ro"
 
-    stage_x = [block(model, first, "")]
+    stage_x = [block(model, first, "", "binary" if scenarios else "continuous")]
     install(model, stage_x[0], existing)
-    if scenarios:
-        for pair, handle in stage_x[0].items():
-            if pair not in existing:  # installed pairs stay continuous at [1, 1]
-                model.make_binary(handle)
     for s, scenario in enumerate(scenarios, start=1):
-        stage_x.append(block(model, scenario, f"_s{s}"))
+        stage_x.append(block(model, scenario, f"_s{s}", "continuous"))
 
-    d_handle = model.add_variable("d", "continuous", 0.0) if robust else None
+    d_handle = model.add_columns(["d"], "continuous", 0.0)[0] if robust else None
     # installed pairs carry no cost; the retrofit terms add to the prices
     objective = {
         handle: 0.0 if pair in existing else first.pair_cost(*pair)

@@ -4,11 +4,12 @@ One branch and bound loads its model once into a HiGHS instance and re-solves
 it at every node with that node's column bounds, warm from the last basis
 (dual simplex).  The HiGHS binding is scipy's private
 ``scipy.optimize._highspy._core``.  The branch-and-bound search, node
-bookkeeping, and the subset-enumeration oracle live here.  A pure LP is solved
-as ``solve_milp(relax(model))``: with no binaries the search ends at the root.
-A solve of a ``MilpModel`` loads it into a HiGHS instance of its own, so such
-solves may run concurrently.  A ``LoadedModel`` keeps one HiGHS instance
-across solves and is changed by each, so it serves one solve at a time.
+bookkeeping, and the subset-enumeration oracle live here.  The value of the LP
+relaxation is a solve's ``root_bound``; ``solve_milp(model, node_limit=1)``
+stops after that LP.  A solve of a ``MilpModel`` loads it into a HiGHS
+instance of its own, so such solves may run concurrently.  A ``LoadedModel``
+keeps one HiGHS instance across solves and is changed by each, so it serves
+one solve at a time.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
     _core.HighsLp, _core.HighsModelStatus, _core.HighsStatus, _core.MatrixFormat, _core._Highs
 )
 
-from .graph_core import EdgePipeSet, Instance, TwoStageInstance, is_integer
+from .graph_core import EdgePipeSet, Instance, TwoStageInstance, is_integer, is_number
 from .milp_core import SENSES, MilpModel, MilpSolution, checked_columns
 from .models import OPTIMIZATIONS, Optimization
 
@@ -102,8 +103,8 @@ class LoadedModel:
     columns with their bounds and costs, and one ranged row
     ``row_lower <= a x <= row_upper`` per constraint.
 
-    ``set_columns`` changes columns as ``MilpModel.set_columns`` does, with
-    its checks and error text, and ``reset`` gives every column back the
+    ``install`` changes columns as ``MilpModel.install`` does, with its
+    checks and error text, and ``reset`` gives every column back the
     bounds and cost it was loaded with.  Neither touches the model it was
     loaded from.  Each solve starts with ``send``, which passes HiGHS only
     the columns whose bounds or cost differ from what HiGHS holds, never the
@@ -152,15 +153,11 @@ class LoadedModel:
         if self.highs.passModel(lp) == HighsStatus.kError:
             raise SolverNumericalError(f"model {model.name!r}: HiGHS rejected the model")
 
-    def set_columns(self, handles: Iterable[int], lower: float, objective: float) -> None:
-        """Give each column in ``handles`` the lower bound ``lower`` and the
-        objective coefficient ``objective``, as ``MilpModel.set_columns``
-        does; HiGHS gets them at the next solve."""
-        handles, lower, objective = checked_columns(
-            self.col_names, self.ub, handles, lower, objective
-        )
-        picked = np.array(handles, dtype=np.intp)
-        self.lb[picked], self.cost[picked] = lower, objective
+    def install(self, handles: Iterable[int]) -> None:
+        """Give each column in ``handles`` the lower bound 1 and no cost, as
+        ``MilpModel.install`` does; HiGHS gets them at the next solve."""
+        picked = np.array(checked_columns(self.col_names, self.ub, handles), dtype=np.intp)
+        self.lb[picked], self.cost[picked] = 1.0, 0.0
 
     def reset(self) -> None:
         """Give every column the lower bound and cost it was loaded with."""
@@ -238,9 +235,9 @@ def solve_milp(
     ``node_limit`` (``None``: no limit; else an integer of at least 1) stops
     the search with status ``node_limit`` and the least open bound: the least
     parent bound over the popped node and the open nodes (under ``"best"``,
-    the popped node's).  ``cutoff`` (not NaN) seeds the incumbent objective,
-    so nodes that cannot beat it are pruned; if no solution beats it,
-    ``SolverError`` is raised.
+    the popped node's).  ``cutoff`` (a number, not NaN) seeds the incumbent
+    objective, so nodes that cannot beat it are pruned; if no solution beats
+    it, ``SolverError`` is raised.
 
     A ``MilpModel`` is loaded into a HiGHS instance of this solve's own.  A
     ``LoadedModel`` is solved in place: HiGHS gets the columns changed since
@@ -254,8 +251,8 @@ def solve_milp(
         raise ValueError(f"node_limit must be an integer, not {node_limit!r}")
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
-    if cutoff is not None and math.isnan(cutoff):
-        raise ValueError("cutoff must be a number, not NaN")
+    if cutoff is not None and not (is_number(cutoff) and not math.isnan(cutoff)):
+        raise ValueError(f"cutoff must be a number, not {cutoff!r}")
     if order not in ("best", "depth"):
         raise ValueError(f"order must be 'best' or 'depth', not {order!r}")
     depth = order == "depth"

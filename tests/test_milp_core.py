@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ssfp.milp_core import SENSES, MilpModel, ModelError, export_lp, relax
+from ssfp.milp_core import SENSES, MilpModel, ModelError, export_lp
 from ssfp.models import build_do
 from ssfp.instances import fig2_instance
 from ssfp.solver import LoadedModel, solve_milp
@@ -11,10 +11,10 @@ from ssfp.solver import LoadedModel, solve_milp
 
 def toy_model():
     m = MilpModel("toy")
-    x = m.add_variable("x", "binary", objective=2.0)
-    y = m.add_variable("y", "continuous", 0.0, 5.0, objective=3.0)
-    m.add_constraint("c1", [(x, 1.0), (y, 2.0)], "<=", 3.0)
-    m.add_constraint("c2", [(y, 1.0)], ">=", 1.0)
+    m.add_columns(["x"], "binary", objective=2.0)
+    m.add_columns(["y"], "continuous", 0.0, 5.0, objective=3.0)
+    m.add_rows([("c1", [0, 1], [1.0, 2.0], 3.0)], "<=")
+    m.add_rows([("c2", [1], [1.0], 1.0)], ">=")
     return m
 
 
@@ -27,47 +27,46 @@ UNWRITABLE = ["st", "ST", "free", "bin", "integer", "inf_x", "information", "nan
 class TestBuilder:
     def test_handles_usable_in_constraints(self):
         m = MilpModel()
-        x = m.add_variable("x_1_8_9", "binary")
-        m.add_constraint("row", [(x, 1.0)], "<=", 1.0)
+        (x,) = m.add_columns(["x_1_8_9"], "binary")
+        m.add_rows([("row", [x], [1.0], 1.0)], "<=")
         assert m.num_variables == 1 and m.num_constraints == 1
 
     def test_duplicate_names_rejected(self):
         m = MilpModel()
-        m.add_variable("x", "binary")
+        m.add_columns(["x"], "binary")
         with pytest.raises(ModelError):
-            m.add_variable("x", "continuous")
-        m.add_constraint("c", [], "=", 0.0)
+            m.add_columns(["x"], "continuous")
+        m.add_rows([("c", [], [], 0.0)], "=")
         with pytest.raises(ModelError):
-            m.add_constraint("c", [], "=", 0.0)
+            m.add_rows([("c", [], [], 0.0)], "=")
 
     def test_unknown_handle_rejected(self):
         m = MilpModel()
         with pytest.raises(ModelError):
-            m.add_constraint("c", [(4, 1.0)], "<=", 1.0)
+            m.add_rows([("c", [4], [1.0], 1.0)], "<=")
         with pytest.raises(ModelError):
             m.set_objective({7: 1.0})
-        m.add_variable("x")
+        m.add_columns(["x"])
         with pytest.raises(ModelError):  # not the last variable
-            m.make_binary(-1)
+            m.install([-1])
 
     def test_a_bad_value_leaves_the_buffers_aligned(self):
         m = MilpModel()
-        x = m.add_variable("x")
-        m.add_variable("y")
+        x, _ = m.add_columns(["x", "y"])
         with pytest.raises(ValueError):
-            m.add_variable("z", objective="free")
+            m.add_columns(["z"], objective="free")
         with pytest.raises(TypeError):  # a handle that is not an integer
-            m.add_constraint("c", [(x, 1.0), (1.0, 2.0)], "<=", 1.0)
+            m.add_rows([("c", [x, 1.0], [1.0, 2.0], 1.0)], "<=")
         with pytest.raises(ValueError):
-            m.add_constraint("c", [(x, 1.0)], "<=", "one")
-        m.add_constraint("d", [(x, 3.0)], "<=", 1.0)
+            m.add_rows([("c", [x], [1.0], "one")], "<=")
+        m.add_rows([("d", [x], [3.0], 1.0)], "<=")
         assert (list(m.col_names), list(m.col_cost)) == (["x", "y"], [0.0, 0.0])
         assert (list(m.row_start), list(m.row_index), list(m.row_coef)) == ([0, 1], [x], [3.0])
         assert list(m.row_rhs) == [1.0]
 
     def test_binary_bounds_forced_to_unit_interval(self):
         m = MilpModel()
-        h = m.add_variable("b", "binary", lower=-3.0, upper=9.0)
+        (h,) = m.add_columns(["b"], "binary", lower=-3.0, upper=9.0)
         assert (m.col_lower[h], m.col_upper[h]) == (0.0, 1.0)
 
     @pytest.mark.parametrize(
@@ -77,64 +76,51 @@ class TestBuilder:
     def test_bounds_no_real_value_meets_rejected(self, lower, upper):
         # NaN fails every comparison, so "lower > upper" alone let these through
         with pytest.raises(ModelError, match="variable 'x' has bounds"):
-            MilpModel().add_variable("x", "continuous", lower, upper)
+            MilpModel().add_columns(["x"], "continuous", lower, upper)
 
     def test_empty_bound_interval_rejected(self):
         with pytest.raises(ModelError, match="variable 'x' has empty bound interval"):
-            MilpModel().add_variable("x", "continuous", 2.0, 1.0)
+            MilpModel().add_columns(["x"], "continuous", 2.0, 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_coefficients_that_are_not_finite_rejected(self, value):
         m = MilpModel()
-        x = m.add_variable("x")
+        (x,) = m.add_columns(["x"])
         with pytest.raises(ModelError, match="variable 'y' has objective coefficient"):
-            m.add_variable("y", objective=value)
+            m.add_columns(["y"], objective=value)
         with pytest.raises(ModelError, match="variable 'x' has objective coefficient"):
             m.set_objective({x: value})
         with pytest.raises(ModelError, match="constraint 'c' has a coefficient"):
-            m.add_constraint("c", [(x, value)], "<=", 1.0)
+            m.add_rows([("c", [x], [value], 1.0)], "<=")
         with pytest.raises(ModelError, match="constraint 'c' has right-hand side"):
-            m.add_constraint("c", [(x, 1.0)], "<=", value)
+            m.add_rows([("c", [x], [1.0], value)], "<=")
         # nothing grew: the model is the one-column model it was, and equals itself
         only_x = MilpModel()
-        only_x.add_variable("x")
+        only_x.add_columns(["x"])
         assert m == m and m == only_x
-
-    def test_zero_coefficients_dropped_and_duplicates_merged(self):
-        m = MilpModel()
-        x = m.add_variable("x")
-        y = m.add_variable("y")
-        c = m.add_constraint("c", [(x, 1.0), (x, -1.0), (y, 2.0)], "<=", 1.0)
-        assert (list(m.row_start), list(m.row_index), list(m.row_coef)) == ([0, 1], [y], [2.0])
-        # first-seen order of the handles, not sorted
-        d = m.add_constraint("d", [(y, 1.0), (x, 2.0), (y, 0.5)], "<=", 1.0)
-        assert (m.row_start[d], list(m.row_index[1:]), list(m.row_coef[1:])) == (
-            1, [y, x], [1.5, 2.0]
-        )
-
 
     @pytest.mark.parametrize(
         "name", ["inf", "nan", "1e3", "-1", "+", "-", "", "a b", "\tx", "x\n"] + UNWRITABLE
     )
     def test_variable_names_lp_text_cannot_carry_rejected(self, name):
         with pytest.raises(ModelError, match="cannot be written as LP text"):
-            MilpModel().add_variable(name)
+            MilpModel().add_columns([name])
 
     @pytest.mark.parametrize("name", ["a b", "\tc", "c\n"])
     def test_constraint_names_with_whitespace_rejected(self, name):
         with pytest.raises(ModelError):
-            MilpModel().add_constraint(name, [], "=", 0.0)
+            MilpModel().add_rows([(name, [], [], 0.0)], "=")
 
     @pytest.mark.parametrize("name", UNWRITABLE + [""])
     def test_constraint_names_lp_text_cannot_carry_rejected(self, name):
         with pytest.raises(ModelError, match="cannot be written as LP text"):
-            MilpModel().add_constraint(name, [], "=", 0.0)
+            MilpModel().add_rows([(name, [], [], 0.0)], "=")
 
     @pytest.mark.parametrize("name", ["x", "_", "X_1", "e", "in", "na", "such", "st_", "ends"])
     def test_names_of_the_rule_accepted(self, name, highs_reads_back):
         m = MilpModel()
-        x = m.add_variable(name, objective=1.0)
-        m.add_constraint(name, [(x, 1.0)], ">=", 1.0)
+        (x,) = m.add_columns([name], objective=1.0)
+        m.add_rows([(name, [x], [1.0], 1.0)], ">=")
         highs_reads_back(m)
 
 
@@ -146,20 +132,26 @@ def _state(m):
     return [list(getattr(m, key)) for key in _BUFFERS] + [taken]
 
 
-#: refused ``set_columns`` calls on ``_two_columns()``: (handles, lower
-#: bound, objective coefficient, message)
-BAD_SET_COLUMNS = [
-    ([0, 2], 1.0, 0.0, "unknown variable handle 2"),
-    ([0, 1], 2.0, 0.0, "'x' cannot take the bounds \\[2.0, 1.0\\]"),
-    ([1], math.nan, 0.0, "'y' cannot take the bounds"),
-    ([0], 0.0, math.nan, "'x' has objective coefficient nan"),
-]
-
-
 def _two_columns():
     m = MilpModel()
     m.add_columns(["x", "y"], "continuous", 0.0, 1.0)
-    m.add_constraint("c", [(0, 1.0)], "<=", 1.0)
+    m.add_rows([("c", [0], [1.0], 1.0)], "<=")
+    return m
+
+
+#: refused ``install`` calls on ``_installable()``: (handles, message)
+BAD_INSTALLS = {
+    "unknown handle": ([0, 3], "unknown variable handle 3"),
+    "negative handle": ([-1], "unknown variable handle -1"),
+    "upper bound below 1": ([1, 2], "'w' cannot take the bounds \\[1.0, 0.5\\]"),
+}
+
+
+def _installable():
+    """Columns x and y on [0, 1] and w on [0, 0.5], each at cost 2."""
+    m = _two_columns()
+    m.set_objective({0: 2.0, 1: 2.0})
+    m.add_columns(["w"], "continuous", 0.0, 0.5, 2.0)
     return m
 
 
@@ -209,8 +201,8 @@ class TestFamilies:
     def test_a_family_equals_its_rows_one_at_a_time(self):
         rows = [("r", [0, 1], [1.0, -2.0], 0.5), ("s", [], [], 0.0), ("t", [1], [3.0], -1.0)]
         one_by_one, family = _two_columns(), _two_columns()
-        for name, handles, coefficients, rhs in rows:
-            one_by_one.add_constraint(name, zip(handles, coefficients), ">=", rhs)
+        for row in rows:
+            one_by_one.add_rows([row], ">=")
         handles = family.add_rows(rows, ">=")
         assert family == one_by_one and handles == range(1, 4)
         columns = MilpModel()
@@ -218,7 +210,7 @@ class TestFamilies:
         columns.add_columns([])
         singles = MilpModel()
         for name in ("a", "b"):
-            singles.add_variable(name, "binary", objective=2.0)
+            singles.add_columns([name], "binary", objective=2.0)
         assert columns == singles
 
     @pytest.mark.parametrize("case", sorted(BAD_ROWS))
@@ -242,68 +234,56 @@ class TestFamilies:
         assert _state(m) == before
         m.add_columns(["a", "b"])
 
-    @pytest.mark.parametrize("handles, lower, objective, message", BAD_SET_COLUMNS)
-    def test_a_refused_set_columns_leaves_every_buffer(self, handles, lower, objective, message):
-        m = _two_columns()
+    @pytest.mark.parametrize("case", sorted(BAD_INSTALLS))
+    def test_a_refused_install_leaves_every_buffer(self, case):
+        handles, message = BAD_INSTALLS[case]
+        m = _installable()
         before = _state(m)
         with pytest.raises(ModelError, match=message):
-            m.set_columns(handles, lower, objective)
+            m.install(handles)
         assert _state(m) == before
-        m.set_columns([1], 1.0, 0.0)
-        assert (m.col_lower[1], m.col_cost[1]) == (1.0, 0.0)
+        m.install([1])
+        assert (list(m.col_lower), list(m.col_cost)) == ([0.0, 1.0, 0.0], [2.0, 0.0, 2.0])
 
-    @pytest.mark.parametrize("handles, lower, objective, message", BAD_SET_COLUMNS)
-    def test_a_loaded_model_refuses_set_columns_as_a_model_does(
-        self, handles, lower, objective, message
-    ):
-        m = _two_columns()
+    @pytest.mark.parametrize("case", sorted(BAD_INSTALLS))
+    def test_a_loaded_model_refuses_install_as_a_model_does(self, case):
+        handles, message = BAD_INSTALLS[case]
+        m = _installable()
         before = _state(m)
         loaded = LoadedModel(m)
+        loaded_columns = ([0.0, 0.0, 0.0], [2.0, 2.0, 2.0])
         with pytest.raises(ModelError, match=message):
-            loaded.set_columns(handles, lower, objective)
-        assert (loaded.lb.tolist(), loaded.cost.tolist()) == ([0.0, 0.0], [0.0, 0.0])
-        loaded.set_columns([1], 1.0, 2.0)
-        assert (loaded.lb.tolist(), loaded.cost.tolist()) == ([0.0, 1.0], [0.0, 2.0])
+            loaded.install(handles)
+        assert (loaded.lb.tolist(), loaded.cost.tolist()) == loaded_columns
+        loaded.install([1])
+        assert (loaded.lb.tolist(), loaded.cost.tolist()) == ([0.0, 1.0, 0.0], [2.0, 0.0, 2.0])
         loaded.reset()
-        assert (loaded.lb.tolist(), loaded.cost.tolist()) == ([0.0, 0.0], [0.0, 0.0])
+        assert (loaded.lb.tolist(), loaded.cost.tolist()) == loaded_columns
         assert _state(m) == before
-
-    def test_a_copy_shares_no_buffer(self):
-        m = toy_model()
-        text, state = export_lp(m), _state(m)
-        twin = m.copy()
-        assert twin == m and twin.name == m.name
-        twin.add_columns(["z"], "binary")
-        twin.add_rows([("c3", [0, 2], [1.0, 1.0], 1.0)], "<=")
-        twin.set_columns([1], 1.0, 0.0)
-        assert (export_lp(m), _state(m)) == (text, state)
 
 
 class TestRelax:
-    def test_binaries_become_unit_continuous(self):
-        relaxed = relax(toy_model())
-        binary = dict(zip(relaxed.col_names, relaxed.col_binary))
-        assert binary == {"x": False, "y": False}
-        assert relaxed.col_upper[0] == 1.0
+    """The LP relaxation, whose value a solve reports as ``root_bound``."""
 
-    def test_idempotent_and_fixed_point_on_continuous(self):
-        m = toy_model()
-        once = relax(m)
-        assert relax(once) == once
-        continuous = MilpModel()
-        continuous.add_variable("y", "continuous", 0.0, 2.0, 1.0)
-        assert relax(continuous) == continuous
+    def test_binaries_become_unit_continuous(self):
+        # the toy model with x declared continuous on [0, 1] is its own
+        # relaxation, so its optimum is the toy model's root bound
+        continuous = MilpModel("toy")
+        continuous.add_columns(["x"], "continuous", 0.0, 1.0, objective=2.0)
+        continuous.add_columns(["y"], "continuous", 0.0, 5.0, objective=3.0)
+        continuous.add_rows([("c1", [0, 1], [1.0, 2.0], 3.0)], "<=")
+        continuous.add_rows([("c2", [1], [1.0], 1.0)], ">=")
+        toy = toy_model()
+        assert list(toy.col_binary) == [True, False]
+        assert solve_milp(toy, node_limit=1).root_bound == solve_milp(continuous).objective
 
     def test_solutions_remain_feasible_for_the_relaxation(self):
-        # relax() only widens variable kinds, so any solved point must
-        # satisfy the relaxed model's rows verbatim
-        from ssfp.solver import LoadedModel, solve_milp
-
+        # the relaxation keeps every row and bound, so any solved point must
+        # satisfy the model's rows verbatim
         m = toy_model()
         solution = solve_milp(m)
-        relaxed = relax(m)
-        start, index, coef = relaxed.row_start, relaxed.row_index, relaxed.row_coef
-        for i, (sense, rhs) in enumerate(zip(relaxed.row_sense, relaxed.row_rhs)):
+        start, index, coef = m.row_start, m.row_index, m.row_coef
+        for i, (sense, rhs) in enumerate(zip(m.row_sense, m.row_rhs)):
             lhs = sum(coef[k] * solution.x[index[k]] for k in range(start[i], start[i + 1]))
             if SENSES[sense] == "<=":
                 assert lhs <= rhs + 1e-9
@@ -311,18 +291,9 @@ class TestRelax:
                 assert lhs >= rhs - 1e-9
             else:
                 assert lhs == pytest.approx(rhs, abs=1e-9)
-        for lower, upper, value in zip(relaxed.col_lower, relaxed.col_upper, solution.x):
+        for lower, upper, value in zip(m.col_lower, m.col_upper, solution.x):
             assert lower - 1e-9 <= value <= upper + 1e-9
-
-    def test_shares_no_buffer_with_its_source(self):
-        m = toy_model()
-        text = export_lp(m)
-        relaxed = relax(m)
-        z = relaxed.add_variable("z", "binary", objective=1.0)
-        relaxed.add_constraint("c3", [(0, 1.0), (z, 1.0)], "<=", 1.0)
-        relaxed.set_objective({z: 5.0})
-        assert export_lp(m) == text
-        assert list(m.col_binary) == [True, False]
+        assert solution.root_bound <= solution.objective
 
     def test_four_cycle_fractional_point_is_lp_feasible(self):
         # relaxing the undirected model admits the half-unit flow cycle of
@@ -330,9 +301,7 @@ class TestRelax:
         from ssfp.instances import four_cycle_instance
 
         built = build_do(four_cycle_instance(), flow="u")
-        lp = solve_milp(relax(built.milp))
-        assert lp.status == "optimal"
-        assert lp.objective <= 2.0 + 1e-7
+        assert solve_milp(built.milp, node_limit=1).root_bound <= 2.0 + 1e-7
 
 
 def _one_of_a_pair(name="m", col="x", kind="continuous", lower=0.0, upper=1.0, cost=2.0,
@@ -340,12 +309,11 @@ def _one_of_a_pair(name="m", col="x", kind="continuous", lower=0.0, upper=1.0, c
     """Three columns and two rows; each keyword sets one entry of one buffer,
     and ``split`` says how many of the two terms go to the first row."""
     m = MilpModel(name)
-    m.add_variable(col, kind, lower, upper, cost)
-    m.add_variable("y")
-    z = m.add_variable("z")
-    terms = [(handle, coef), (z, 1.0)]
-    m.add_constraint(row, terms[:split], sense, rhs)
-    m.add_constraint("s", terms[split:], ">=", 0.0)
+    m.add_columns([col], kind, lower, upper, cost)
+    m.add_columns(["y", "z"])
+    handles, coefs = [handle, 2], [coef, 1.0]
+    m.add_rows([(row, handles[:split], coefs[:split], rhs)], sense)
+    m.add_rows([("s", handles[split:], coefs[split:], 0.0)], ">=")
     return m
 
 
@@ -374,9 +342,8 @@ class TestLpFormat:
 
     def test_simple_row_exported_verbatim(self):
         m = MilpModel()
-        x = m.add_variable("x")
-        y = m.add_variable("y")
-        m.add_constraint("c", [(x, 1.0), (y, 2.0)], "<=", 3.0)
+        x, y = m.add_columns(["x", "y"])
+        m.add_rows([("c", [x, y], [1.0, 2.0], 3.0)], "<=")
         assert " c: 1 x + 2 y <= 3" in export_lp(m).splitlines()
 
     def test_round_trip_toy(self, highs_reads_back):
@@ -387,17 +354,17 @@ class TestLpFormat:
 
     def test_negative_and_free_bounds(self, highs_reads_back):
         m = MilpModel()
-        m.add_variable("a", "continuous", -math.inf, math.inf, -1.5)
-        m.add_variable("b", "continuous", 2.0, math.inf)
-        m.add_constraint("c", [(0, -2.5), (1, 1.0)], ">=", -4.0)
+        m.add_columns(["a"], "continuous", -math.inf, math.inf, -1.5)
+        m.add_columns(["b"], "continuous", 2.0, math.inf)
+        m.add_rows([("c", [0, 1], [-2.5, 1.0], -4.0)], ">=")
         highs_reads_back(m)
 
     def test_column_bounded_only_above_keeps_its_infinite_lower_bound(self, highs_reads_back):
         # "a <= 5" alone would keep the format's default lower bound 0, and
         # the optimum -7 would read back as 0
         m = MilpModel()
-        a = m.add_variable("a", "continuous", -math.inf, 5.0, 1.0)
-        m.add_constraint("c", [(a, 1.0)], ">=", -7.0)
+        (a,) = m.add_columns(["a"], "continuous", -math.inf, 5.0, 1.0)
+        m.add_rows([("c", [a], [1.0], -7.0)], ">=")
         assert " -inf <= a <= 5" in export_lp(m).splitlines()
         highs_reads_back(m)
         assert solve_milp(m).objective == -7.0
@@ -405,9 +372,8 @@ class TestLpFormat:
     def test_empty_row_placeholders_round_trip(self, highs_reads_back):
         for num_variables in (0, 1):
             m = MilpModel()
-            for i in range(num_variables):
-                m.add_variable(f"x{i}")
-            m.add_constraint("c", [], "<=", 3.0)
+            m.add_columns([f"x{i}" for i in range(num_variables)])
+            m.add_rows([("c", [], [], 3.0)], "<=")
             highs_reads_back(m)
 
 
@@ -425,7 +391,7 @@ bounds = st.floats(-100, 100, allow_nan=False) | st.just(-math.inf) | st.just(ma
 # the fixture's file is rewritten by each example
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_export_parse_round_trip_random_models(data, highs_reads_back):
+def test_highs_reads_back_random_models(data, highs_reads_back):
     m = MilpModel()
     var_names = data.draw(names)
     handles = []
@@ -434,15 +400,16 @@ def test_export_parse_round_trip_random_models(data, highs_reads_back):
         lo = data.draw(bounds)
         hi = data.draw(bounds.map(lambda v: max(v, lo)))
         try:
-            handles.append(m.add_variable(name, kind, lo, hi, data.draw(coefs)))
+            handles += m.add_columns([name], kind, lo, hi, data.draw(coefs))
         except ModelError:  # a name LP text cannot carry, or bounds no value meets
             continue
     terms_of = st.lists(st.sampled_from(handles), max_size=4, unique=True) if handles else st.just([])
     for name in data.draw(names):
-        terms = [(h, data.draw(coefs)) for h in data.draw(terms_of)]
+        row_handles = data.draw(terms_of)
+        row_coefs = [data.draw(coefs.filter(bool)) for _ in row_handles]
         sense = data.draw(st.sampled_from(["<=", "=", ">="]))
         try:
-            m.add_constraint(name, terms, sense, data.draw(coefs))
+            m.add_rows([(name, row_handles, row_coefs, data.draw(coefs))], sense)
         except ModelError:
             continue
     highs_reads_back(m)

@@ -14,7 +14,7 @@ from ssfp.instances import (
     random_artificial,
     random_grid_instance,
 )
-from ssfp.milp_core import SENSES, MilpModel, export_lp, relax
+from ssfp.milp_core import SENSES, MilpModel, export_lp
 from ssfp.models import (
     ALL_KINDS,
     ModelKind,
@@ -88,9 +88,9 @@ class TestDoD:
     def test_four_cycle_directed_lp_is_tight(self):
         built = build_do(four_cycle_instance(), flow="d")
         assert solve_milp(built.milp).objective == pytest.approx(3.0, abs=1e-9)
-        lp = solve_milp(relax(built.milp))
+        lp = solve_milp(built.milp, node_limit=1)
         # the opposing half-unit cycles of the undirected relaxation are cut off
-        assert lp.objective >= 2.0 + 0.1
+        assert lp.root_bound >= 2.0 + 0.1
 
     def test_single_group_has_one_root_variable(self, fig2):
         built = build_do(fig2.first_stage, flow="d")
@@ -336,13 +336,13 @@ def test_export_bytes_are_pinned(case):
 
 def _hand_made_model():
     m = MilpModel("hand-made")
-    x = m.add_variable("x", "binary", objective=1.0)
-    y = m.add_variable("y", "continuous", -2.0, 3.5, -0.5)
-    z = m.add_variable("z", "continuous", -math.inf, math.inf)
-    m.add_constraint("repeated", [(y, 1.0), (x, 2.0), (y, 0.5), (z, -1.0)], ">=", 1.0)
-    m.add_constraint("cancelling", [(x, 1.0), (y, 3.0), (x, -1.0)], "<=", 4.0)
-    m.add_constraint("empty", [], "=", 0.0)
-    m.add_constraint("all_cancel", [(z, 1.0), (z, -1.0)], "<=", 2.0)
+    (x,) = m.add_columns(["x"], "binary", objective=1.0)
+    (y,) = m.add_columns(["y"], "continuous", -2.0, 3.5, -0.5)
+    (z,) = m.add_columns(["z"], "continuous", -math.inf, math.inf)
+    m.add_rows([("repeated", [y, x, z], [1.5, 2.0, -1.0], 1.0)], ">=")
+    m.add_rows([("cancelling", [y], [3.0], 4.0)], "<=")
+    m.add_rows([("empty", [], [], 0.0)], "=")
+    m.add_rows([("all_cancel", [], [], 2.0)], "<=")
     return m
 
 

@@ -1,6 +1,8 @@
 """Oracle cross-checks on instances that stress the restricted paths:
 admissible-edge subsets, pre-existing pipe sets, per-stage pipe feasibility,
 and uneven scenario probabilities."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from ssfp.graph_core import (
 )
 from ssfp.experiments import evaluate_under
 from ssfp.instances import grid_graph, make_rng
-from ssfp.models import ModelKind, build_model, dominated_pipes
+from ssfp.models import ALL_KINDS, ModelKind, build_model, dominated_pipes
 from ssfp.solver import brute_force, solve_milp
+from conftest import criterion_4_corpus
 
 
 def spanning_subset(graph, rng) -> frozenset[int]:
@@ -119,3 +122,32 @@ def test_existing_pairs_never_charged():
     result = brute_force(ts, "do")
     charged = cost(ts.first_stage, ts.existing, result.first_stage)
     assert charged == pytest.approx(result.objective, abs=1e-9)
+
+
+def _with_two_existing_pairs(ts: TwoStageInstance, seed: int) -> TwoStageInstance:
+    """``ts`` with pipe 1 already laid on two of its first stage's admissible
+    edges, picked by ``seed``."""
+    edges = sorted(ts.first_stage.admissible_edges)
+    picked = make_rng(seed).choice(len(edges), size=2, replace=False)
+    return replace(ts, existing=EdgePipeSet(frozenset((1, edges[k]) for k in picked)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_six_models_match_the_oracle_with_existing_pairs(seed):
+    """On a criterion-4 instance with two existing pairs, every model's
+    optimum equals the oracle's.  The existing pairs' first-stage columns
+    sit at [1, 1]; they are binary in the two-stage models, as every other
+    first-stage column there is, and continuous in DO."""
+    ts = _with_two_existing_pairs(criterion_4_corpus(seed + 1)[seed], seed)
+    oracle = {mode: brute_force(ts, mode).objective for mode in ("do", "ro", "so")}
+    for kind in ALL_KINDS:
+        built = build_model(kind, ts)
+        model = built.milp
+        installed = [built.stage_x[0][pair] for pair in ts.existing.pairs]
+        assert {
+            (bool(model.col_binary[h]), model.col_lower[h], model.col_upper[h]) for h in installed
+        } == {(kind.optimization != "do", 1.0, 1.0)}, kind.label
+        solution = solve_milp(model)
+        assert solution.objective == pytest.approx(oracle[kind.optimization], abs=1e-9), (
+            f"{kind.label} seed {seed}"
+        )
