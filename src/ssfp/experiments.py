@@ -19,7 +19,7 @@ from .instances import SweepConfig, random_artificial
 from .milp_core import MilpSolution
 from .models import (
     ALL_KINDS, OPTIMIZATIONS, BuiltModel, ModelKind, Optimization, build_do, build_model,
-    dominated_pipes, expected_size, install,
+    dominated_pipes, expected_size,
 )
 from .solver import LoadedModel, SolverError, solve_milp
 
@@ -48,11 +48,11 @@ class RecourseModels:
     each set of pipe types it can do without, one DO-D model of the scenario
     without those pipes, built with no pair installed and loaded into HiGHS
     once (``LoadedModel``).  A recourse solve lays the installed pairs in it
-    (``install``), which gives the program of a build with them existing,
-    and re-solves it warm from the basis its last solve left.  A table
-    serves one record or one call and is dropped with it.  Its solves change
-    its loaded models, so a table must not be used from two threads at
-    once."""
+    (``LoadedModel.install``), which gives the program of a build with them
+    existing, and re-solves it warm from the basis its last solve left.  A
+    table serves one record or one call and is dropped with it.  Its solves
+    change its loaded models, so a table must not be used from two threads
+    at once."""
 
     def __init__(self, two_stage: TwoStageInstance) -> None:
         self.two_stage = two_stage
@@ -78,7 +78,7 @@ class RecourseModels:
                 entry = self.loaded[(s, dropped)] = LoadedModel(built.milp), built.stage_x[0]
             loaded, x = entry
             loaded.reset()
-            install(loaded, x, installed)
+            loaded.install([x[pair] for pair in installed])
             solution = solve_milp(loaded)
             if solution.status != "optimal":
                 raise SolverError(f"scenario {s} recourse solve ended with {solution.status}")

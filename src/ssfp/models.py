@@ -12,8 +12,12 @@ Conventions of the builder:
   reward raising it, and the balance point between scenarios can otherwise
   sit at a strictly cheaper fractional value.  Scenario copies only ever feel
   downward pressure, so they stay continuous.  Pre-existing pairs keep their
-  column's kind, get the bounds [1, 1] and carry no cost (``install``); a
-  binary fixed at 1 is never fractional, so the search never branches on it.
+  column's kind and get the bounds [1, 1] (``MilpModel.install``); a binary
+  fixed at 1 is never fractional, so the search never branches on it.  Their
+  first-stage column costs 0 in DO and RO.  In SO it costs -sum_s rho_s c_s,
+  the first-stage part of the retrofit terms, which the link rows cancel by
+  forcing the scenario copies, at +rho_s c_s each, to 1.  So SO's
+  first-stage coefficients are not the first-stage investment.
 * Scenario copies get an ``_s{s}`` name suffix (``s`` starting at 1) and use
   the scenario's feasible pipes, admissible arcs, terminal groups, and
   inflated costs.
@@ -29,13 +33,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Literal, Sequence, get_args
+from typing import Iterator, Literal, Sequence, get_args
 
 from .graph_core import EdgePipeSet, Instance, TwoStageInstance
 from .milp_core import MilpModel, MilpSolution
-
-if TYPE_CHECKING:
-    from .solver import LoadedModel
 
 Optimization = Literal["do", "ro", "so"]
 Flow = Literal["u", "d"]
@@ -324,16 +325,6 @@ def _add_directed_block(
 _BLOCKS = {"u": _add_undirected_block, "d": _add_directed_block}
 
 
-def install(
-    model: MilpModel | LoadedModel, x: dict[tuple[int, int], int], pairs: EdgePipeSet
-) -> None:
-    """Lay ``pairs`` in the stage whose installation handles are ``x``: each
-    pair's column gets lower bound 1 (its upper bound is 1) and no cost.  On
-    a model loaded into HiGHS with nothing installed, this gives the program
-    of a build with ``pairs`` existing."""
-    model.install([x[pair] for pair in pairs])
-
-
 def _build(
     kind: ModelKind,
     first: Instance,
@@ -353,7 +344,7 @@ def _build(
     robust = kind.optimization == "ro"
 
     stage_x = [block(model, first, "", "binary" if scenarios else "continuous")]
-    install(model, stage_x[0], existing)
+    model.install([stage_x[0][pair] for pair in existing])
     for s, scenario in enumerate(scenarios, start=1):
         stage_x.append(block(model, scenario, f"_s{s}", "continuous"))
 

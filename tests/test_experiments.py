@@ -36,7 +36,7 @@ from ssfp.instances import (
     random_artificial,
     random_grid_instance,
 )
-from ssfp.models import ALL_KINDS, ModelKind, build_do, build_model, dominated_pipes, install
+from ssfp.models import ALL_KINDS, ModelKind, build_do, build_model, dominated_pipes
 from ssfp.solver import LoadedModel, SolverError, SolverNumericalError, solve_milp
 
 
@@ -455,7 +455,7 @@ def test_a_loaded_recourse_model_re_solves_like_a_fresh_build(config, seed, with
     for k, (installed, node_limit) in enumerate(sequence):
         fresh = build_do(scenario, installed, "d").milp
         loaded.reset()
-        install(loaded, bare.stage_x[0], installed)
+        loaded.install([bare.stage_x[0][pair] for pair in installed])
         loaded.send()
         lp = loaded.highs.getLp()
         assert list(lp.col_lower_) == list(fresh.col_lower), k
@@ -494,6 +494,29 @@ def test_a_recourse_table_lives_for_one_record(monkeypatch):
         sweep_record(PILOT, 0, two_stage)
     assert builds == [(frozenset({1}), EdgePipeSet(), "d")] * 4
     assert loads == ["DO-D"] * 4
+
+
+def test_a_sweep_record_makes_six_model_solves_and_sixteen_recourse_solves(monkeypatch):
+    """The solve calls of pilot record 0, in order: each objective's D model
+    and then its U twin, with the two recourse solves that seed the next D
+    model's cutoff between them, and then the twelve recourse solves of the
+    evaluation matrix.  The benchmark's solve percentiles are taken over
+    this mix, so a change to it shows here first."""
+    calls = []
+    original = experiments.solve_milp
+
+    def recording_solve_milp(model, *args, **kwargs):
+        calls.append((type(model).__name__, model.name))
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_milp", recording_solve_milp)
+    sweep_record(PILOT, 0, _record_instance(PILOT, 0))
+    recourse = [("LoadedModel", "DO-D")] * 2
+    assert calls == (
+        [("MilpModel", "DO-D"), ("MilpModel", "DO-U")] + recourse
+        + [("MilpModel", "SO-D"), ("MilpModel", "SO-U")] + recourse
+        + [("MilpModel", "RO-D"), ("MilpModel", "RO-U")] + recourse * 6
+    )
 
 
 def test_a_recourse_table_of_another_instance_is_refused(fig2, routes):

@@ -22,7 +22,6 @@ from ssfp.models import (
     build_model,
     dominated_pipes,
     expected_size,
-    install,
 )
 from ssfp.solver import brute_force, solve_milp
 
@@ -485,7 +484,7 @@ def test_a_model_with_pairs_installed_equals_a_build_with_them_existing(case, fl
     text = export_lp(bare.milp)
     fresh = build_do(reduced, installed, flow).milp
     loaded = solver.LoadedModel(bare.milp)
-    install(loaded, bare.stage_x[0], installed)
+    loaded.install([bare.stage_x[0][pair] for pair in installed])
     loaded.send()
     assert _held_lp(loaded) == _held_lp(solver.LoadedModel(fresh))
     assert export_lp(bare.milp) == text

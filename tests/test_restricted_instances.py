@@ -137,7 +137,9 @@ def test_six_models_match_the_oracle_with_existing_pairs(seed):
     """On a criterion-4 instance with two existing pairs, every model's
     optimum equals the oracle's.  The existing pairs' first-stage columns
     sit at [1, 1]; they are binary in the two-stage models, as every other
-    first-stage column there is, and continuous in DO."""
+    first-stage column there is, and continuous in DO.  They cost 0 in DO
+    and RO; in SO they keep the retrofit terms' first-stage part,
+    -sum(rho_s * c_s), which their scenario copies' +rho_s * c_s cancel."""
     ts = _with_two_existing_pairs(criterion_4_corpus(seed + 1)[seed], seed)
     oracle = {mode: brute_force(ts, mode).objective for mode in ("do", "ro", "so")}
     for kind in ALL_KINDS:
@@ -147,6 +149,15 @@ def test_six_models_match_the_oracle_with_existing_pairs(seed):
         assert {
             (bool(model.col_binary[h]), model.col_lower[h], model.col_upper[h]) for h in installed
         } == {(kind.optimization != "do", 1.0, 1.0)}, kind.label
+        for pair in ts.existing.pairs:
+            retrofit = sum(
+                rho * scenario.pair_cost(*pair)
+                for scenario, rho in zip(ts.scenarios, ts.probabilities)
+            )
+            expected = -retrofit if kind.optimization == "so" else 0.0
+            assert model.col_cost[built.stage_x[0][pair]] == pytest.approx(expected, abs=1e-12), (
+                f"{kind.label} {pair}"
+            )
         solution = solve_milp(model)
         assert solution.objective == pytest.approx(oracle[kind.optimization], abs=1e-9), (
             f"{kind.label} seed {seed}"
