@@ -47,12 +47,12 @@ class RecourseModels:
     """The recourse models of one two-stage instance: for each scenario and
     each set of pipe types it can do without, one DO-D model of the scenario
     without those pipes, built with no pair installed and loaded into HiGHS
-    once (``LoadedModel``).  A recourse solve lays the installed pairs in it
-    (``LoadedModel.install``), which gives the program of a build with them
-    existing, and re-solves it warm from the basis its last solve left.  A
-    table serves one record or one call and is dropped with it.  Its solves
-    change its loaded models, so a table must not be used from two threads
-    at once."""
+    once (``LoadedModel``).  A recourse solve lays exactly the installed
+    pairs in it with one ``LoadedModel.install``, which gives the program of
+    a build with them existing, and re-solves it warm from the basis its
+    last solve left.  A table serves one record or one call and is dropped
+    with it.  Its solves change its loaded models, so a table must not be
+    used from two threads at once."""
 
     def __init__(self, two_stage: TwoStageInstance) -> None:
         self.two_stage = two_stage
@@ -77,7 +77,6 @@ class RecourseModels:
                 built = build_do(scenario.without_pipes(dropped), EdgePipeSet(), "d")
                 entry = self.loaded[(s, dropped)] = LoadedModel(built.milp), built.stage_x[0]
             loaded, x = entry
-            loaded.reset()
             loaded.install([x[pair] for pair in installed])
             solution = solve_milp(loaded)
             if solution.status != "optimal":

@@ -275,7 +275,7 @@ class MilpModel:
 
 @dataclass(frozen=True)
 class MilpSolution:
-    """Result of an LP or branch-and-bound solve.
+    """Result of a branch-and-bound solve.
 
     ``bound`` is the best proven lower bound (equal to the objective when the
     status is optimal); ``root_bound`` is the LP-relaxation value at the root

@@ -103,13 +103,13 @@ class LoadedModel:
     columns with their bounds and costs, and one ranged row
     ``row_lower <= a x <= row_upper`` per constraint.
 
-    ``install`` changes columns as ``MilpModel.install`` does, with its
-    checks and error text, and ``reset`` gives every column back the
-    bounds and cost it was loaded with.  Neither touches the model it was
-    loaded from.  Each solve starts with ``send``, which passes HiGHS only
-    the columns whose bounds or cost differ from what HiGHS holds, never the
-    rows.  Presolve is off, so every solve starts from the basis the last
-    one left."""
+    ``install`` lays exactly the given columns, as ``MilpModel.install``
+    does on the model as loaded, with its checks and error text; it never
+    touches the model it was loaded from.  ``install(())`` gives every
+    column back the bounds and cost it was loaded with.  HiGHS gets the
+    change at the next LP: ``linprog`` passes it the columns whose bounds or
+    cost differ from what it holds, never the rows.  Presolve is off, so
+    every solve starts from the basis the last one left."""
 
     def __init__(self, model: MilpModel) -> None:
         n, m = model.num_variables, model.num_constraints
@@ -143,7 +143,7 @@ class LoadedModel:
         lp.a_matrix_.start_ = np.array(model.row_start, dtype=np.int32)
         lp.a_matrix_.index_ = np.array(model.row_index, dtype=np.int32)
         lp.a_matrix_.value_ = coefficients
-        # the columns as loaded, for reset, and as HiGHS holds them now
+        # the columns as loaded, for install, and as HiGHS holds them now
         self.loaded_lb, self.loaded_cost = self.lb.copy(), self.cost.copy()
         self.sent_lb, self.sent_ub, self.sent_cost = self.lb.copy(), self.ub.copy(), self.cost.copy()
         self.highs = _Highs()
@@ -154,32 +154,12 @@ class LoadedModel:
             raise SolverNumericalError(f"model {model.name!r}: HiGHS rejected the model")
 
     def install(self, handles: Iterable[int]) -> None:
-        """Give each column in ``handles`` the lower bound 1 and no cost, as
-        ``MilpModel.install`` does; HiGHS gets them at the next solve."""
+        """Lay exactly the columns in ``handles``: lower bound 1 and no cost,
+        as ``MilpModel.install`` does; every other column gets back its
+        bounds and cost as loaded.  All are checked before any is written."""
         picked = np.array(checked_columns(self.col_names, self.ub, handles), dtype=np.intp)
-        self.lb[picked], self.cost[picked] = 1.0, 0.0
-
-    def reset(self) -> None:
-        """Give every column the lower bound and cost it was loaded with."""
         self.lb[:], self.cost[:] = self.loaded_lb, self.loaded_cost
-
-    def send_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
-        """Pass HiGHS the columns whose bounds differ from ``lb``/``ub``."""
-        changed = np.flatnonzero((lb != self.sent_lb) | (ub != self.sent_ub))
-        if changed.size:
-            new_lb, new_ub = lb[changed], ub[changed]
-            self.highs.changeColsBounds(changed.size, changed.astype(np.int32), new_lb, new_ub)
-            self.sent_lb[changed], self.sent_ub[changed] = new_lb, new_ub
-
-    def send(self) -> None:
-        """Pass HiGHS the columns whose bounds or cost differ from this
-        form's, so that HiGHS holds the model as the form states it."""
-        changed = np.flatnonzero(self.cost != self.sent_cost)
-        if changed.size:
-            new_cost = self.cost[changed]
-            self.highs.changeColsCost(changed.size, changed.astype(np.int32), new_cost)
-            self.sent_cost[changed] = new_cost
-        self.send_bounds(self.lb, self.ub)
+        self.lb[picked], self.cost[picked] = 1.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -194,16 +174,26 @@ class LpResult:
 
 
 def linprog(form: LoadedModel, lb: np.ndarray, ub: np.ndarray) -> LpResult:
-    """Re-solve the loaded LP under column bounds ``lb``/``ub``, warm from the
-    last basis.  Only the columns whose bounds differ from the last solve's
-    are sent to HiGHS.
+    """Re-solve the loaded LP under column bounds ``lb``/``ub`` and the
+    form's costs, warm from the last basis.  Only the columns whose cost or
+    bounds differ from what HiGHS holds are sent to it; this is the one
+    function that changes the columns HiGHS holds.
 
     This is the one LP call of a branch-and-bound node.  The benchmark in
     ``perfbench/`` traces it by this name, ``ssfp.solver.linprog``, to count
     LPs and simplex iterations, so ``solve_milp`` calls it as a module global.
     """
     highs = form.highs
-    form.send_bounds(lb, ub)
+    changed = np.flatnonzero(form.cost != form.sent_cost)
+    if changed.size:
+        new_cost = form.cost[changed]
+        highs.changeColsCost(changed.size, changed.astype(np.int32), new_cost)
+        form.sent_cost[changed] = new_cost
+    changed = np.flatnonzero((lb != form.sent_lb) | (ub != form.sent_ub))
+    if changed.size:
+        new_lb, new_ub = lb[changed], ub[changed]
+        highs.changeColsBounds(changed.size, changed.astype(np.int32), new_lb, new_ub)
+        form.sent_lb[changed], form.sent_ub[changed] = new_lb, new_ub
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -240,8 +230,9 @@ def solve_milp(
     it, ``SolverError`` is raised.
 
     A ``MilpModel`` is loaded into a HiGHS instance of this solve's own.  A
-    ``LoadedModel`` is solved in place: HiGHS gets the columns changed since
-    its last solve, and the root LP starts from the basis that solve left.
+    ``LoadedModel`` is solved in place: the root LP sends HiGHS the columns
+    whose bounds or cost changed since its last LP, and starts from the basis
+    that LP left.
 
     Every node solves one LP, so ``lp_count`` equals ``node_count``;
     ``simplex_iterations`` is the sum of their ``LpResult.nit``, and
@@ -258,7 +249,6 @@ def solve_milp(
     depth = order == "depth"
     started = time.perf_counter()
     form = model if isinstance(model, LoadedModel) else LoadedModel(model)
-    form.send()
     binary_idx = np.flatnonzero(form.binary)
 
     incumbent_obj = math.inf if cutoff is None else float(cutoff)

@@ -432,11 +432,12 @@ _PILOT_0_BRANCHING = frozenset({(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 5), 
     ids=["pilot-0", "record-2"],
 )
 def test_a_loaded_recourse_model_re_solves_like_a_fresh_build(config, seed, with_pipe_2):
-    """One loaded recourse model, re-solved along a shuffled sequence of
-    installed sets (the empty set, repeats, a set that lays pipe 2, and a
-    solve cut short at one node), holds the columns of a fresh build with
-    those pairs existing after each install, and reaches that build's cold
-    optimum bit for bit."""
+    """One loaded recourse model, re-solved along a sequence of installed sets
+    (a solve of the set that lays pipe 2 limited to three nodes, then a
+    shuffle of the empty set, repeats, that set again and a solve of it cut
+    short at one node), holds in HiGHS the columns of a fresh build with
+    those pairs existing at the root of each solve, and reaches that build's
+    cold optimum bit for bit."""
     scenario = _record_instance(config, seed).scenarios[0]
     bare = build_do(scenario, EdgePipeSet(), "d")
     loaded = LoadedModel(bare.milp)
@@ -451,23 +452,28 @@ def test_a_loaded_recourse_model_re_solves_like_a_fresh_build(config, seed, with
     sequence = [(EdgePipeSet(), None), (a, None), (a, None), (b, None), (pipe_2, None),
                 (pipe_2, 1), (c, None), (EdgePipeSet(), None), (b, None)]
     rng.shuffle(sequence)
-    branched = 0
+    # first, so the next install meets the bounds a child node left in HiGHS
+    sequence.insert(0, (pipe_2, 3))
+    branched = ended_in_a_child = 0
     for k, (installed, node_limit) in enumerate(sequence):
         fresh = build_do(scenario, installed, "d").milp
-        loaded.reset()
         loaded.install([bare.stage_x[0][pair] for pair in installed])
-        loaded.send()
+        solve_milp(loaded, node_limit=1)  # HiGHS holds the root LP: the columns as laid
         lp = loaded.highs.getLp()
         assert list(lp.col_lower_) == list(fresh.col_lower), k
+        assert list(lp.col_upper_) == list(fresh.col_upper), k
         assert list(lp.col_cost_) == list(fresh.col_cost), k
         warm = solve_milp(loaded, node_limit=node_limit)
         if node_limit is not None:
-            assert warm.node_count == 1 and warm.status in ("optimal", "node_limit"), k
+            assert warm.node_count <= node_limit, k
+            assert warm.status in ("optimal", "node_limit"), k
+            ended_in_a_child += warm.node_count > 1
             continue
         cold = solve_milp(fresh)
         assert (warm.status, warm.objective) == ("optimal", cold.objective), k
         branched += cold.node_count > 1
     assert branched == (1 if with_pipe_2 else 0)
+    assert ended_in_a_child == (1 if with_pipe_2 else 0)
 
 
 def test_a_recourse_table_lives_for_one_record(monkeypatch):

@@ -256,13 +256,17 @@ class TestFamilies:
             loaded.install(handles)
         assert (loaded.lb.tolist(), loaded.cost.tolist()) == loaded_columns
         loaded.install([1])
-        assert (loaded.lb.tolist(), loaded.cost.tolist()) == ([0.0, 1.0, 0.0], [2.0, 0.0, 2.0])
-        loaded.reset()
+        laid = ([0.0, 1.0, 0.0], [2.0, 0.0, 2.0])
+        assert (loaded.lb.tolist(), loaded.cost.tolist()) == laid
+        with pytest.raises(ModelError, match=message):
+            loaded.install(handles)
+        assert (loaded.lb.tolist(), loaded.cost.tolist()) == laid
+        loaded.install([])
         assert (loaded.lb.tolist(), loaded.cost.tolist()) == loaded_columns
         assert _state(m) == before
 
 
-class TestRelax:
+class TestRootBound:
     """The LP relaxation, whose value a solve reports as ``root_bound``."""
 
     def test_binaries_become_unit_continuous(self):

@@ -54,7 +54,7 @@ def tiny_two_stage(gamma: float = 5.0) -> TwoStageInstance:
     return TwoStageInstance(first, (scenario,), (1.0,))
 
 
-class TestSolveLp:
+class TestContinuousSolvesAndRootBounds:
     def test_simple_bound_problem(self):
         m = MilpModel()
         (x,) = m.add_columns(["x"], "continuous", 0.0, 10.0, 1.0)
@@ -617,28 +617,60 @@ def _run_python(code, *path):
 
 
 def _highs_calls(path):
-    """The names of the methods ``path`` calls on a HiGHS instance: every
-    call ``highs.<name>(...)`` or ``<expression>.highs.<name>(...)``."""
+    """The methods ``path`` calls on a HiGHS instance, as (function, method)
+    pairs: every call ``highs.<method>(...)`` or
+    ``<expression>.highs.<method>(...)``, with the qualified name of the
+    function or method it is made in (``""`` at module level)."""
     calls = set()
-    for node in ast.walk(ast.parse(Path(path).read_text())):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            owner = node.func.value
-            if (isinstance(owner, ast.Name) and owner.id == "highs") or (
-                isinstance(owner, ast.Attribute) and owner.attr == "highs"
-            ):
-                calls.add(node.func.attr)
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                owner = child.func.value
+                if (isinstance(owner, ast.Name) and owner.id == "highs") or (
+                    isinstance(owner, ast.Attribute) and owner.attr == "highs"
+                ):
+                    calls.add((scope, child.func.attr))
+            walk(child, scope)
+
+    walk(ast.parse(Path(path).read_text()), "")
     return calls
+
+
+#: the one function that may make each call that changes what HiGHS holds
+_HIGHS_WRITERS = {
+    "passModel": "LoadedModel.__init__", "setOptionValue": "LoadedModel.__init__",
+    "changeColsCost": "linprog", "changeColsBounds": "linprog", "run": "linprog",
+}
+#: the calls that only read HiGHS, allowed anywhere
+_HIGHS_READERS = {"getModelStatus", "getInfo", "getSolution", "modelStatusToString"}
 
 
 class TestHighsBinding:
     def test_the_binding_has_every_call_the_solver_makes(self):
         # the binding is private to scipy, so no public API pins these names;
         # on the oldest scipy ssfp accepts this is the named check
-        calls = _highs_calls(solver.__file__)
+        calls = {name for _, name in _highs_calls(solver.__file__)}
         assert {"passModel", "run", "changeColsBounds", "changeColsCost"} <= calls, calls
         highs = solver._Highs()
         missing = sorted(name for name in calls if not callable(getattr(highs, name, None)))
         assert not missing, missing
+
+    def test_one_function_writes_each_change_into_highs(self):
+        # LoadedModel.__init__ loads the model, and linprog alone passes
+        # column changes and solves; any other call into HiGHS only reads it
+        calls = _highs_calls(solver.__file__)
+        stray = sorted(
+            (scope, name) for scope, name in calls
+            if _HIGHS_WRITERS.get(name, scope) != scope
+            or name not in _HIGHS_WRITERS.keys() | _HIGHS_READERS
+        )
+        assert not stray, stray
+        assert {(scope, name) for name, scope in _HIGHS_WRITERS.items()} <= calls, calls
+
     def test_import_does_not_import_scipy_optimize(self):
         code = (
             "import sys, ssfp\n"
