@@ -36,7 +36,6 @@ from .models import (
 )
 from .solver import BruteForceResult, brute_force, solve_milp
 from .experiments import (
-    CrossObjectiveMatrix,
     SweepRecord,
     cost_curves,
     evaluate_under,

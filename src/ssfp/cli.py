@@ -1,7 +1,8 @@
 """Command-line entry point: solve, sweep, curves, validate, export-lp, gen.
 
-Exit codes: 0 success, 2 usage error (including a path that cannot be read
-or written), 3 infeasible instance or solution, 4 solver node limit.
+Exit codes: 0 success, 1 solver failure or refused record, 2 usage error
+(including a path that cannot be read or written), 3 infeasible instance or
+solution, 4 solver node limit.
 Diagnostics go to standard error, one line each.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .instances import (
 )
 from .milp_core import export_lp
 from .models import FLOWS, OPTIMIZATIONS, BuiltModel, ModelKind, build_model
-from .solver import solve_milp
+from .solver import SolverError, solve_milp
 from .experiments import (
     core_count,
     cost_curves,
@@ -43,6 +44,7 @@ from .experiments import (
 )
 
 EXIT_OK = 0
+EXIT_SOLVER = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NODE_LIMIT = 4
@@ -284,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         if out is not None and not Path(out).parent.is_dir():
             raise CliError(f"cannot write {out}: {Path(out).parent} is not a directory")
         return args.func(args)
+    except SolverError as err:
+        print(str(err), file=sys.stderr)
+        return EXIT_SOLVER
     except InfeasibleInstanceError as err:
         print(str(err), file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -218,23 +218,12 @@ def vss_curve(
     ]
 
 
-@dataclass(frozen=True)
-class CrossObjectiveMatrix:
-    """Rows: model whose solution is evaluated; columns: objective used; each
-    entry normalized by the column owner's optimum."""
-
-    values: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        # each check fails on a NaN entry, which fails every comparison
-        for i in range(3):
-            if not abs(self.values[i][i] - 1.0) <= 1e-9:
-                raise ValueError(f"diagonal entry {i} is {self.values[i][i]}, expected 1")
-            for j in range(3):
-                if not self.values[i][j] >= 1.0 - 1e-9:
-                    raise ValueError(
-                        f"entry ({i},{j}) = {self.values[i][j]} undercuts the column optimum"
-                    )
+def _normalized(evaluations: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
+    """Each evaluation over its column's diagonal entry, which must not be 0."""
+    for j, column in enumerate(OPTIMIZATIONS):
+        if evaluations[j][j] == 0:
+            raise ValueError(f"cannot normalize column {column} by a zero optimum")
+    return tuple(tuple(evaluations[i][j] / evaluations[j][j] for j in range(3)) for i in range(3))
 
 
 @dataclass(frozen=True)
@@ -254,14 +243,10 @@ class SweepRecord:
     node_counts: tuple[int, ...]
 
     @property
-    def matrix(self) -> tuple[tuple[float, float, float], ...]:
-        """The evaluations, each normalized by its column owner's optimum
-        (the diagonal); a zero optimum raises ``ValueError``."""
-        e = self.evaluations
-        for j, column in enumerate(OPTIMIZATIONS):
-            if e[j][j] == 0:
-                raise ValueError(f"cannot normalize column {column} by a zero optimum")
-        return tuple(tuple(e[i][j] / e[j][j] for j in range(3)) for i in range(3))
+    def matrix(self) -> tuple[tuple[float, ...], ...]:
+        """The evaluations, each over its column owner's optimum (the diagonal),
+        as ``sweep_record`` checked them; a zero optimum raises ``ValueError``."""
+        return _normalized(self.evaluations)
 
     @property
     def ro_do_ratio(self) -> float:
@@ -298,7 +283,11 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
     which starts each LP from its parent's basis.  Its plan is never read, so
     it is built on the instance without the dominated pipe types
     (``dominated_pipes`` over every stage), which leaves its optimum as it
-    is.  Every evaluation shares this record's recourse table."""
+    is.  Every evaluation shares this record's recourse table.
+
+    This is the one check of a record's numbers; it refuses as ``SolverError``
+    a U/D disagreement, a re-evaluated optimum off its model's objective and
+    a matrix entry below 1 - 1e-9 or NaN."""
     recourse = RecourseModels(two_stage)  # this record's, dropped with it
     stages = (two_stage.first_stage, *two_stage.scenarios)
     reduced = two_stage.without_pipes(dominated_pipes(stages, two_stage.existing))
@@ -344,7 +333,13 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
         solve_times=tuple(solution.solve_time for _, solution in runs),
         node_counts=tuple(solution.node_count for _, solution in runs),
     )
-    CrossObjectiveMatrix(record.matrix)  # raises on a violated bound
+    for i, (plan, row) in enumerate(zip(OPTIMIZATIONS, record.matrix)):
+        for j, (column, value) in enumerate(zip(OPTIMIZATIONS, row)):
+            if not value >= 1.0 - 1e-9:  # a NaN fails the comparison too
+                raise SolverError(
+                    f"the {plan.upper()} plan under {column.upper()} undercuts the "
+                    f"{column.upper()} optimum: entry ({i},{j}) = {value}"
+                )
     return record
 
 
@@ -379,16 +374,14 @@ def _entrywise_mean(matrices: Sequence[Sequence[Sequence[float]]]) -> tuple[tupl
     return tuple(tuple(sum(m[i][j] for m in matrices) / n for j in range(3)) for i in range(3))
 
 
-def aggregate_matrix(records: Sequence[SweepRecord]) -> CrossObjectiveMatrix:
-    return CrossObjectiveMatrix(_entrywise_mean([r.matrix for r in records]))
+def aggregate_matrix(records: Sequence[SweepRecord]) -> tuple[tuple[float, ...], ...]:
+    """The mean of the records' matrices, entry by entry."""
+    return _entrywise_mean([r.matrix for r in records])
 
 
 def aggregate_matrix_of_means(records: Sequence[SweepRecord]) -> tuple[tuple[float, ...], ...]:
     """Alternative aggregation: ratio of mean evaluations to mean optima."""
-    mean_eval = _entrywise_mean([r.evaluations for r in records])
-    return tuple(
-        tuple(mean_eval[i][j] / mean_eval[j][j] for j in range(3)) for i in range(3)
-    )
+    return _normalized(_entrywise_mean([r.evaluations for r in records]))
 
 
 def _label_columns(prefix: str) -> list[str]:
@@ -436,7 +429,7 @@ def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
 
 def write_matrix_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
     aggregations = (
-        ("mean_of_ratios", aggregate_matrix(records).values),
+        ("mean_of_ratios", aggregate_matrix(records)),
         ("ratio_of_means", aggregate_matrix_of_means(records)),
     )
     _write_csv(path, ["aggregation", "model", *OPTIMIZATIONS], (

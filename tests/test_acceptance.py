@@ -195,7 +195,7 @@ def test_criterion_5_reference_matrix_sweep():
     started = time.perf_counter()
     records = _sweep_records(int(os.environ.get("SSFP_SWEEP_SEEDS", "5")))
     _check_hard_invariants(records)
-    matrix = aggregate_matrix(records).values
+    matrix = aggregate_matrix(records)
     for i in range(3):
         assert matrix[i][i] == pytest.approx(1.0, abs=1e-9)
     for (i, j), target in REFERENCE_AGGREGATE.items():
@@ -237,7 +237,7 @@ def test_criterion_5_6_pilot():
             num_scenarios=2, seed=ts_seed,
         )
         assert vss(ts) >= -1e-7
-    matrix = aggregate_matrix(records).values
+    matrix = aggregate_matrix(records)
     report(
         "criterion 5/6 pilot",
         f"12 small-grid records hold the hard bounds; aggregate row DO = "

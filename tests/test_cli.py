@@ -15,6 +15,7 @@ from ssfp.instances import (
 )
 from ssfp.milp_core import export_lp
 from ssfp.models import build_do
+from ssfp.solver import SolverError
 from test_instances import _set
 
 
@@ -197,6 +198,21 @@ class TestSolve:
             "proven bound 28.942982, root lp bound 28.942982\n"
         )
 
+    def test_a_solver_failure_is_one_line_and_exit_1(self, capsys, tmp_path):
+        # base costs near 1e300 stay finite, so the file is accepted, but
+        # HiGHS cannot solve the root LP of DO-D
+        inst = tmp_path / "inst.json"
+        save_instance(random_artificial(SweepConfig(2, 1, 3), 2), inst)
+        document = json.loads(inst.read_text())
+        per_edge = document["pipes"]["base_costs"]["per_edge"]
+        document["pipes"]["base_costs"]["per_edge"] = [[c * 1e300 for c in row] for row in per_edge]
+        inst.write_text(json.dumps(document))
+        code, out, err = run(
+            capsys, "solve", "--instance", str(inst), "--model", "do", "--flow", "d"
+        )
+        assert (code, out) == (1, "")
+        assert err == "model 'DO-D', node 1: HiGHS ended the LP with status 'Unknown'\n"
+
     @pytest.mark.parametrize("limit", ["-5", "0"])
     def test_node_limit_below_one_is_usage_error(self, capsys, limit):
         code, _, err = run(
@@ -231,6 +247,19 @@ class TestSweep:
         assert code == 2
         assert err.strip() == "--threads must be at least 1"
         assert not out_dir.exists()
+
+    def test_a_refused_record_is_one_line_and_exit_1(self, capsys, monkeypatch, tmp_path):
+        refusal = "s2g1t3 seed 0: the DO plan under SO undercuts the SO optimum: entry (0,2) = 0.5"
+
+        def refused_sweep(*args):
+            raise SolverError(refusal)
+
+        monkeypatch.setattr("ssfp.cli.run_sweep", refused_sweep)
+        code, out, err = run(
+            capsys, "sweep", "--settings", "2,1,3", "--seeds", "1",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert (code, out, err) == (1, "", refusal + "\n")
 
     def test_sweep_end_to_end(self, capsys, monkeypatch, tmp_path):
         # 3x3 instances with one pipe type keep each record well under a second

@@ -12,7 +12,6 @@ from ssfp import experiments
 from ssfp.cli import _make_parser
 from ssfp.experiments import (
     AGREEMENT_TOL,
-    CrossObjectiveMatrix,
     aggregate_matrix,
     aggregate_matrix_of_means,
     cost_curves,
@@ -172,25 +171,6 @@ class TestCostCurves:
             cost_curves(single, [0.0, 1.0])
 
 
-class TestMatrix:
-    def test_diagonal_and_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            CrossObjectiveMatrix(((1.0, 1.1, 1.1), (0.5, 1.0, 1.1), (1.1, 1.1, 1.0)))
-        with pytest.raises(ValueError):
-            CrossObjectiveMatrix(((1.2, 1.1, 1.1), (1.1, 1.0, 1.1), (1.1, 1.1, 1.0)))
-        CrossObjectiveMatrix(((1.0, 1.3, 1.1), (1.6, 1.0, 1.05), (1.2, 1.1, 1.0)))
-
-    @pytest.mark.parametrize(
-        "values, message",
-        [(((1.0, 1.3, 1.1), (1.6, math.nan, 1.05), (1.2, 1.1, 1.0)), "diagonal entry 1 is nan"),
-         (((1.0, 1.3, 1.1), (1.6, 1.0, 1.05), (math.nan, 1.1, 1.0)), r"entry \(2,0\) = nan")],
-        ids=["diagonal", "off-diagonal"],
-    )
-    def test_a_nan_entry_is_refused(self, values, message):
-        with pytest.raises(ValueError, match=message):
-            CrossObjectiveMatrix(values)
-
-
 @pytest.fixture(scope="module")
 def small_sweep():
     # tiny but real: 3x3 grids run the full record pipeline fast
@@ -223,7 +203,7 @@ class TestSweepRecords:
 
     def test_aggregates(self, small_sweep):
         matrix = aggregate_matrix(small_sweep)
-        assert matrix.values[0][0] == pytest.approx(1.0)
+        assert matrix[0][0] == pytest.approx(1.0)
         other = aggregate_matrix_of_means(small_sweep)
         for i in range(3):
             assert other[i][i] == pytest.approx(1.0)
@@ -277,28 +257,46 @@ class TestSweepRecordErrors:
             num_scenarios=2, seed=0,
         )
 
-    def _fail_on_call(self, monkeypatch, failing_call):
-        import ssfp.experiments as experiments
-
+    def _on_call(self, monkeypatch, patched_call, patch):
+        """Pass the value of the ``patched_call``-th evaluation through ``patch``."""
         original = experiments.evaluate_under
         calls = []
 
         def evaluate_under(*args):
             calls.append(args)
-            if len(calls) == failing_call:
-                raise SolverNumericalError("HiGHS gave up")
-            return original(*args)
+            value = original(*args)
+            return patch(value) if len(calls) == patched_call else value
 
         monkeypatch.setattr(experiments, "evaluate_under", evaluate_under)
 
     # the record evaluates twice to seed the SO and RO cutoffs; the matrix
-    # evaluations follow
+    # evaluations follow row by row (DO, RO, SO plan), each under DO, RO, SO
     @pytest.mark.parametrize("failing_call", [1, 3], ids=["in-seeding", "in-evaluation"])
     def test_error_keeps_class_and_gains_one_prefix(self, monkeypatch, instance, failing_call):
-        self._fail_on_call(monkeypatch, failing_call)
+        def give_up(value):
+            raise SolverNumericalError("HiGHS gave up")
+
+        self._on_call(monkeypatch, failing_call, give_up)
         with pytest.raises(SolverNumericalError) as raised:
             sweep_record(SweepConfig(2, 1, 3, (0,)), 0, instance)
         assert str(raised.value) == "s2g1t3 seed 0: HiGHS gave up"
+
+    @pytest.mark.parametrize("patched_call, factor, refusal", [
+        (5, 0.5, r"the DO plan under SO undercuts the SO optimum: entry \(0,2\) = 0\.5"),
+        (5, math.nan, r"the DO plan under SO undercuts the SO optimum: entry \(0,2\) = nan"),
+        (3, math.nan, r"the DO plan under DO undercuts the DO optimum: entry \(0,0\) = nan"),
+    ], ids=["halved", "nan", "nan-diagonal"])
+    def test_a_matrix_entry_below_one_is_refused(
+        self, monkeypatch, instance, patched_call, factor, refusal
+    ):
+        """A plan's value under an objective scaled below that objective's
+        optimum, or made NaN, is refused as a ``SolverError`` naming the
+        plan, the objective and the entry.  A NaN optimum fails the
+        comparison of the re-evaluation check, so only this check can
+        refuse it."""
+        self._on_call(monkeypatch, patched_call, lambda value: value * factor)
+        with pytest.raises(SolverError, match=rf"^s2g1t3 seed 0: {refusal}$"):
+            sweep_record(SweepConfig(2, 1, 3, (0,)), 0, instance)
 
     def test_a_flow_disagreement_stops_the_record_at_once(self, monkeypatch, instance):
         """DO-U's optimum off DO-D's by more than the tolerance: the record
