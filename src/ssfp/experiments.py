@@ -277,13 +277,17 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
     are upper bounds from feasible plans, so they only prune nodes that
     cannot beat a known plan and never change the reported optimum.
 
-    The directed models run on the declared model, so the plans they report
-    do not change.  An undirected twin's cutoff is already its optimum, so
-    it must solve every node below it in any order; it searches depth first,
-    which starts each LP from its parent's basis.  Its plan is never read, so
-    it is built on the instance without the dominated pipe types
-    (``dominated_pipes`` over every stage), which leaves its optimum as it
-    is.  Every evaluation shares this record's recourse table.
+    Every model but SO-D is built on the instance without the dominated pipe
+    types (``dominated_pipes`` over every stage), which leaves each optimum
+    as it is but can change which of tied optimal plans a search ends at.
+    An undirected twin's plan is never read.  Under the generator the DO and
+    RO first stages are unique (see the README), so DO-D and RO-D report the
+    plans of the declared models.  SO plans can tie, so SO-D stays on the
+    declared instance.  An undirected twin's cutoff is already its optimum,
+    so it must solve every node below it in any order; it searches depth
+    first, which starts each LP from its parent's basis.  The evaluations
+    and the reported sizes are those of the declared instance, and every
+    evaluation shares this record's recourse table.
 
     This is the one check of a record's numbers; it refuses as ``SolverError``
     a U/D disagreement, a re-evaluated optimum off its model's objective and
@@ -295,7 +299,9 @@ def _measure(config: SweepConfig, seed: int, two_stage: TwoStageInstance) -> Swe
     plans: dict[Optimization, EdgePipeSet] = {}
     cutoff: float | None = None
     for optimization, next_objective in (("do", "so"), ("so", "ro"), ("ro", None)):
-        directed = build_model(ModelKind(optimization, "d"), two_stage)
+        directed = build_model(
+            ModelKind(optimization, "d"), two_stage if optimization == "so" else reduced
+        )
         d_solution, plans[optimization] = _solve(directed, cutoff)
         undirected = build_model(ModelKind(optimization, "u"), reduced)
         u_solution, _ = _solve(undirected, d_solution.objective + CUTOFF_SLACK, "depth")

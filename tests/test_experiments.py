@@ -370,12 +370,23 @@ def _record_instance(config, seed):
 
 @PILOT_AND_RECORD
 def test_pipe_reduction_agrees_with_the_declared_models(monkeypatch, config, seed):
-    """A sweep record with the dominated pipe types dropped from the U twins
-    and the recourse solves, against one on the declared models: the same
-    optima and evaluations, the same D searches, and the declared sizes."""
+    """A sweep record with the dominated pipe types dropped from DO-D, RO-D,
+    the U twins and the recourse solves, against one on the declared models:
+    the same optima and evaluations, the same SO-D search, the same DO-D and
+    RO-D first stages, and the declared sizes."""
     two_stage = _record_instance(config, seed)
     stages = (two_stage.first_stage, *two_stage.scenarios)
     assert dominated_pipes(stages, two_stage.existing) == {2}
+    d_solves = []  # (label, solution, first stage) of each D solve, both records in turn
+    original = experiments._solve
+
+    def recording_solve(built, *args, **kwargs):
+        solution, first = original(built, *args, **kwargs)
+        if built.kind.flow == "d":
+            d_solves.append((built.kind.label, solution, first))
+        return solution, first
+
+    monkeypatch.setattr(experiments, "_solve", recording_solve)
     reduced = sweep_record(config, seed, two_stage)
     monkeypatch.setattr(experiments, "dominated_pipes", lambda stages, existing: frozenset())
     declared = sweep_record(config, seed, two_stage)
@@ -384,11 +395,51 @@ def test_pipe_reduction_agrees_with_the_declared_models(monkeypatch, config, see
     for reduced_row, declared_row in zip(reduced.evaluations, declared.evaluations):
         for r, d in zip(reduced_row, declared_row):
             assert abs(r - d) <= AGREEMENT_TOL
-    assert reduced.node_counts[1::2] == declared.node_counts[1::2]  # the D models
+    for (label, r, r_first), (_, d, d_first) in zip(d_solves[:3], d_solves[3:]):
+        if label == "SO-D":  # on the declared instance in both records
+            assert (r.node_count, r.x) == (d.node_count, d.x)
+        else:
+            assert r_first == d_first, label
     builds = [build_model(kind, two_stage) for kind in ALL_KINDS]
     for record in (reduced, declared):
         assert record.variable_counts == tuple(b.milp.num_variables for b in builds)
         assert record.constraint_counts == tuple(b.milp.num_constraints for b in builds)
+
+
+def _check_do_d_and_ro_d_without_dominated_pipes(two_stage):
+    """DO-D and RO-D on the instance without the dominated pipe types, as a
+    sweep record solves them, against the declared models: the same optimum
+    within ``AGREEMENT_TOL`` and the same first stage."""
+    stages = (two_stage.first_stage, *two_stage.scenarios)
+    dropped = dominated_pipes(stages, two_stage.existing)
+    assert dropped == {2}
+    reduced = two_stage.without_pipes(dropped)
+    for optimization in ("do", "ro"):
+        kind = ModelKind(optimization, "d")
+        declared, declared_first = experiments._solve(build_model(kind, two_stage))
+        solution, first = experiments._solve(build_model(kind, reduced))
+        assert abs(solution.objective - declared.objective) <= AGREEMENT_TOL, kind.label
+        assert first == declared_first, kind.label
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [(PILOT, seed) for seed in PILOT.seeds] + [(RECORD, seed) for seed in (2, 4, 5, 6)],
+    ids=[f"pilot-{seed}" for seed in PILOT.seeds] + [f"record-{seed}" for seed in (2, 4, 5, 6)],
+)
+def test_do_d_and_ro_d_without_dominated_pipes_agree_with_the_declared_models(config, seed):
+    _check_do_d_and_ro_d_without_dominated_pipes(_record_instance(config, seed))
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize(
+    "config", [SweepConfig(3, 1, 3), SweepConfig(4, 1, 3), SweepConfig(2, 2, 3)],
+    ids=lambda config: config.setting_id,
+)
+def test_do_d_and_ro_d_without_dominated_pipes_agree_at_paper_scale(config):
+    """Seed 0 of three larger settings, as drawn: minutes of declared RO-D
+    solves, so it runs with ``pytest -m sweep``."""
+    _check_do_d_and_ro_d_without_dominated_pipes(random_artificial(config, 0))
 
 
 def _fresh_recourse_costs(recourse, first_stage_solution):
